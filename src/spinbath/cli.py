@@ -271,8 +271,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         kwargs["max_spins"] = args.enumeration_cap
     dec = spectral_decomposition(model, args.omega_tolerance, **kwargs)
     print(
-        f"{dec.n_lines} lines over [{_fmt(dec.lines[0].omega)}, "
-        f"{_fmt(dec.lines[-1].omega)}]"
+        f"{dec.n_lines} lines over [{_fmt(float(dec.omega[0]))}, "
+        f"{_fmt(float(dec.omega[-1]))}]"
     )
     if args.output is not None:
         _atomic_write_text(args.output, decomposition_to_csv(dec))

@@ -22,6 +22,7 @@ physically correct limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,11 @@ class ReducedState:
             raise InvalidParameterError("coherence violates positivity")
 
 
+def _check_time(t: float) -> None:
+    if not math.isfinite(t):
+        raise InvalidParameterError(f"t must be finite, got {t!r}")
+
+
 def _moduli(model: SpinBathModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-spin (|alpha|^2, |beta|^2, g) arrays."""
     alpha = np.array([s.alpha for s in model.spins], dtype=np.complex128)
@@ -103,6 +109,7 @@ def _moduli(model: SpinBathModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def r_of_t(model: SpinBathModel, t: float) -> complex:
     """Dephasing factor r(t), the overlap of the two evolved bath branches."""
+    _check_time(t)
     a2, b2, g = _moduli(model)
     phase = np.exp(-1j * g * t)
     factors = a2 * phase + b2 * np.conj(phase)
@@ -115,6 +122,7 @@ def r_squared(model: SpinBathModel, t: float) -> float:
     Each factor is |alpha|^4 + |beta|^4 + 2 |alpha|^2 |beta|^2 cos(2 g t),
     so the result is manifestly real; it equals |r_of_t(t)|^2 within 1e-12.
     """
+    _check_time(t)
     a2, b2, g = _moduli(model)
     factors = a2 * a2 + b2 * b2 + 2.0 * a2 * b2 * np.cos(2.0 * g * t)
     return float(np.prod(factors))
@@ -169,6 +177,7 @@ def expectation_full(model: SpinBathModel, obs: FullObservable, t: float) -> flo
         raise DimensionMismatchError(
             f"observable has {len(obs.env_parts)} environment parts, model has {n} spins"
         )
+    _check_time(t)
     alpha = np.array([s.alpha for s in model.spins], dtype=np.complex128)
     beta = np.array([s.beta for s in model.spins], dtype=np.complex128)
     g = np.array([s.g for s in model.spins], dtype=np.float64)

@@ -33,7 +33,6 @@ in :mod:`spinbath.lemma`.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -408,8 +407,10 @@ def series_to_jsonable(series: TimeSeries) -> dict[str, Any]:
 
 def decomposition_to_csv(dec: SpectralDecomposition) -> str:
     rows = ["omega,weight,multiplicity"]
-    for line in dec.lines:
-        rows.append(f"{_fmt(line.omega)},{_fmt(line.weight)},{line.multiplicity}")
+    for omega, weight, multiplicity in zip(
+        dec.omega.tolist(), dec.weight.tolist(), dec.multiplicity.tolist()
+    ):
+        rows.append(f"{_fmt(omega)},{_fmt(weight)},{multiplicity}")
     return "\n".join(rows) + "\n"
 
 
@@ -441,7 +442,7 @@ def _predict_payload(model: SpinBathModel, verdict_config: VerdictConfig) -> tup
     report = verdict_from_decomposition(dec, verdict_config)
     payload = {
         "n_spins": model.n_spins,
-        "sum_of_weights": math.fsum(line.weight for line in dec.lines),
+        "sum_of_weights": dec.weight_sum,
         **report.to_dict(),
     }
     return report, payload

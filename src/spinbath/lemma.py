@@ -89,9 +89,10 @@ class WeightedPointSet:
             raise InvalidParameterError("points and weights must be finite")
         if np.any(weights < 0):
             raise InvalidParameterError("weights must be nonnegative")
-        order = np.argsort(points, kind="stable")
-        points = points[order]
-        weights = weights[order]
+        if np.any(points[1:] < points[:-1]):
+            order = np.argsort(points, kind="stable")
+            points = points[order]
+            weights = weights[order]
         points.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "points", points)
@@ -103,10 +104,7 @@ class WeightedPointSet:
 
     @classmethod
     def from_decomposition(cls, dec: SpectralDecomposition) -> "WeightedPointSet":
-        return cls(
-            np.array([line.omega for line in dec.lines]),
-            np.array([line.weight for line in dec.lines]),
-        )
+        return cls(dec.omega, dec.weight)
 
 
 @dataclass(frozen=True)
@@ -246,14 +244,10 @@ def check_l1(
 
     weights = point_set.weights
     max_weight = float(np.max(weights))
-    max_dev = 0.0
-    worst = 0
-    for k, (start, stop) in enumerate(bounds):
-        block = weights[start:stop]
-        dev = float(np.max(block) - np.min(block))
-        if dev > max_dev:
-            max_dev = dev
-            worst = k
+    starts = np.array([start for start, _ in bounds], dtype=np.intp)
+    deviations = np.maximum.reduceat(weights, starts) - np.minimum.reduceat(weights, starts)
+    worst = int(np.argmax(deviations))  # the first group on a tie
+    max_dev = float(deviations[worst])
     global_ok = max_weight <= thresholds.eps_global
     group_ok = max_dev <= thresholds.eps_group
     diag = L1Diagnostics(max_weight, max_dev, worst, global_ok, group_ok)
@@ -266,6 +260,8 @@ def lemma_sum(
     normalization: Normalization = Normalization.RAW_WEIGHTS,
 ) -> complex:
     """Evaluate sum_i w_i e^{+i x_i t} under the chosen weight convention."""
+    if not math.isfinite(t):
+        raise InvalidParameterError(f"t must be finite, got {t!r}")
     weights = point_set.weights
     if normalization is Normalization.DIVIDE_BY_N:
         weights = weights / point_set.n_points
@@ -338,6 +334,7 @@ def estimate_recurrence_time(
     then every difference is verified to be an integer multiple of Delta
     within rel_tolerance. Any failure, including a single distinct point,
     yields EFFECTIVELY_INFINITE: no recurrence structure at this precision.
+    So does a Delta so small that 2*pi/Delta overflows to infinity.
     """
     if q_max < 1:
         raise InvalidParameterError(f"q_max must be >= 1, got {q_max}")
@@ -360,7 +357,8 @@ def estimate_recurrence_time(
         multiple = round(d / delta)
         if multiple < 1 or abs(d - multiple * delta) > rel_tolerance * d:
             return EFFECTIVELY_INFINITE
-    return 2.0 * math.pi / delta
+    period = 2.0 * math.pi / delta
+    return period if math.isfinite(period) else EFFECTIVELY_INFINITE
 
 
 # ---------------------------------------------------------------------------
@@ -485,5 +483,5 @@ def verdict_from_decomposition(
         recurrence_time=recurrence,
         lemma_sum_magnitude_at_half_tp=magnitude,
         verdict=Verdict.DECOHERES if (ok_qc and ok_l1) else Verdict.NO_VERDICT,
-        has_degenerate_lines=any(line.multiplicity > 1 for line in dec.lines),
+        has_degenerate_lines=bool(np.any(dec.multiplicity > 1)),
     )

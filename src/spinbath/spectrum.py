@@ -17,8 +17,9 @@ is an exact identity with the product form, checked to 1e-10 in tests.
 
 Collision handling is exact rather than approximate: couplings are
 rescaled to integers over a common power-of-two denominator (every float
-is a dyadic rational), signed subset sums are formed in arbitrary
-precision, and only the final division back to float rounds. Equal
+is a dyadic rational), signed subset sums are formed exactly (in int64
+while they fit in 62 bits, in arbitrary precision beyond), and only the
+final division back to float rounds. Equal
 couplings therefore collide bit-exactly and merge at tolerance zero;
 random couplings collide with probability zero.
 
@@ -32,6 +33,8 @@ It exists purely as an independent cross-check.
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +51,15 @@ ENUMERATION_CAP = 26
 ORACLE_CAP = 12
 
 _WEIGHT_SUM_TOLERANCE = 1e-12
+
+# Peak-RSS rise per enumerated value, for the up-front memory check in
+# _require_cap. Measured: spectral_decomposition about 81 B per term at
+# N = 20, 22 and 24 (sorted copies, group starts and sizes on top of the
+# sums and weights); hamiltonian_spectrum about 97 B per value at N = 18
+# and 20, mostly its EnergyLevel objects. The oracle holds a few
+# complex128 copies of its state vector.
+_ENUMERATION_BYTES_PER_VALUE = 100
+_ORACLE_BYTES_PER_STATE = 64
 
 
 @dataclass(frozen=True)
@@ -67,36 +79,89 @@ class SpectralLine:
             raise InvalidParameterError("line multiplicity must be >= 1")
 
 
-@dataclass(frozen=True)
 class SpectralDecomposition:
-    """All frequencies of r(t) for an N-spin model, merged and sorted."""
+    """All frequencies of r(t) for an N-spin model, merged and sorted.
 
-    lines: tuple[SpectralLine, ...]
-    n_spins: int
+    Stored as three read-only arrays of equal length: ``omega`` (finite,
+    strictly increasing), ``weight`` (nonnegative, summing to 1 within
+    1e-12; the exact ``math.fsum`` is kept as ``weight_sum``) and
+    ``multiplicity`` (each >= 1, summing to 2^N). ``lines`` is a tuple of
+    :class:`SpectralLine` built from the arrays on first access.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "lines", tuple(self.lines))
-        if self.n_spins < 1:
+    __slots__ = ("omega", "weight", "multiplicity", "n_spins", "weight_sum", "_lines")
+
+    def __init__(self, lines: Iterable[SpectralLine], n_spins: int):
+        lines = tuple(lines)
+        self._init_arrays(
+            np.array([line.omega for line in lines], dtype=np.float64),
+            np.array([line.weight for line in lines], dtype=np.float64),
+            np.array([line.multiplicity for line in lines], dtype=np.int64),
+            n_spins,
+            lines,
+        )
+
+    @classmethod
+    def _from_arrays(
+        cls,
+        omega: np.ndarray,
+        weight: np.ndarray,
+        multiplicity: np.ndarray,
+        n_spins: int,
+    ) -> "SpectralDecomposition":
+        dec = cls.__new__(cls)
+        dec._init_arrays(omega, weight, multiplicity, n_spins, None)
+        return dec
+
+    def _init_arrays(self, omega, weight, multiplicity, n_spins, lines) -> None:
+        if not np.all(np.isfinite(omega)):
+            raise InvalidParameterError("line omega must be finite")
+        if np.any(weight < 0):
+            raise InvalidParameterError("line weight must be nonnegative")
+        if np.any(multiplicity < 1):
+            raise InvalidParameterError("line multiplicity must be >= 1")
+        if n_spins < 1:
             raise InvalidParameterError("n_spins must be >= 1")
-        if not self.lines:
+        if omega.size == 0:
             raise InvalidParameterError("a decomposition needs at least one line")
-        omegas = [line.omega for line in self.lines]
-        if any(b <= a for a, b in zip(omegas, omegas[1:])):
+        if np.any(omega[1:] <= omega[:-1]):
             raise InvalidParameterError("line omegas must be strictly increasing")
-        total_mult = sum(line.multiplicity for line in self.lines)
-        if total_mult != 1 << self.n_spins:
+        total_mult = int(np.sum(multiplicity))
+        if total_mult != 1 << n_spins:
             raise InvalidParameterError(
-                f"multiplicities sum to {total_mult}, expected 2^{self.n_spins}"
+                f"multiplicities sum to {total_mult}, expected 2^{n_spins}"
             )
-        total_weight = math.fsum(line.weight for line in self.lines)
+        total_weight = math.fsum(weight.tolist())
         if abs(total_weight - 1.0) > _WEIGHT_SUM_TOLERANCE:
             raise InvalidParameterError(
                 f"weights sum to {total_weight!r}, expected 1 within 1e-12"
             )
+        for name, array in zip(("omega", "weight", "multiplicity"), (omega, weight, multiplicity)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "n_spins", n_spins)
+        object.__setattr__(self, "weight_sum", total_weight)
+        object.__setattr__(self, "_lines", lines)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def n_lines(self) -> int:
-        return len(self.lines)
+        return int(self.omega.size)
+
+    @property
+    def lines(self) -> tuple[SpectralLine, ...]:
+        """The lines as SpectralLine objects, built on first access and kept."""
+        if self._lines is None:
+            lines = tuple(
+                SpectralLine(o, w, m)
+                for o, w, m in zip(
+                    self.omega.tolist(), self.weight.tolist(), self.multiplicity.tolist()
+                )
+            )
+            object.__setattr__(self, "_lines", lines)
+        return self._lines
 
 
 @dataclass(frozen=True)
@@ -140,6 +205,43 @@ def _signed_sums(scaled: list[int]) -> list[int]:
     return sums
 
 
+def _signed_sums_int64(scaled: list[int]) -> np.ndarray:
+    """_signed_sums in one int64 array; exact while sum |scaled| < 2^62."""
+    sums = np.zeros(1 << len(scaled), dtype=np.int64)
+    size = 1
+    for m in reversed(scaled):
+        np.subtract(sums[:size], m, out=sums[size:2 * size])
+        sums[:size] += m
+        size *= 2
+    return sums
+
+
+def _fits_int64(scaled: list[int], denominator: int) -> bool:
+    """Whether the int64 path gives the same floats as the Python-int path.
+
+    It rounds each sum to float64 and divides by the power of two D
+    exactly, which matches the single rounding of int / int as long as
+    every sum fits in 62 bits and D <= 2^1022, so that no quotient is
+    subnormal.
+    """
+    return sum(abs(m) for m in scaled).bit_length() < 63 and denominator.bit_length() <= 1023
+
+
+def _signed_sum_values(model: SpinBathModel, scale: int = 1) -> np.ndarray:
+    """All 2^N values sum_i (+-g_i) / scale, indexed by nu, each correctly rounded.
+
+    ``scale`` is a power of two, so the common denominator stays one too.
+    """
+    scaled, common = _scaled_couplings(model)
+    denominator = common * scale
+    if _fits_int64(scaled, denominator):
+        values = _signed_sums_int64(scaled).astype(np.float64)
+        values /= denominator
+        return values
+    sums = _signed_sums(scaled)
+    return np.fromiter((s / denominator for s in sums), dtype=np.float64, count=len(sums))
+
+
 def _check_index(model: SpinBathModel, nu: int) -> None:
     limit = 1 << model.n_spins
     if not (0 <= nu < limit):
@@ -177,12 +279,33 @@ def weight_of_index(model: SpinBathModel, nu: int) -> float:
     return weight
 
 
-def _require_cap(n: int, cap: int, bytes_per_state: int, what: str) -> None:
+def _available_memory() -> int | None:
+    """Bytes of physical memory free right now, or None where unknown."""
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _require_cap(n: int, cap: int, exponent: int, bytes_per_value: int, what: str) -> None:
+    """Refuse an enumeration of 2^exponent values over n spins up front.
+
+    It is refused when n exceeds the cap, or when its memory estimate
+    exceeds the physical memory free now.
+    """
+    estimate = (1 << exponent) * bytes_per_value
+    needs = (
+        f"{what} over {n} spins holds 2^{exponent} values and needs roughly "
+        f"{estimate / 1e6:.3g} MB"
+    )
     if n > cap:
-        estimate = (1 << (n + 1)) * bytes_per_state
         raise CapExceededError(
-            f"{what} over {n} spins needs roughly {estimate / 1e6:.0f} MB "
-            f"(2^{n + 1} states); the cap is {cap} spins. Reduce N or raise the cap."
+            f"{needs}; the cap is {cap} spins. Reduce N or raise the cap."
+        )
+    available = _available_memory()
+    if available is not None and estimate > available:
+        raise CapExceededError(
+            f"{needs}; only {available / 1e6:.3g} MB of memory is free. Reduce N."
         )
 
 
@@ -196,28 +319,33 @@ def _merge_sorted(
     Returns (representatives, merged weights or None, group sizes). A group
     of identical values keeps that exact value; otherwise the representative
     is the weight-averaged position (plain mean if the mass is zero).
+    Single-member groups are taken as they are; only groups of two or
+    more are summed, each with np.sum, whose pairwise rounding
+    np.add.reduceat does not reproduce.
     """
     order = np.argsort(values, kind="stable")
     v = values[order]
     w = weights[order] if weights is not None else None
-    splits = np.flatnonzero(np.diff(v) > radius)
-    starts = np.concatenate(([0], splits + 1))
-    stops = np.concatenate((splits + 1, [len(v)]))
-    reps = np.empty(len(starts))
-    merged = np.empty(len(starts)) if w is not None else None
-    sizes = (stops - starts).astype(np.int64)
-    for k, (lo, hi) in enumerate(zip(starts, stops)):
+    del order
+    starts = np.flatnonzero(np.diff(v) > radius)
+    starts += 1
+    starts = np.concatenate(([0], starts))
+    sizes = np.diff(starts, append=len(v))
+    reps = v[starts]
+    mass = w[starts] if w is not None else None
+    for k in np.flatnonzero(sizes > 1).tolist():
+        lo = int(starts[k])
+        hi = lo + int(sizes[k])
         block = v[lo:hi]
         if w is not None:
-            mass = float(np.sum(w[lo:hi]))
-            merged[k] = mass
+            mass[k] = np.sum(w[lo:hi])
         if block[0] == block[-1]:
-            reps[k] = block[0]
-        elif w is not None and mass > 0.0:
-            reps[k] = float(np.sum(block * w[lo:hi]) / mass)
+            continue
+        if w is not None and mass[k] > 0.0:
+            reps[k] = np.sum(block * w[lo:hi]) / mass[k]
         else:
-            reps[k] = float(np.mean(block))
-    return reps, merged, sizes
+            reps[k] = np.mean(block)
+    return reps, mass, sizes
 
 
 def spectral_decomposition(
@@ -236,32 +364,29 @@ def spectral_decomposition(
     if omega_tolerance < 0:
         raise InvalidParameterError("omega_tolerance must be >= 0")
     n = model.n_spins
-    _require_cap(n, max_spins, 48, "spectral enumeration")
+    _require_cap(n, max_spins, n, _ENUMERATION_BYTES_PER_VALUE, "spectral enumeration")
 
-    scaled, common = _scaled_couplings(model)
-    sums = _signed_sums(scaled)
-    omegas = np.fromiter((s / common for s in sums), dtype=np.float64, count=len(sums))
-
-    weights = np.ones(1)
+    omegas = _signed_sum_values(model)
+    weights = np.empty(1 << n)
+    weights[0] = 1.0
+    size = 1
     for spin in reversed(model.spins):
         a2 = spin.alpha.real**2 + spin.alpha.imag**2
         b2 = spin.beta.real**2 + spin.beta.imag**2
-        weights = np.concatenate([weights * b2, weights * a2])
+        np.multiply(weights[:size], a2, out=weights[size:2 * size])
+        weights[:size] *= b2
+        size *= 2
 
     radius = omega_tolerance * max(abs(s.g) for s in model.spins)
     reps, merged, sizes = _merge_sorted(omegas, weights, radius)
-    lines = tuple(
-        SpectralLine(float(o), float(w), int(m))
-        for o, w, m in zip(reps, merged, sizes)
-    )
-    return SpectralDecomposition(lines, n)
+    return SpectralDecomposition._from_arrays(reps, merged, sizes, n)
 
 
 def r_from_spectrum(dec: SpectralDecomposition, t: float) -> complex:
     """Evaluate the trigonometric sum sum_lines weight * e^{+i omega t}."""
-    omegas = np.array([line.omega for line in dec.lines])
-    weights = np.array([line.weight for line in dec.lines])
-    return complex(np.sum(weights * np.exp(1j * omegas * t)))
+    if not math.isfinite(t):
+        raise InvalidParameterError(f"t must be finite, got {t!r}")
+    return complex(np.sum(dec.weight * np.exp(1j * dec.omega * t)))
 
 
 def hamiltonian_spectrum(
@@ -280,24 +405,20 @@ def hamiltonian_spectrum(
     if merge_tolerance < 0:
         raise InvalidParameterError("merge_tolerance must be >= 0")
     n = model.n_spins
-    _require_cap(n, max_spins, 48, "eigenvalue enumeration")
+    _require_cap(n, max_spins, n + 1, _ENUMERATION_BYTES_PER_VALUE, "eigenvalue enumeration")
 
-    scaled, common = _scaled_couplings(model)
-    sums = _signed_sums(scaled)
-    double = 2 * common
-    all_ints = sums + [-s for s in sums]
-    energies = np.fromiter(
-        (s / double for s in all_ints), dtype=np.float64, count=len(all_ints)
-    )
+    # Rounding is symmetric, so negating a rounded half-sum is exact.
+    half = _signed_sum_values(model, scale=2)
+    energies = np.concatenate([half, -half])
+    del half
     radius = merge_tolerance * max(abs(s.g) for s in model.spins)
     reps, _, sizes = _merge_sorted(energies, None, radius)
-    levels = [EnergyLevel(float(e), int(d)) for e, d in zip(reps, sizes)]
-    total = sum(level.degeneracy for level in levels)
+    total = int(np.sum(sizes))
     if total != 1 << (n + 1):
         raise InvalidParameterError(
             f"degeneracies sum to {total}, expected 2^{n + 1}"
         )
-    return levels
+    return [EnergyLevel(e, d) for e, d in zip(reps.tolist(), sizes.tolist())]
 
 
 def degeneracy_count(n: int, l: int) -> int:
@@ -333,7 +454,7 @@ def brute_force_expectation(
         raise DimensionMismatchError(
             f"observable has {len(obs.env_parts)} environment parts, model has {n} spins"
         )
-    _require_cap(n, max_spins, 16 * 4, "state-vector oracle")
+    _require_cap(n, max_spins, n + 1, _ORACLE_BYTES_PER_STATE, "state-vector oracle")
 
     psi = np.array([model.a, model.b], dtype=np.complex128)
     for spin in model.spins:

@@ -289,6 +289,21 @@ def test_sample_series_rejects_bad_grid(rng, t_start, t_end, steps):
         sample_series(bounded_model(2, rng), t_start, t_end, steps)
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_pointwise_evaluators_reject_non_finite_time(rng, t):
+    m = bounded_model(3, rng, phases=True)
+    calls = [
+        lambda: r_of_t(m, t),
+        lambda: r_squared(m, t),
+        lambda: expectation_relevant(m, random_system_observable(rng), t),
+        lambda: expectation_full(m, random_full_observable(rng, 3), t),
+        lambda: reduced_state(m, t),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="finite"):
+            call()
+
+
 def test_time_series_validation():
     times = np.array([0.0, 1.0, 2.0])
     good = np.ones(3, dtype=complex)

@@ -204,6 +204,15 @@ def test_l1_group_gate_and_worst_group():
     assert abs(diag.max_group_deviation - 2e-3) < 1e-18
 
 
+def test_l1_worst_group_is_the_first_on_a_tie():
+    w = np.full(40, 5e-4)
+    w[5] = w[25] = 9e-4  # groups 0 and 2 of a 4-group split deviate equally
+    s = WeightedPointSet(np.linspace(0, 1, 40), w)
+    _, diag = check_l1(s, make_partition(s, 4))
+    assert diag.worst_group_index == 0
+    assert diag.max_group_deviation == 9e-4 - 5e-4
+
+
 def test_l1_rejects_foreign_partition():
     s = uniform_set(50)
     with pytest.raises(InvalidParameterError):
@@ -263,6 +272,17 @@ def test_recurrence_rejects_incommensurate_sets():
     for third in (math.sqrt(2.0), math.e, (1 + math.sqrt(5)) / 2):
         s = WeightedPointSet([0.0, 1.0, third], [0.3, 0.3, 0.4])
         assert estimate_recurrence_time(s) is EFFECTIVELY_INFINITE
+
+
+def test_recurrence_overflowing_to_infinity_is_effectively_infinite():
+    s = WeightedPointSet([0.0, 1e-310, 2e-310], [0.25, 0.5, 0.25])
+    assert estimate_recurrence_time(s) is EFFECTIVELY_INFINITE
+
+
+def test_lemma_sum_rejects_non_finite_time():
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParameterError):
+            lemma_sum(uniform_set(8), t)
 
 
 def test_recurrence_single_distinct_point():

@@ -27,6 +27,7 @@ from spinbath import (
     spectral_decomposition,
     weight_of_index,
 )
+from spinbath import spectrum
 from spinbath.model import PhaseLaw, UniformPositive
 from spinbath.spectrum import ENUMERATION_CAP, ORACLE_CAP
 
@@ -131,6 +132,20 @@ def test_equal_couplings_collide_exactly():
         assert abs(line.weight - expected_w) < 1e-12
 
 
+def test_merged_weights_are_pairwise_sums_in_index_order(rng):
+    """Artifacts print merged weights to 17 digits, so each must be np.sum
+    over its terms in index order, bit for bit (a sequential sum such as
+    np.add.reduceat rounds differently)."""
+    n = 12
+    m = bounded_model(n, rng, g_lo=0.3, g_hi=0.3)
+    omegas = np.array([omega_of_index(m, nu) for nu in range(2**n)])
+    weights = np.array([weight_of_index(m, nu) for nu in range(2**n)])
+    dec = spectral_decomposition(m)
+    assert dec.n_lines == n + 1
+    for omega, weight in zip(dec.omega, dec.weight):
+        assert weight == np.sum(weights[omegas == omega])
+
+
 def test_mixed_collisions_merge_exactly():
     m = new_model(1.0, 0.0, [(ROOT_HALF, ROOT_HALF, 1.0),
                              (ROOT_HALF, ROOT_HALF, 0.5),
@@ -184,6 +199,113 @@ def test_spectral_line_and_decomposition_validation():
     bad_mass = (SpectralLine(-1.0, 0.5, 1), SpectralLine(1.0, 0.6, 1))
     with pytest.raises(InvalidParameterError):
         SpectralDecomposition(bad_mass, 1)
+
+
+def test_decomposition_arrays_are_read_only_and_lines_cached(rng):
+    dec = spectral_decomposition(bounded_model(6, rng))
+    for array in (dec.omega, dec.weight, dec.multiplicity):
+        assert not array.flags.writeable
+    assert dec.lines is dec.lines
+    assert [line.omega for line in dec.lines] == dec.omega.tolist()
+    assert dec.weight_sum == math.fsum(line.weight for line in dec.lines)
+    with pytest.raises(AttributeError):
+        dec.n_spins = 7
+
+
+def test_r_from_spectrum_rejects_non_finite_time(rng):
+    dec = spectral_decomposition(bounded_model(3, rng))
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParameterError):
+            r_from_spectrum(dec, t)
+
+
+# ---------------------------------------------------------------------------
+# int64 signed sums against the arbitrary-precision reference
+# ---------------------------------------------------------------------------
+
+def _decomposition_bytes(m, **kwargs):
+    dec = spectral_decomposition(m, **kwargs)
+    return dec.omega.tobytes(), dec.weight.tobytes(), dec.multiplicity.tobytes()
+
+
+def _force_python_ints(monkeypatch):
+    monkeypatch.setattr(spectrum, "_fits_int64", lambda scaled, denominator: False)
+
+
+@pytest.mark.parametrize("small, int64_path", [
+    (2.0**-50, True), (2.0**-61, True), (2.0**-62, False), (2.0**-70, False),
+])
+def test_int64_and_python_int_paths_agree_across_63_bits(small, int64_path, monkeypatch):
+    """Sum |scaled g| reaches 2^62 between 2^-61 and 2^-62 here; both
+    paths must give bit-identical arrays on either side."""
+    m = new_model(1.0, 0.0, [(0.6, 0.8, 1.0), (0.8, 0.6, small),
+                             (ROOT_HALF, ROOT_HALF, 0.375), (0.6, 0.8, small)])
+    scaled, common = spectrum._scaled_couplings(m)
+    assert spectrum._fits_int64(scaled, common) is int64_path
+    default = _decomposition_bytes(m)
+    levels = hamiltonian_spectrum(m)
+    _force_python_ints(monkeypatch)
+    assert _decomposition_bytes(m) == default
+    assert hamiltonian_spectrum(m) == levels
+
+
+def test_subnormal_couplings_take_the_python_int_path():
+    """A denominator above 2^1022 would make int64 quotients subnormal
+    (rounded twice), so those couplings must use the exact path."""
+    m = new_model(1.0, 0.0, [(0.6, 0.8, 1e-310), (0.8, 0.6, 3e-310)])
+    scaled, common = spectrum._scaled_couplings(m)
+    assert not spectrum._fits_int64(scaled, common)
+    dec = spectral_decomposition(m)
+    assert dec.omega.tolist() == sorted(omega_of_index(m, nu) for nu in range(4))
+
+
+@pytest.mark.parametrize("force_python_ints", [False, True])
+def test_both_sum_paths_match_per_index_terms(rng, force_python_ints, monkeypatch):
+    if force_python_ints:
+        _force_python_ints(monkeypatch)
+    for n in (1, 4, 10):
+        m = bounded_model(n, rng, phases=True)
+        terms = sorted((omega_of_index(m, nu), weight_of_index(m, nu)) for nu in range(2**n))
+        dec = spectral_decomposition(m)
+        assert dec.omega.tolist() == [o for o, _ in terms]
+        assert dec.weight.tolist() == [w for _, w in terms]
+        assert dec.multiplicity.tolist() == [1] * 2**n
+
+
+def test_both_sum_paths_give_equal_coupling_collisions(monkeypatch):
+    m = new_model(1.0, 0.0, [(0.6, 0.8, 0.3)] * 10)
+    default = _decomposition_bytes(m)
+    levels = hamiltonian_spectrum(m)
+    _force_python_ints(monkeypatch)
+    assert _decomposition_bytes(m) == default
+    assert hamiltonian_spectrum(m) == levels
+
+
+# ---------------------------------------------------------------------------
+# Enumeration caps and the memory estimate
+# ---------------------------------------------------------------------------
+
+def test_cap_message_states_terms_and_a_nonzero_estimate(rng):
+    with pytest.raises(CapExceededError) as info:
+        spectral_decomposition(bounded_model(8, rng), max_spins=7)
+    message = str(info.value)
+    assert "2^8 values" in message
+    assert " 0 MB" not in message
+    with pytest.raises(CapExceededError, match=r"2\^9 values"):
+        hamiltonian_spectrum(bounded_model(8, rng), max_spins=7)
+
+
+def test_enumeration_refused_when_memory_is_short(rng, monkeypatch):
+    m = bounded_model(10, rng)
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: 10**5)
+    with pytest.raises(CapExceededError, match="free"):
+        spectral_decomposition(m)
+    with pytest.raises(CapExceededError, match="free"):
+        hamiltonian_spectrum(m)
+    with pytest.raises(CapExceededError, match="free"):
+        brute_force_expectation(m, random_full_observable(rng, 10), 1.0)
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: None)
+    assert spectral_decomposition(m).n_lines == 2**10
 
 
 # ---------------------------------------------------------------------------
