@@ -178,11 +178,9 @@ def expectation_full(model: SpinBathModel, obs: FullObservable, t: float) -> flo
             f"observable has {len(obs.env_parts)} environment parts, model has {n} spins"
         )
     _check_time(t)
+    a2, b2, g = _moduli(model)
     alpha = np.array([s.alpha for s in model.spins], dtype=np.complex128)
     beta = np.array([s.beta for s in model.spins], dtype=np.complex128)
-    g = np.array([s.g for s in model.spins], dtype=np.float64)
-    a2 = alpha.real**2 + alpha.imag**2
-    b2 = beta.real**2 + beta.imag**2
     e_uu = np.array([p.e_uu for p in obs.env_parts], dtype=np.float64)
     e_dd = np.array([p.e_dd for p in obs.env_parts], dtype=np.float64)
     e_du = np.array([p.e_du for p in obs.env_parts], dtype=np.complex128)

@@ -612,11 +612,11 @@ def run_oracle_check(n_max: int, cases: int, seed: int) -> OracleCheckSummary:
 
         c = rng.uniform(-0.5, 0.5, size=4)
         system = RelevantObservable(c[0], c[1], complex(c[2], c[3]))
-        parts = []
-        for _ in range(n):
-            e = rng.uniform(-0.5, 0.5, size=4)
-            parts.append(LocalObservable(e[0], e[1], complex(e[2], e[3])))
-        obs = FullObservable(system, tuple(parts))
+        parts = tuple(
+            LocalObservable(e[0], e[1], complex(e[2], e[3]))
+            for e in rng.uniform(-0.5, 0.5, size=(n, 4))
+        )
+        obs = FullObservable(system, parts)
         t = 50.0 * rng.random()
 
         closed = expectation_full(model, obs, t)

@@ -342,7 +342,8 @@ def estimate_recurrence_time(
         raise InvalidParameterError(
             f"rel_tolerance must lie in (0, 1), got {rel_tolerance!r}"
         )
-    distinct = np.unique(point_set.points)
+    points = point_set.points
+    distinct = points[np.concatenate(([True], points[1:] != points[:-1]))]
     if distinct.size < 2:
         return EFFECTIVELY_INFINITE
     deltas = np.diff(distinct)

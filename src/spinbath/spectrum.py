@@ -25,8 +25,8 @@ random couplings collide with probability zero.
 
 The brute-force expectation at the bottom shares no code with the
 closed forms in :mod:`spinbath.evolution`: it materializes the full
-2^(N+1) state vector, derives every basis energy by bit counting over
-the couplings, and contracts the observable tensor factor by factor.
+2^(N+1) state vector and every basis energy as outer products over the
+spins, and applies the observable one 2x2 tensor factor at a time.
 It exists purely as an independent cross-check.
 """
 
@@ -56,10 +56,12 @@ _WEIGHT_SUM_TOLERANCE = 1e-12
 # _require_cap. Measured: spectral_decomposition about 81 B per term at
 # N = 20, 22 and 24 (sorted copies, group starts and sizes on top of the
 # sums and weights); hamiltonian_spectrum about 97 B per value at N = 18
-# and 20, mostly its EnergyLevel objects. The oracle holds a few
-# complex128 copies of its state vector.
+# and 20, mostly its EnergyLevel objects. brute_force_expectation peaks
+# at about 76 B per state under tracemalloc at N = 10, 11 and 12 (the
+# state, its phases and the evolved copy in complex128, the energies in
+# float64).
 _ENUMERATION_BYTES_PER_VALUE = 100
-_ORACLE_BYTES_PER_STATE = 64
+_ORACLE_BYTES_PER_STATE = 80
 
 
 @dataclass(frozen=True)
@@ -443,11 +445,14 @@ def brute_force_expectation(
 ) -> float:
     """Full state-vector expectation, independent of every closed form.
 
-    Builds |psi(0)> as an explicit Kronecker product (system first, then
-    spins in order), phases each basis state by e^{-i E t} with E obtained
-    by bit counting the up/down pattern against the couplings, applies the
-    observable one tensor factor at a time, and contracts. Cost and memory
-    are exponential; guarded by the oracle cap.
+    Builds |psi(0)> as a chain of outer products (system first, then
+    spins in order, the last spin at the least significant index), and
+    the bath energies sum_i (+-g_i/2) the same way, spin 1 added first.
+    Each basis state is phased by e^{-i E t}, with E the bath energy on
+    the system's up branch and its negation on the down branch. The
+    observable is applied one 2x2 factor at a time and contracted with
+    the evolved state. Cost and memory are exponential; guarded by the
+    oracle cap.
     """
     n = model.n_spins
     if len(obs.env_parts) != n:
@@ -457,36 +462,23 @@ def brute_force_expectation(
     _require_cap(n, max_spins, n + 1, _ORACLE_BYTES_PER_STATE, "state-vector oracle")
 
     psi = np.array([model.a, model.b], dtype=np.complex128)
+    env_energy = np.zeros(1)
     for spin in model.spins:
-        psi = np.kron(psi, np.array([spin.alpha, spin.beta], dtype=np.complex128))
-
-    dim_env = 1 << n
-    env_index = np.arange(dim_env)
-    env_energy = np.zeros(dim_env)
-    for i, spin in enumerate(model.spins):
-        bit = (env_index >> (n - 1 - i)) & 1
-        env_energy += np.where(bit == 0, 0.5 * spin.g, -0.5 * spin.g)
+        psi = np.multiply.outer(psi, (spin.alpha, spin.beta)).ravel()
+        env_energy = np.add.outer(env_energy, (spin.g / 2, -spin.g / 2)).ravel()
     energy = np.concatenate([env_energy, -env_energy])
-
     psi_t = psi * np.exp(-1j * energy * t)
 
     s = obs.system_part
-    matrices = [
-        np.array(
-            [[s.s_uu, np.conj(s.s_du)], [s.s_du, s.s_dd]], dtype=np.complex128
-        )
-    ]
-    for part in obs.env_parts:
-        matrices.append(
-            np.array(
-                [[part.e_uu, np.conj(part.e_du)], [part.e_du, part.e_dd]],
-                dtype=np.complex128,
-            )
-        )
-
-    acted = psi_t.reshape((2,) * (n + 1))
-    for site, matrix in enumerate(matrices):
-        acted = np.tensordot(matrix, acted, axes=([1], [site]))
-        acted = np.moveaxis(acted, 0, site)
-    value = np.vdot(psi_t, acted.reshape(-1))
+    matrices = np.array(
+        [[[s.s_uu, s.s_du.conjugate()], [s.s_du, s.s_dd]]]
+        + [[[p.e_uu, p.e_du.conjugate()], [p.e_du, p.e_dd]] for p in obs.env_parts],
+        dtype=np.complex128,
+    )
+    # Each step applies the matrix of the last tensor factor and moves
+    # that factor to the front; after all n + 1 steps the order is back.
+    acted = psi_t
+    for matrix in matrices[::-1]:
+        acted = (matrix @ acted.reshape(-1, 2).T).ravel()
+    value = np.vdot(psi_t, acted)
     return float(value.real)

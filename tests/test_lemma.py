@@ -292,6 +292,25 @@ def test_recurrence_single_distinct_point():
     assert estimate_recurrence_time(repeated) is EFFECTIVELY_INFINITE
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        [-3.0, -0.0, 0.0, 0.0, 4.0, 4.0, 7.0],
+        [0.0, -0.0, 0.0],
+        [-0.0, 0.0, 1.0, 1.0, math.sqrt(2.0)],
+        [0.0, 0.3, 0.3, 0.7, 1.2, 1.2],
+    ],
+)
+def test_recurrence_dedupes_repeats_and_signed_zeros_like_unique(points):
+    """Repeated points, a -0.0/0.0 pair among them, count once, exactly as
+    they would after np.unique."""
+    with_repeats = WeightedPointSet(points, np.full(len(points), 1.0 / len(points)))
+    distinct = np.unique(points)
+    reference = WeightedPointSet(distinct, np.full(distinct.size, 1.0 / distinct.size))
+    # A period compares by value, the sentinel by identity.
+    assert estimate_recurrence_time(with_repeats) == estimate_recurrence_time(reference)
+
+
 def test_recurrence_equal_coupling_spectrum():
     g = 0.7
     m = generate_random(10, 5, Equal(g))

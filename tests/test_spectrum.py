@@ -16,6 +16,7 @@ from spinbath import (
     RelevantObservable,
     SpectralDecomposition,
     SpectralLine,
+    SpinBathModel,
     brute_force_expectation,
     degeneracy_count,
     generate_random,
@@ -395,6 +396,43 @@ def test_brute_force_at_time_zero_matches_direct_average(rng):
                      + abs(spin.beta) ** 2 * part.e_dd
                      + 2.0 * (spin.alpha * spin.beta.conjugate() * part.e_du).real)
     assert abs(brute_force_expectation(m, obs, 0.0) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_brute_force_matches_dense_kronecker_reference(n, rng):
+    """psi(0) and O as explicit np.kron chains (system first), H as the
+    explicit diagonal 1/2 sigma_z (x) sum_i g_i sigma_z^(i). Every factor is
+    a different complex Hermitian matrix, so applying a factor at the
+    wrong site, or its transpose, changes the value."""
+    spins = bounded_model(n, rng, phases=True).spins
+    a = math.sqrt(0.3) * complex(math.cos(0.4), math.sin(0.4))
+    b = math.sqrt(0.7) * complex(math.cos(-1.1), math.sin(-1.1))
+    m = SpinBathModel(a, b, spins)
+    obs = random_full_observable(rng, n)
+
+    def dense(uu, dd, du):
+        return np.array([[uu, np.conj(du)], [du, dd]], dtype=np.complex128)
+
+    s = obs.system_part
+    psi0 = np.array([a, b], dtype=np.complex128)
+    big_o = dense(s.s_uu, s.s_dd, s.s_du)
+    sigma_z = np.diag([1.0, -1.0])
+    bath_h = np.zeros((1 << n, 1 << n))
+    for i, (spin, part) in enumerate(zip(spins, obs.env_parts)):
+        psi0 = np.kron(psi0, np.array([spin.alpha, spin.beta], dtype=np.complex128))
+        big_o = np.kron(big_o, dense(part.e_uu, part.e_dd, part.e_du))
+        ops = [np.eye(2)] * n
+        ops[i] = spin.g * sigma_z
+        term = ops[0]
+        for op in ops[1:]:
+            term = np.kron(term, op)
+        bath_h += term
+    h_diag = np.diag(0.5 * np.kron(sigma_z, bath_h))
+    for t in (0.0, 0.37, 5.0, 41.3):
+        psi_t = np.exp(-1j * h_diag * t) * psi0
+        expected = np.vdot(psi_t, big_o @ psi_t)
+        assert abs(expected.imag) < 1e-13
+        assert abs(brute_force_expectation(m, obs, t) - expected.real) < 1e-13
 
 
 def test_brute_force_cap(rng):
