@@ -30,6 +30,7 @@ from spinbath import (
     reduced_state,
     sample_series,
 )
+from spinbath.harness import TimeGrid, resolve_grid
 from spinbath.model import Equal, PhaseLaw
 
 from conftest import ROOT_HALF, bounded_model, random_full_observable, random_system_observable
@@ -277,6 +278,84 @@ def test_sample_series_matches_pointwise_calls(rng):
 def test_sample_series_without_observable(rng):
     series = sample_series(bounded_model(3, rng), 0.0, 1.0, 5)
     assert series.expectation_values is None
+
+
+def per_spin_loop(model, times):
+    """r on a grid as one full pass per spin, zeros included."""
+    alpha = np.array([s.alpha for s in model.spins])
+    beta = np.array([s.beta for s in model.spins])
+    g = np.array([s.g for s in model.spins])
+    r = np.ones(len(times), dtype=np.complex128)
+    for a2, b2, g_i in zip(alpha.real**2 + alpha.imag**2, beta.real**2 + beta.imag**2, g):
+        phase = np.exp(-1j * g_i * times)
+        r *= a2 * phase + b2 * np.conj(phase)
+    return r
+
+
+def assert_same_nonzero_bits(r, reference):
+    zero = r == 0
+    assert np.array_equal(zero, reference == 0)
+    assert np.array_equal(r[~zero].view(np.float64), reference[~zero].view(np.float64))
+    assert not np.signbit(r[zero].view(np.float64)).any()
+
+
+@pytest.mark.parametrize("seed", [1, 9])
+def test_sample_series_skips_exact_zeros_without_changing_bits(seed):
+    m = generate_random(3000, seed)
+    t_start, t_end, steps = resolve_grid(TimeGrid(steps=400), m)
+    r = sample_series(m, t_start, t_end, steps).r_values
+    assert np.count_nonzero(r == 0) > steps // 2
+    assert_same_nonzero_bits(r, per_spin_loop(m, np.linspace(t_start, t_end, steps)))
+
+
+def test_sample_series_bits_with_one_surviving_point():
+    m = generate_random(3000, 1)
+    _, t_end, _ = resolve_grid(TimeGrid(), m)
+    times = np.linspace(0.05, t_end, 20)
+    r = sample_series(m, 0.05, t_end, 20).r_values
+    assert np.count_nonzero(r) == 1
+    assert_same_nonzero_bits(r, per_spin_loop(m, times))
+
+
+def test_sample_series_bits_without_zeros(rng):
+    m = bounded_model(40, rng, phases=True)
+    r = sample_series(m, -3.0, 7.0, 257).r_values
+    assert np.all(r != 0)
+    reference = per_spin_loop(m, np.linspace(-3.0, 7.0, 257))
+    assert np.array_equal(r.view(np.float64), reference.view(np.float64))
+
+
+@pytest.mark.parametrize("seed", [1, 9])
+def test_large_bath_r_within_exact_log_bounds(seed):
+    # |f_i|^2 = 1 - x_i with x_i = 4 |alpha_i|^2 |beta_i|^2 sin^2(g_i t), and
+    # -x/(1-x) <= ln(1-x) <= -x, so ln|r|^2 is bracketed at any N; the sum
+    # of log1p(-x_i) gives it directly, with no product to underflow.
+    m = generate_random(5000, seed)
+    t_start, t_end, steps = resolve_grid(TimeGrid(), m)
+    r = sample_series(m, t_start, t_end, steps).r_values
+    times = np.linspace(t_start, t_end, steps)
+    g = np.array([s.g for s in m.spins])
+    ab = 4.0 * np.array([abs(s.alpha) ** 2 * abs(s.beta) ** 2 for s in m.spins])
+    lower = np.empty(steps)
+    upper = np.empty(steps)
+    exact = np.empty(steps)
+    for k in range(0, steps, 200):
+        x = ab * np.sin(np.outer(times[k:k + 200], g)) ** 2
+        with np.errstate(divide="ignore"):
+            lower[k:k + 200] = -np.sum(x / (1.0 - x), axis=1)
+            exact[k:k + 200] = np.sum(np.log1p(-x), axis=1)
+        upper[k:k + 200] = -np.sum(x, axis=1)
+    modulus = np.abs(r)
+    shown = modulus > 1e-300
+    log_r2 = 2.0 * np.log(modulus[shown])
+    assert np.all(log_r2 >= lower[shown] - 1e-9)
+    assert np.all(log_r2 <= upper[shown] + 1e-9)
+    # a zero is only allowed where |r| lies below the smallest subnormal
+    # double; the lower bound alone is loose where some x_i nears 1
+    zero = r == 0
+    assert np.count_nonzero(zero) > 0
+    assert np.all(lower[zero] < 2.0 * math.log(4.9e-324))
+    assert np.all(exact[zero] < 2.0 * math.log(4.9e-324))
 
 
 @pytest.mark.parametrize(

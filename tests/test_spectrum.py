@@ -309,6 +309,59 @@ def test_enumeration_refused_when_memory_is_short(rng, monkeypatch):
     assert spectral_decomposition(m).n_lines == 2**10
 
 
+MEMINFO = "MemTotal:  8000000 kB\nMemFree:   1000 kB\nMemAvailable:   3000 kB\n"
+
+
+@pytest.mark.parametrize(
+    "files, expected",
+    [
+        # MemAvailable counts reclaimable cache that MemFree leaves out
+        ({"/proc/meminfo": MEMINFO}, 3000 * 1024),
+        # a cgroup v2 limit below MemAvailable bounds it by limit - usage
+        ({"/proc/meminfo": MEMINFO, "/proc/self/cgroup": "0::/job\n",
+          "/sys/fs/cgroup/job/memory.max": "2000000\n",
+          "/sys/fs/cgroup/job/memory.current": "500000\n"}, 1500000),
+        # the same under cgroup v1, next to other controllers
+        ({"/proc/meminfo": MEMINFO,
+          "/proc/self/cgroup": "5:cpu,cpuacct:/job\n4:memory:/job\n0::/\n",
+          "/sys/fs/cgroup/memory/job/memory.limit_in_bytes": "2000000\n",
+          "/sys/fs/cgroup/memory/job/memory.usage_in_bytes": "2500000\n"}, 0),
+        # no limit: v2 "max", v1 ~2^63
+        ({"/proc/meminfo": MEMINFO, "/proc/self/cgroup": "0::/\n",
+          "/sys/fs/cgroup/memory.max": "max\n",
+          "/sys/fs/cgroup/memory.current": "500000\n"}, 3000 * 1024),
+        ({"/proc/meminfo": MEMINFO, "/proc/self/cgroup": "4:memory:/job\n",
+          "/sys/fs/cgroup/memory/job/memory.limit_in_bytes": "9223372036854771712\n",
+          "/sys/fs/cgroup/memory/job/memory.usage_in_bytes": "500000\n"}, 3000 * 1024),
+        # nothing readable: free physical pages from sysconf
+        ({}, 7 * 4096),
+        # no MemAvailable, but a cgroup limit below the free pages
+        ({"/proc/self/cgroup": "0::/job\n",
+          "/sys/fs/cgroup/job/memory.max": "10000\n",
+          "/sys/fs/cgroup/job/memory.current": "4000\n"}, 6000),
+    ],
+)
+def test_available_memory_reads_meminfo_and_cgroup(monkeypatch, files, expected):
+    monkeypatch.setattr(spectrum, "_read_text", files.get)
+    pages = {"SC_AVPHYS_PAGES": 7, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(spectrum.os, "sysconf", pages.__getitem__)
+    assert spectrum._read_available_memory() == expected
+
+
+def test_available_memory_reuses_a_reading_within_its_window(monkeypatch):
+    readings = iter([111, 222])
+    clock = [1000.0]
+    monkeypatch.setattr(spectrum, "_read_available_memory", lambda: next(readings))
+    monkeypatch.setattr(spectrum.time, "monotonic", lambda: clock[0])
+    spectrum._memory_reading.cache_clear()
+    assert spectrum._available_memory() == 111
+    clock[0] += 0.1 * spectrum._MEMORY_READING_S
+    assert spectrum._available_memory() == 111
+    clock[0] += spectrum._MEMORY_READING_S
+    assert spectrum._available_memory() == 222
+    spectrum._memory_reading.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian spectrum
 # ---------------------------------------------------------------------------
