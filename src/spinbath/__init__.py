@@ -32,6 +32,7 @@ from .evolution import (
     reduced_state,
     sample_series,
 )
+from .harness import model_from_dict, model_to_dict
 from .lemma import (
     EFFECTIVELY_INFINITE,
     NOT_EVALUATED,
@@ -60,16 +61,12 @@ from .model import (
     SpinBathModel,
     UniformPositive,
     generate_random,
-    model_from_dict,
-    model_to_dict,
     new_model,
 )
 from .spectrum import (
     ENUMERATION_CAP,
     ORACLE_CAP,
-    EnergyLevel,
     SpectralDecomposition,
-    SpectralLine,
     brute_force_expectation,
     degeneracy_count,
     hamiltonian_spectrum,
@@ -130,9 +127,7 @@ __all__ = [
     "new_model",
     "ENUMERATION_CAP",
     "ORACLE_CAP",
-    "EnergyLevel",
     "SpectralDecomposition",
-    "SpectralLine",
     "brute_force_expectation",
     "degeneracy_count",
     "hamiltonian_spectrum",

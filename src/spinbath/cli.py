@@ -16,19 +16,15 @@ from typing import Any
 
 from .errors import ConfigError, SpinBathError
 from .harness import (
-    OutputFormat,
-    build_model,
-    decomposition_to_csv,
+    FLOAT_FORMAT,
+    VERDICT_FIELDS,
     parse_config,
-    resolve_grid,
     run_compare,
     run_oracle_check,
     run_predict,
     run_simulate,
-    _atomic_write_text,
-    _fmt,
+    run_spectrum,
 )
-from .spectrum import spectral_decomposition
 
 
 def _load_json_file(path: str, what: str) -> Any:
@@ -74,17 +70,11 @@ def _add_output_flags(sub: argparse.ArgumentParser, formats: list[str]) -> None:
     )
 
 
-def _add_verdict_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n-min", type=int, default=None, help="minimum line count gate")
-    sub.add_argument("--cv-max", type=float, default=None, help="gap spread gate")
-    sub.add_argument("--ks-max", type=float, default=None, help="uniformity gate")
-    sub.add_argument("--eps-global", type=float, default=None, help="max weight gate")
-    sub.add_argument("--eps-group", type=float, default=None, help="per-group deviation gate")
-    sub.add_argument("--g-groups", type=int, default=None, help="partition group count")
-    sub.add_argument("--q-max", type=int, default=None, help="rationalization denominator cap")
-    sub.add_argument("--rel-tolerance", type=float, default=None)
-    sub.add_argument("--omega-tolerance", type=float, default=None, help="line merge radius / max|g|")
-    sub.add_argument("--enumeration-cap", type=int, default=None)
+def _add_verdict_flags(sub: argparse.ArgumentParser, enumeration_only: bool = False) -> None:
+    for f in VERDICT_FIELDS:
+        if f.enumeration or not enumeration_only:
+            flag = "--" + f.key.replace("_", "-")
+            sub.add_argument(flag, type=f.kind, default=None, help=f.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,10 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     spectrum = sub.add_parser("spectrum", help="dump the exact frequency spectrum")
     _add_model_flags(spectrum)
-    spectrum.add_argument(
-        "--omega-tolerance", type=float, default=0.0, help="line merge radius / max|g|"
-    )
-    spectrum.add_argument("--enumeration-cap", type=int, default=None)
+    _add_verdict_flags(spectrum, enumeration_only=True)
     spectrum.add_argument("--output", metavar="FILE", help="write CSV to this path")
     return parser
 
@@ -179,16 +166,12 @@ def _assemble(args: argparse.Namespace, default_format: str) -> dict[str, Any]:
         if grid:
             data["grid"] = grid
 
-    if hasattr(args, "n_min"):
-        verdict = dict(data.get("verdict", {}))
-        for key in ("n_min", "cv_max", "ks_max", "eps_global", "eps_group",
-                    "g_groups", "q_max", "rel_tolerance", "omega_tolerance",
-                    "enumeration_cap"):
-            value = getattr(args, key)
-            if value is not None:
-                verdict[key] = value
-        if verdict:
-            data["verdict"] = verdict
+    verdict = {
+        f.key: getattr(args, f.key) for f in VERDICT_FIELDS
+        if getattr(args, f.key, None) is not None
+    }
+    if verdict:
+        data["verdict"] = {**data.get("verdict", {}), **verdict}
 
     if getattr(args, "output", None) is not None:
         fmt = getattr(args, "format", None) or data.get("output", {}).get("format")
@@ -202,12 +185,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = parse_config(_assemble(args, "csv"))
     series = run_simulate(config)
     t0, t1 = float(series.times[0]), float(series.times[-1])
-    print(f"simulated {len(series)} points on [{_fmt(t0)}, {_fmt(t1)}]")
+    print(f"simulated {len(series)} points on [{t0:{FLOAT_FORMAT}}, {t1:{FLOAT_FORMAT}}]")
     if config.output is not None:
         print(f"wrote {config.output.path}")
     else:
         final = float(abs(series.r_values[-1]) ** 2)
-        print(f"final |r|^2 = {_fmt(final)}")
+        print(f"final |r|^2 = {final:{FLOAT_FORMAT}}")
     return 0
 
 
@@ -230,7 +213,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     status = "consistent" if result.agreement.consistent else "tension"
     print(
         f"verdict: {result.prediction.verdict.value}; "
-        f"late-time avg |r|^2 = {_fmt(result.decay_stats.time_avg_r_sq_last_half)}; "
+        f"late-time avg |r|^2 = {result.decay_stats.time_avg_r_sq_last_half:{FLOAT_FORMAT}}; "
         f"agreement: {status}"
     )
     if result.agreement.description:
@@ -252,7 +235,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     first = summary.failures[0]
     print(
         f"FAILED case {first.case_index}: n={first.n}, "
-        f"model_seed={first.model_seed}, t={_fmt(first.t)}, "
+        f"model_seed={first.model_seed}, t={first.t:{FLOAT_FORMAT}}, "
         f"error={first.error:.3e}",
         file=sys.stderr,
     )
@@ -263,19 +246,14 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     data = _assemble(args, "csv")
+    # the spectrum goes as CSV to --output alone, never to the config's output
     data.pop("output", None)
-    config = parse_config(data)
-    model = build_model(config.model_source)
-    kwargs = {}
-    if args.enumeration_cap is not None:
-        kwargs["max_spins"] = args.enumeration_cap
-    dec = spectral_decomposition(model, args.omega_tolerance, **kwargs)
-    print(
-        f"{dec.n_lines} lines over [{_fmt(float(dec.omega[0]))}, "
-        f"{_fmt(float(dec.omega[-1]))}]"
-    )
     if args.output is not None:
-        _atomic_write_text(args.output, decomposition_to_csv(dec))
+        data["output"] = {"path": args.output}
+    dec = run_spectrum(parse_config(data))
+    lo, hi = dec.omega[0], dec.omega[-1]
+    print(f"{dec.n_lines} lines over [{lo:{FLOAT_FORMAT}}, {hi:{FLOAT_FORMAT}}]")
+    if args.output is not None:
         print(f"wrote {args.output}")
     return 0
 

@@ -118,6 +118,12 @@ def _moduli(model: SpinBathModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a2, b2, g
 
 
+def _populations(model: SpinBathModel) -> tuple[float, float]:
+    """System populations (|a|^2, |b|^2)."""
+    a, b = model.a, model.b
+    return a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag
+
+
 def _r_values(a2: np.ndarray, b2: np.ndarray, g: np.ndarray, times: np.ndarray) -> np.ndarray:
     """r at every entry of ``times``: the product of the per-spin factors.
 
@@ -189,10 +195,8 @@ def expectation_relevant(model: SpinBathModel, obs: RelevantObservable, t: float
     Equals |a|^2 s_uu + |b|^2 s_dd + 2 Re[a conj(b) s_du r(t)]: the
     populations are frozen and the interference term decays with r(t).
     """
-    a, b = model.a, model.b
-    a2 = a.real * a.real + a.imag * a.imag
-    b2 = b.real * b.real + b.imag * b.imag
-    cross = a * b.conjugate() * obs.s_du * r_of_t(model, t)
+    a2, b2 = _populations(model)
+    cross = model.a * model.b.conjugate() * obs.s_du * r_of_t(model, t)
     return a2 * obs.s_uu + b2 * obs.s_dd + 2.0 * cross.real
 
 
@@ -234,14 +238,12 @@ def expectation_full(model: SpinBathModel, obs: FullObservable, t: float) -> flo
     diag_down = a2 * e_uu + b2 * e_dd + 2.0 * (cross * phase).real
     coherent = a2 * e_uu * np.conj(phase) + b2 * e_dd * phase + 2.0 * cross.real
 
-    a, b = model.a, model.b
-    sys_a2 = a.real * a.real + a.imag * a.imag
-    sys_b2 = b.real * b.real + b.imag * b.imag
+    sys_a2, sys_b2 = _populations(model)
     s = obs.system_part
     value = (
         sys_a2 * s.s_uu * float(np.prod(diag_up))
         + sys_b2 * s.s_dd * float(np.prod(diag_down))
-        + 2.0 * (a * b.conjugate() * s.s_du * complex(np.prod(coherent))).real
+        + 2.0 * (model.a * model.b.conjugate() * s.s_du * complex(np.prod(coherent))).real
     )
     return float(value)
 
@@ -253,10 +255,8 @@ def reduced_state(model: SpinBathModel, t: float) -> ReducedState:
     trace(rho(t) obs) for every system observable, which pins the
     coherence to a * conj(b) * r(t) with no free sign or conjugation.
     """
-    a, b = model.a, model.b
-    p_uu = a.real * a.real + a.imag * a.imag
-    p_dd = b.real * b.real + b.imag * b.imag
-    return ReducedState(p_uu, p_dd, a * b.conjugate() * r_of_t(model, t))
+    p_uu, p_dd = _populations(model)
+    return ReducedState(p_uu, p_dd, model.a * model.b.conjugate() * r_of_t(model, t))
 
 
 def sample_series(
@@ -283,9 +283,7 @@ def sample_series(
     r = _r_values(*_moduli(model), times)
     expectations = None
     if obs is not None:
-        a, b = model.a, model.b
-        sys_a2 = a.real * a.real + a.imag * a.imag
-        sys_b2 = b.real * b.real + b.imag * b.imag
+        sys_a2, sys_b2 = _populations(model)
         base = sys_a2 * obs.s_uu + sys_b2 * obs.s_dd
-        expectations = base + 2.0 * (a * b.conjugate() * obs.s_du * r).real
+        expectations = base + 2.0 * (model.a * model.b.conjugate() * obs.s_du * r).real
     return TimeSeries(times, r, expectations)

@@ -19,30 +19,29 @@ Config schema (all sections optional unless a runner needs them):
                                        "g": x}, ...]}},
       "grid": {"t_start": x, "t_end": x, "steps": int},
       "observable": {"s_uu": x, "s_dd": x, "s_du": [re, im]},
-      "verdict": {"n_min": int, "cv_max": x, "ks_max": x,
-                   "eps_global": x, "eps_group": x, "g_groups": int | null,
-                   "q_max": int, "rel_tolerance": x, "omega_tolerance": x,
-                   "enumeration_cap": int},
+      "verdict": {key: int | x, ...},  one key per row of VERDICT_FIELDS
       "output": {"path": str, "format": "csv" | "json"}
     }
 
 Defaults: grid [0, 20 / mean|g|] with 2000 steps; verdict thresholds as
-in :mod:`spinbath.lemma`.
+in :mod:`spinbath.lemma`. The inline model schema is the one
+:func:`model_to_dict` writes and :func:`model_from_dict` reads.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError
-from .evolution import TimeSeries, r_bounds, sample_series
+from .errors import ConfigError, InvalidParameterError, NormalizationError
+from .evolution import TimeSeries, expectation_full, r_bounds, sample_series
 from .lemma import (
     LemmaReport,
     L1Thresholds,
@@ -52,6 +51,7 @@ from .lemma import (
     verdict_from_decomposition,
 )
 from .model import (
+    EnvironmentSpin,
     Equal,
     FullObservable,
     LocalObservable,
@@ -60,10 +60,6 @@ from .model import (
     SpinBathModel,
     UniformPositive,
     generate_random,
-    model_from_dict,
-    model_to_dict,
-    _parse_complex,
-    _parse_real,
 )
 from .spectrum import (
     ORACLE_CAP,
@@ -71,13 +67,16 @@ from .spectrum import (
     brute_force_expectation,
     spectral_decomposition,
 )
-from .evolution import expectation_full
 
 ORACLE_TOLERANCE = 1e-10
 DEFAULT_STEPS = 2000
 DEFAULT_T_END_OVER_MEAN_G = 20.0
 
 CSV_HEADER = "t,re_r,im_r,r_sq,expectation"
+
+# Every real number written to an artifact: 17 significant digits round-trip
+# any double.
+FLOAT_FORMAT = ".17g"
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +152,13 @@ def _expect_dict(value: Any, path: str) -> dict:
         raise ConfigError(path, "expected an object")
     return value
 
+
+def _require(data: dict, keys: tuple[str, ...], path: str) -> None:
+    for key in keys:
+        if key not in data:
+            raise ConfigError(f"{path}.{key}", "missing required field")
+
+
 def _reject_unknown(data: dict, allowed: set[str], path: str) -> None:
     unknown = set(data) - allowed
     if unknown:
@@ -165,11 +171,70 @@ def _parse_int(value: Any, path: str) -> int:
     return value
 
 
+def _parse_real(value: Any, path: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(path, "expected a number")
+    return float(value)
+
+
+def _parse_complex(value: Any, path: str) -> complex:
+    if (not isinstance(value, Sequence)) or isinstance(value, (str, bytes)) or len(value) != 2:
+        raise ConfigError(path, "expected a [re, im] pair")
+    return complex(_parse_real(value[0], f"{path}[0]"), _parse_real(value[1], f"{path}[1]"))
+
+
+def _complex_pair(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
+def model_to_dict(model: SpinBathModel) -> dict[str, Any]:
+    """Serialize a model to the inline model schema."""
+    return {
+        "a": _complex_pair(model.a),
+        "b": _complex_pair(model.b),
+        "spins": [
+            {"alpha": _complex_pair(s.alpha), "beta": _complex_pair(s.beta), "g": s.g}
+            for s in model.spins
+        ],
+    }
+
+
+def model_from_dict(data: Any, path: str = "model") -> SpinBathModel:
+    """Parse and validate a model from the inline model schema.
+
+    All failures, structural or semantic, surface as ConfigError carrying
+    the dotted path of the offending field.
+    """
+    data = _expect_dict(data, path)
+    _require(data, ("a", "b", "spins"), path)
+    _reject_unknown(data, {"a", "b", "spins"}, path)
+    a = _parse_complex(data["a"], f"{path}.a")
+    b = _parse_complex(data["b"], f"{path}.b")
+    raw_spins = data["spins"]
+    if not isinstance(raw_spins, list) or not raw_spins:
+        raise ConfigError(f"{path}.spins", "expected a non-empty array")
+    spins = []
+    for i, entry in enumerate(raw_spins):
+        spin_path = f"{path}.spins[{i}]"
+        entry = _expect_dict(entry, spin_path)
+        _require(entry, ("alpha", "beta", "g"), spin_path)
+        _reject_unknown(entry, {"alpha", "beta", "g"}, spin_path)
+        alpha = _parse_complex(entry["alpha"], f"{spin_path}.alpha")
+        beta = _parse_complex(entry["beta"], f"{spin_path}.beta")
+        g = _parse_real(entry["g"], f"{spin_path}.g")
+        try:
+            spins.append(EnvironmentSpin(alpha, beta, g))
+        except (NormalizationError, InvalidParameterError) as exc:
+            raise ConfigError(spin_path, str(exc)) from None
+    try:
+        return SpinBathModel(a, b, tuple(spins))
+    except (NormalizationError, InvalidParameterError) as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _parse_random_source(data: dict, path: str) -> RandomSource:
     _reject_unknown(data, {"n", "seed", "coupling", "phases"}, path)
-    for key in ("n", "seed"):
-        if key not in data:
-            raise ConfigError(f"{path}.{key}", "missing required field")
+    _require(data, ("n", "seed"), path)
     n = _parse_int(data["n"], f"{path}.n")
     seed = _parse_int(data["seed"], f"{path}.seed")
 
@@ -182,8 +247,7 @@ def _parse_random_source(data: dict, path: str) -> RandomSource:
             g_max = _parse_real(cdata.get("g_max", 1.0), f"{path}.coupling.g_max")
             coupling = UniformPositive(g_max)
         elif law == "equal":
-            if "g" not in cdata:
-                raise ConfigError(f"{path}.coupling.g", "missing required field")
+            _require(cdata, ("g",), f"{path}.coupling")
             coupling = Equal(_parse_real(cdata["g"], f"{path}.coupling.g"))
         else:
             raise ConfigError(
@@ -232,9 +296,7 @@ def _parse_grid(data: Any, path: str) -> TimeGrid:
 def _parse_observable(data: Any, path: str) -> RelevantObservable:
     data = _expect_dict(data, path)
     _reject_unknown(data, {"s_uu", "s_dd", "s_du"}, path)
-    for key in ("s_uu", "s_dd"):
-        if key not in data:
-            raise ConfigError(f"{path}.{key}", "missing required field")
+    _require(data, ("s_uu", "s_dd"), path)
     s_uu = _parse_real(data["s_uu"], f"{path}.s_uu")
     s_dd = _parse_real(data["s_dd"], f"{path}.s_dd")
     s_du = 0j
@@ -246,49 +308,64 @@ def _parse_observable(data: Any, path: str) -> RelevantObservable:
         raise ConfigError(path, str(exc)) from None
 
 
-_VERDICT_KEYS = {
-    "n_min", "cv_max", "ks_max", "eps_global", "eps_group",
-    "g_groups", "q_max", "rel_tolerance", "omega_tolerance", "enumeration_cap",
-}
+@dataclass(frozen=True)
+class VerdictField:
+    """One verdict setting, as config key, CLI flag and VerdictConfig field.
+
+    The CLI flag is ``--`` plus the key with dashes for underscores.
+    ``section`` names the VerdictConfig attribute that holds the field
+    ("qc" or "l1"), or is None for a field of VerdictConfig itself.
+    """
+
+    key: str
+    section: str | None
+    kind: type  # int or float
+    help: str | None = None
+    null_is_default: bool = False  # a JSON null stands for the default
+    enumeration: bool = False  # also a setting of the spectrum subcommand
+
+
+VERDICT_FIELDS = (
+    VerdictField("n_min", "qc", int, "minimum line count gate"),
+    VerdictField("cv_max", "qc", float, "gap spread gate"),
+    VerdictField("ks_max", "qc", float, "uniformity gate"),
+    VerdictField("eps_global", "l1", float, "max weight gate"),
+    VerdictField("eps_group", "l1", float, "per-group deviation gate"),
+    VerdictField("g_groups", None, int, "partition group count", null_is_default=True),
+    VerdictField("q_max", None, int, "rationalization denominator cap"),
+    VerdictField("rel_tolerance", None, float),
+    VerdictField("omega_tolerance", None, float, "line merge radius / max|g|", enumeration=True),
+    VerdictField("enumeration_cap", None, int, enumeration=True),
+)
 
 
 def _parse_verdict(data: Any, path: str) -> VerdictConfig:
+    """Fields left out (or null where that means the default) keep their
+    defaults. NaN is refused: it fails every comparison, so its gate would
+    fail silently. Infinities are kept; +inf switches a max gate off."""
     data = _expect_dict(data, path)
-    _reject_unknown(data, _VERDICT_KEYS, path)
-    base = VerdictConfig()
-    qc = QCThresholds(
-        n_min=_parse_int(data["n_min"], f"{path}.n_min") if "n_min" in data else base.qc.n_min,
-        cv_max=_parse_real(data["cv_max"], f"{path}.cv_max") if "cv_max" in data else base.qc.cv_max,
-        ks_max=_parse_real(data["ks_max"], f"{path}.ks_max") if "ks_max" in data else base.qc.ks_max,
-    )
-    l1 = L1Thresholds(
-        eps_global=_parse_real(data["eps_global"], f"{path}.eps_global")
-        if "eps_global" in data else base.l1.eps_global,
-        eps_group=_parse_real(data["eps_group"], f"{path}.eps_group")
-        if "eps_group" in data else base.l1.eps_group,
-    )
-    g_groups = None
-    if data.get("g_groups") is not None:
-        g_groups = _parse_int(data["g_groups"], f"{path}.g_groups")
+    _reject_unknown(data, {f.key for f in VERDICT_FIELDS}, path)
+    sections: dict[str | None, dict[str, Any]] = {"qc": {}, "l1": {}, None: {}}
+    for f in VERDICT_FIELDS:
+        if f.key not in data or (f.null_is_default and data[f.key] is None):
+            continue
+        where = f"{path}.{f.key}"
+        if f.kind is int:
+            value = _parse_int(data[f.key], where)
+        else:
+            value = _parse_real(data[f.key], where)
+            if math.isnan(value):
+                raise ConfigError(where, "expected a number, got NaN")
+        sections[f.section][f.key] = value
     return VerdictConfig(
-        qc=qc,
-        l1=l1,
-        g_groups=g_groups,
-        q_max=_parse_int(data["q_max"], f"{path}.q_max") if "q_max" in data else base.q_max,
-        rel_tolerance=_parse_real(data["rel_tolerance"], f"{path}.rel_tolerance")
-        if "rel_tolerance" in data else base.rel_tolerance,
-        omega_tolerance=_parse_real(data["omega_tolerance"], f"{path}.omega_tolerance")
-        if "omega_tolerance" in data else base.omega_tolerance,
-        enumeration_cap=_parse_int(data["enumeration_cap"], f"{path}.enumeration_cap")
-        if "enumeration_cap" in data else base.enumeration_cap,
+        qc=QCThresholds(**sections["qc"]), l1=L1Thresholds(**sections["l1"]), **sections[None]
     )
 
 
 def _parse_output(data: Any, path: str) -> OutputSpec:
     data = _expect_dict(data, path)
     _reject_unknown(data, {"path", "format"}, path)
-    if "path" not in data:
-        raise ConfigError(f"{path}.path", "missing required field")
+    _require(data, ("path",), path)
     raw_path = data["path"]
     if not isinstance(raw_path, str) or not raw_path:
         raise ConfigError(f"{path}.path", "expected a non-empty string")
@@ -304,8 +381,7 @@ def parse_config(data: Any, path: str = "config") -> ExperimentConfig:
     """Validate a config dict; every failure names its field path."""
     data = _expect_dict(data, path)
     _reject_unknown(data, {"model", "grid", "observable", "verdict", "output"}, path)
-    if "model" not in data:
-        raise ConfigError(f"{path}.model", "missing required field")
+    _require(data, ("model",), path)
     source = _parse_model_source(data["model"], f"{path}.model")
     grid = _parse_grid(data["grid"], f"{path}.grid") if "grid" in data else TimeGrid()
     observable = (
@@ -323,10 +399,6 @@ def parse_config(data: Any, path: str = "config") -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Atomic file output at fixed precision
 # ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
 
 def _atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
@@ -350,7 +422,7 @@ def _dump_json(obj: Any, indent: int = 0) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, float):
-        return _fmt(obj)
+        return format(obj, FLOAT_FORMAT)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):
@@ -380,6 +452,9 @@ def write_json(path: str, payload: Any) -> None:
 # 2000-step simulate call by about 0.2 MB, for no gain in speed.
 _CSV_CHUNK_ROWS = 256
 
+# One str.format call makes a whole row.
+_CELL = f"{{:{FLOAT_FORMAT}}}"
+
 
 def series_to_csv(series: TimeSeries) -> str:
     rows = [CSV_HEADER]
@@ -389,33 +464,31 @@ def series_to_csv(series: TimeSeries) -> str:
     if series.expectation_values is not None:
         columns.append(series.expectation_values)
         blank = []
+    row = ",".join([_CELL] * len(columns) + blank).format
     for start in range(0, len(series), _CSV_CHUNK_ROWS):
         chunk = (column[start:start + _CSV_CHUNK_ROWS].tolist() for column in columns)
-        for row in zip(*chunk):
-            rows.append(",".join([*map(_fmt, row), *blank]))
+        rows.extend(row(*values) for values in zip(*chunk))
     return "\n".join(rows) + "\n"
 
 
 def series_to_jsonable(series: TimeSeries) -> dict[str, Any]:
-    r_sq = np.abs(series.r_values) ** 2
+    r = series.r_values
     return {
-        "times": [float(x) for x in series.times],
-        "re_r": [float(z.real) for z in series.r_values],
-        "im_r": [float(z.imag) for z in series.r_values],
-        "r_sq": [float(x) for x in r_sq],
+        "times": series.times.tolist(),
+        "re_r": r.real.tolist(),
+        "im_r": r.imag.tolist(),
+        "r_sq": (np.abs(r) ** 2).tolist(),
         "expectation": (
-            [float(x) for x in series.expectation_values]
+            series.expectation_values.tolist()
             if series.expectation_values is not None else None
         ),
     }
 
 
 def decomposition_to_csv(dec: SpectralDecomposition) -> str:
+    row = f"{_CELL},{_CELL},{{}}".format
     rows = ["omega,weight,multiplicity"]
-    for omega, weight, multiplicity in zip(
-        dec.omega.tolist(), dec.weight.tolist(), dec.multiplicity.tolist()
-    ):
-        rows.append(f"{_fmt(omega)},{_fmt(weight)},{multiplicity}")
+    rows.extend(map(row, dec.omega.tolist(), dec.weight.tolist(), dec.multiplicity.tolist()))
     return "\n".join(rows) + "\n"
 
 
@@ -438,6 +511,21 @@ def run_simulate(config: ExperimentConfig) -> TimeSeries:
         else:
             write_json(config.output.path, series_to_jsonable(series))
     return series
+
+
+def run_spectrum(config: ExperimentConfig) -> SpectralDecomposition:
+    """Enumerate the merged spectrum, with the merge radius and the cap of
+    the verdict settings, and emit it as CSV."""
+    verdict = config.verdict
+    dec = spectral_decomposition(
+        build_model(config.model_source), verdict.omega_tolerance,
+        max_spins=verdict.enumeration_cap,
+    )
+    if config.output is not None:
+        if config.output.format is not OutputFormat.CSV:
+            raise ConfigError("config.output.format", 'spectrum emits "csv" only')
+        _atomic_write_text(config.output.path, decomposition_to_csv(dec))
+    return dec
 
 
 def _predict_payload(model: SpinBathModel, verdict_config: VerdictConfig) -> tuple[LemmaReport, dict]:

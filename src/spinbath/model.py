@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import (
-    ConfigError,
     EmptyEnvironmentError,
     InvalidParameterError,
     NormalizationError,
@@ -269,88 +268,3 @@ def generate_random(
             g = coupling_law.g
         spins.append(EnvironmentSpin(alpha, beta, g))
     return SpinBathModel(complex(root_half), complex(root_half), tuple(spins))
-
-
-# ---------------------------------------------------------------------------
-# Serialization (JSON-compatible schema)
-# ---------------------------------------------------------------------------
-#
-# {
-#   "a": [re, im], "b": [re, im],
-#   "spins": [{"alpha": [re, im], "beta": [re, im], "g": float}, ...]
-# }
-
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
-def model_to_dict(model: SpinBathModel) -> dict[str, Any]:
-    """Serialize a model to the documented JSON-compatible schema."""
-    return {
-        "a": _complex_pair(model.a),
-        "b": _complex_pair(model.b),
-        "spins": [
-            {"alpha": _complex_pair(s.alpha), "beta": _complex_pair(s.beta), "g": s.g}
-            for s in model.spins
-        ],
-    }
-
-
-def _parse_complex(value: Any, path: str) -> complex:
-    if (not isinstance(value, Sequence)) or isinstance(value, (str, bytes)) or len(value) != 2:
-        raise ConfigError(path, "expected a [re, im] pair")
-    re, im = value
-    if not isinstance(re, (int, float)) or isinstance(re, bool):
-        raise ConfigError(f"{path}[0]", "expected a number")
-    if not isinstance(im, (int, float)) or isinstance(im, bool):
-        raise ConfigError(f"{path}[1]", "expected a number")
-    return complex(float(re), float(im))
-
-
-def _parse_real(value: Any, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(path, "expected a number")
-    return float(value)
-
-
-def model_from_dict(data: Any, path: str = "model") -> SpinBathModel:
-    """Parse and validate a model from the documented schema.
-
-    All failures, structural or semantic, surface as ConfigError carrying
-    the dotted path of the offending field.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError(path, "expected an object")
-    for key in ("a", "b", "spins"):
-        if key not in data:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-    unknown = set(data) - {"a", "b", "spins"}
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown field")
-    a = _parse_complex(data["a"], f"{path}.a")
-    b = _parse_complex(data["b"], f"{path}.b")
-    raw_spins = data["spins"]
-    if not isinstance(raw_spins, list) or not raw_spins:
-        raise ConfigError(f"{path}.spins", "expected a non-empty array")
-    spins = []
-    for i, entry in enumerate(raw_spins):
-        spin_path = f"{path}.spins[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(spin_path, "expected an object")
-        for key in ("alpha", "beta", "g"):
-            if key not in entry:
-                raise ConfigError(f"{spin_path}.{key}", "missing required field")
-        unknown_keys = set(entry) - {"alpha", "beta", "g"}
-        if unknown_keys:
-            raise ConfigError(f"{spin_path}.{sorted(unknown_keys)[0]}", "unknown field")
-        alpha = _parse_complex(entry["alpha"], f"{spin_path}.alpha")
-        beta = _parse_complex(entry["beta"], f"{spin_path}.beta")
-        g = _parse_real(entry["g"], f"{spin_path}.g")
-        try:
-            spins.append(EnvironmentSpin(alpha, beta, g))
-        except (NormalizationError, InvalidParameterError) as exc:
-            raise ConfigError(spin_path, str(exc)) from None
-    try:
-        return SpinBathModel(a, b, tuple(spins))
-    except (NormalizationError, InvalidParameterError) as exc:
-        raise ConfigError(path, str(exc)) from None

@@ -36,8 +36,6 @@ import functools
 import math
 import os
 import time
-from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,69 +53,35 @@ ORACLE_CAP = 12
 _WEIGHT_SUM_TOLERANCE = 1e-12
 
 # Peak-RSS rise per enumerated value, for the up-front memory check in
-# _require_cap. Measured: spectral_decomposition about 81 B per term at
-# N = 20, 22 and 24 (sorted copies, group starts and sizes on top of the
-# sums and weights); hamiltonian_spectrum about 97 B per value at N = 18
-# and 20, mostly its EnergyLevel objects. brute_force_expectation peaks
-# at about 76 B per state under tracemalloc at N = 10, 11 and 12 (the
-# state, its phases and the evolved copy in complex128, the energies in
-# float64).
+# _require_cap. Measured in a fresh process: spectral_decomposition about
+# 98 B per term at N = 20 and 81 B at N = 22 (sorted copies, group starts
+# and sizes on top of the sums and weights); hamiltonian_spectrum, which
+# returns arrays only, about 57 B per value at N = 18 and 20 and 53 B at
+# N = 22. brute_force_expectation peaks at about 76 B per state under
+# tracemalloc at N = 10, 11 and 12 (the state, its phases and the evolved
+# copy in complex128, the energies in float64).
 _ENUMERATION_BYTES_PER_VALUE = 100
 _ORACLE_BYTES_PER_STATE = 80
-
-
-@dataclass(frozen=True)
-class SpectralLine:
-    """One aggregated frequency: its weight mass and how many indices hit it."""
-
-    omega: float
-    weight: float
-    multiplicity: int
-
-    def __post_init__(self):
-        if not math.isfinite(self.omega):
-            raise InvalidParameterError("line omega must be finite")
-        if self.weight < 0:
-            raise InvalidParameterError("line weight must be nonnegative")
-        if self.multiplicity < 1:
-            raise InvalidParameterError("line multiplicity must be >= 1")
 
 
 class SpectralDecomposition:
     """All frequencies of r(t) for an N-spin model, merged and sorted.
 
-    Stored as three read-only arrays of equal length: ``omega`` (finite,
-    strictly increasing), ``weight`` (nonnegative, summing to 1 within
-    1e-12; the exact ``math.fsum`` is kept as ``weight_sum``) and
-    ``multiplicity`` (each >= 1, summing to 2^N). ``lines`` is a tuple of
-    :class:`SpectralLine` built from the arrays on first access.
+    Three 1-d arrays of equal length: ``omega`` (finite, strictly
+    increasing), ``weight`` (nonnegative, summing to 1 within 1e-12; the
+    exact ``math.fsum`` is kept as ``weight_sum``) and ``multiplicity``
+    (each >= 1, summing to 2^N). Arrays already of dtype float64, float64
+    and int64 are taken without a copy and made read-only.
     """
 
-    __slots__ = ("omega", "weight", "multiplicity", "n_spins", "weight_sum", "_lines")
+    __slots__ = ("omega", "weight", "multiplicity", "n_spins", "weight_sum")
 
-    def __init__(self, lines: Iterable[SpectralLine], n_spins: int):
-        lines = tuple(lines)
-        self._init_arrays(
-            np.array([line.omega for line in lines], dtype=np.float64),
-            np.array([line.weight for line in lines], dtype=np.float64),
-            np.array([line.multiplicity for line in lines], dtype=np.int64),
-            n_spins,
-            lines,
-        )
-
-    @classmethod
-    def _from_arrays(
-        cls,
-        omega: np.ndarray,
-        weight: np.ndarray,
-        multiplicity: np.ndarray,
-        n_spins: int,
-    ) -> "SpectralDecomposition":
-        dec = cls.__new__(cls)
-        dec._init_arrays(omega, weight, multiplicity, n_spins, None)
-        return dec
-
-    def _init_arrays(self, omega, weight, multiplicity, n_spins, lines) -> None:
+    def __init__(self, omega, weight, multiplicity, n_spins: int):
+        omega = np.asarray(omega, dtype=np.float64)
+        weight = np.asarray(weight, dtype=np.float64)
+        multiplicity = np.asarray(multiplicity, dtype=np.int64)
+        if omega.ndim != 1 or not omega.shape == weight.shape == multiplicity.shape:
+            raise InvalidParameterError("line arrays must be 1-d and of equal length")
         if not np.all(np.isfinite(omega)):
             raise InvalidParameterError("line omega must be finite")
         if np.any(weight < 0):
@@ -145,7 +109,6 @@ class SpectralDecomposition:
             object.__setattr__(self, name, array)
         object.__setattr__(self, "n_spins", n_spins)
         object.__setattr__(self, "weight_sum", total_weight)
-        object.__setattr__(self, "_lines", lines)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -153,31 +116,6 @@ class SpectralDecomposition:
     @property
     def n_lines(self) -> int:
         return int(self.omega.size)
-
-    @property
-    def lines(self) -> tuple[SpectralLine, ...]:
-        """The lines as SpectralLine objects, built on first access and kept."""
-        if self._lines is None:
-            lines = tuple(
-                SpectralLine(o, w, m)
-                for o, w, m in zip(
-                    self.omega.tolist(), self.weight.tolist(), self.multiplicity.tolist()
-                )
-            )
-            object.__setattr__(self, "_lines", lines)
-        return self._lines
-
-
-@dataclass(frozen=True)
-class EnergyLevel:
-    """One Hamiltonian eigenvalue with its degeneracy."""
-
-    energy: float
-    degeneracy: int
-
-    def __post_init__(self):
-        if self.degeneracy < 1:
-            raise InvalidParameterError("degeneracy must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +382,8 @@ def spectral_decomposition(
     At the default tolerance 0 only bit-exact collisions merge, which is
     exactly what equal couplings produce under the integer scaling.
     """
-    if omega_tolerance < 0:
-        raise InvalidParameterError("omega_tolerance must be >= 0")
+    if not omega_tolerance >= 0:
+        raise InvalidParameterError(f"omega_tolerance must be >= 0, got {omega_tolerance!r}")
     n = model.n_spins
     _require_cap(n, max_spins, n, _ENUMERATION_BYTES_PER_VALUE, "spectral enumeration")
 
@@ -462,7 +400,7 @@ def spectral_decomposition(
 
     radius = omega_tolerance * max(abs(s.g) for s in model.spins)
     reps, merged, sizes = _merge_sorted(omegas, weights, radius)
-    return SpectralDecomposition._from_arrays(reps, merged, sizes, n)
+    return SpectralDecomposition(reps, merged, sizes, n)
 
 
 def r_from_spectrum(dec: SpectralDecomposition, t: float) -> complex:
@@ -477,16 +415,18 @@ def hamiltonian_spectrum(
     merge_tolerance: float = 0.0,
     *,
     max_spins: int = ENUMERATION_CAP,
-) -> list[EnergyLevel]:
+) -> tuple[np.ndarray, np.ndarray]:
     """All 2^(N+1) eigenvalues +-(1/2) sum_i (+-g_i), merged by degeneracy.
 
+    Returns ``(energies, degeneracies)``: float64 levels in increasing
+    order and their int64 degeneracies, each >= 1 and totalling 2^(N+1).
     The system's up branch carries +half the signed coupling sum of the
     bath pattern and the down branch the negation, so the level multiset
     is negation symmetric. Levels within ``merge_tolerance * max|g|`` are
-    merged; degeneracies always total 2^(N+1).
+    merged.
     """
-    if merge_tolerance < 0:
-        raise InvalidParameterError("merge_tolerance must be >= 0")
+    if not merge_tolerance >= 0:
+        raise InvalidParameterError(f"merge_tolerance must be >= 0, got {merge_tolerance!r}")
     n = model.n_spins
     _require_cap(n, max_spins, n + 1, _ENUMERATION_BYTES_PER_VALUE, "eigenvalue enumeration")
 
@@ -497,11 +437,11 @@ def hamiltonian_spectrum(
     radius = merge_tolerance * max(abs(s.g) for s in model.spins)
     reps, _, sizes = _merge_sorted(energies, None, radius)
     total = int(np.sum(sizes))
-    if total != 1 << (n + 1):
+    if total != 1 << (n + 1) or np.any(sizes < 1):
         raise InvalidParameterError(
-            f"degeneracies sum to {total}, expected 2^{n + 1}"
+            f"degeneracies must each be >= 1 and sum to 2^{n + 1}, got a sum of {total}"
         )
-    return [EnergyLevel(e, d) for e, d in zip(reps.tolist(), sizes.tolist())]
+    return reps, sizes
 
 
 def degeneracy_count(n: int, l: int) -> int:

@@ -6,9 +6,11 @@ import math
 
 import pytest
 
+from spinbath import cli
 from spinbath.cli import build_parser, main
+from spinbath.harness import VERDICT_FIELDS
 
-from test_harness import TENSION_MODEL, TENSION_VERDICT, sha256
+from test_harness import TENSION_MODEL, TENSION_VERDICT, sha256, verdict_value
 
 
 def write_json(path, payload):
@@ -132,6 +134,38 @@ def test_predict_threshold_flags(tmp_path, capsys):
     assert json.loads(out.read_text())["verdict"] == "decoheres"
 
 
+def test_predict_rejects_nan_threshold_flags(capsys):
+    code = main(["predict", "--n", "10", "--seed", "1", "--cv-max", "nan", "--ks-max", "nan"])
+    assert code == 2
+    assert "config.verdict.cv_max" in capsys.readouterr().err
+
+
+def test_nan_in_a_config_file_exits_two(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"model": {"random": {"n": 4, "seed": 1}}, "verdict": {"eps_group": NaN}}')
+    assert main(["predict", "--config", str(config)]) == 2
+    assert "config.verdict.eps_group" in capsys.readouterr().err
+
+
+def _flag_cases():
+    for f in VERDICT_FIELDS:
+        value = 7 if f.kind is int else 0.375
+        commands = ["predict", "compare"] + (["spectrum"] if f.enumeration else [])
+        for command in commands:
+            yield pytest.param(command, f.key, value, id=f"{command}-{f.key}")
+
+
+@pytest.mark.parametrize("command, key, value", _flag_cases())
+def test_verdict_flag_reaches_its_config_field(monkeypatch, command, key, value):
+    """Each row of the table is a flag that sets its VerdictConfig field
+    (whether the run then succeeds does not matter here)."""
+    seen = []
+    parse = cli.parse_config
+    monkeypatch.setattr(cli, "parse_config", lambda data: seen.append(parse(data)) or seen[-1])
+    main([command, "--n", "4", "--seed", "1", "--" + key.replace("_", "-"), str(value)])
+    assert verdict_value(seen[0].verdict, key) == value
+
+
 def test_predict_equal_coupling_sets_degenerate_flag(tmp_path, capsys):
     out = tmp_path / "deg.json"
     code = main(["predict", "--n", "20", "--seed", "1",
@@ -208,6 +242,29 @@ def test_spectrum_summary_and_csv(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "omega,weight,multiplicity"
     assert len(lines) == 6
+
+
+def test_spectrum_rejects_nan_merge_tolerance(capsys):
+    code = main(["spectrum", "--n", "4", "--seed", "1", "--omega-tolerance", "nan"])
+    assert code == 2
+    assert "lines over" not in capsys.readouterr().out
+
+
+def test_spectrum_honours_the_config_verdict_section(tmp_path, capsys):
+    """Like predict, spectrum takes the merge radius and the cap from the
+    config's verdict section."""
+    model = {"random": {"n": 6, "seed": 1, "coupling": {"law": "equal", "g": 0.5}}}
+    capped = write_json(tmp_path / "capped.json",
+                        {"model": model, "verdict": {"enumeration_cap": 3}})
+    assert main(["predict", "--config", capped]) == 2
+    assert main(["spectrum", "--config", capped]) == 2
+    assert "cap is 3 spins" in capsys.readouterr().err
+    assert main(["spectrum", "--config", capped, "--enumeration-cap", "6"]) == 0
+    assert "7 lines over [-3, 3]" in capsys.readouterr().out
+    merged = write_json(tmp_path / "merged.json", {"model": {"random": {"n": 2, "seed": 1}},
+                                                   "verdict": {"omega_tolerance": 10.0}})
+    assert main(["spectrum", "--config", merged]) == 0
+    assert "1 lines over" in capsys.readouterr().out
 
 
 def test_spectrum_model_file(tmp_path, capsys):

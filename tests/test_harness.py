@@ -22,13 +22,14 @@ from spinbath.harness import (
     Agreement,
     DecayStats,
     ExperimentConfig,
+    FLOAT_FORMAT,
     InlineSource,
     OutputFormat,
     OutputSpec,
     RandomSource,
     TimeGrid,
+    VERDICT_FIELDS,
     _dump_json,
-    _fmt,
     assess_agreement,
     build_model,
     decomposition_to_csv,
@@ -38,6 +39,7 @@ from spinbath.harness import (
     run_oracle_check,
     run_predict,
     run_simulate,
+    run_spectrum,
     series_to_csv,
     series_to_jsonable,
 )
@@ -146,6 +148,42 @@ def test_parse_config_reports_field_paths(doc, path):
     assert info.value.field_path == path
 
 
+REAL_KEYS = [f.key for f in VERDICT_FIELDS if f.kind is float]
+
+
+def parse_verdict(section):
+    return parse_config({"model": {"random": {"n": 2, "seed": 1}}, "verdict": section}).verdict
+
+
+def verdict_value(verdict, key):
+    """The setting named key, wherever VerdictConfig holds it."""
+    owner = next(o for o in (verdict, verdict.qc, verdict.l1) if hasattr(o, key))
+    return getattr(owner, key)
+
+
+@pytest.mark.parametrize("key", REAL_KEYS)
+def test_verdict_rejects_nan(key):
+    """NaN fails every comparison, so a NaN gate would never pass."""
+    with pytest.raises(ConfigError) as info:
+        parse_verdict({key: math.nan})
+    assert info.value.field_path == f"config.verdict.{key}"
+
+
+@pytest.mark.parametrize("key", REAL_KEYS)
+def test_verdict_accepts_infinities(key):
+    for value in (math.inf, -math.inf):
+        assert verdict_value(parse_verdict({key: value}), key) == value
+
+
+def test_verdict_null_rules():
+    """g_groups null means the default group count; any other null is refused."""
+    assert parse_verdict({"g_groups": None}).g_groups is None
+    assert parse_verdict({"g_groups": None}) == VerdictConfig()
+    with pytest.raises(ConfigError) as info:
+        parse_verdict({"n_min": None})
+    assert info.value.field_path == "config.verdict.n_min"
+
+
 def test_resolve_grid_default_horizon(rng):
     m = bounded_model(5, rng)
     mean_g = sum(abs(s.g) for s in m.spins) / 5
@@ -171,7 +209,7 @@ def test_fmt_round_trips_doubles(rng):
     values = list(rng.uniform(-1e6, 1e6, size=200))
     values += [1e-300, 1e300, math.pi, 2.0**-52, 0.1]
     for x in values:
-        assert float(_fmt(x)) == x
+        assert float(format(x, FLOAT_FORMAT)) == x
 
 
 def test_dump_json_fixed_point():
@@ -301,6 +339,17 @@ def test_run_predict_rejects_csv_output(tmp_path):
     )
     with pytest.raises(ConfigError) as info:
         run_predict(config)
+    assert info.value.field_path == "config.output.format"
+
+
+def test_run_spectrum_writes_csv_only(tmp_path):
+    out = tmp_path / "lines.csv"
+    config = ExperimentConfig(RandomSource(3, 2), output=OutputSpec(str(out), OutputFormat.CSV))
+    dec = run_spectrum(config)
+    assert out.read_text() == decomposition_to_csv(dec)
+    with pytest.raises(ConfigError) as info:
+        run_spectrum(ExperimentConfig(RandomSource(3, 2),
+                                      output=OutputSpec(str(out), OutputFormat.JSON)))
     assert info.value.field_path == "config.output.format"
 
 

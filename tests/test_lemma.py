@@ -74,7 +74,7 @@ def test_point_set_from_decomposition(rng):
     dec = spectral_decomposition(m)
     s = WeightedPointSet.from_decomposition(dec)
     assert s.n_points == dec.n_lines
-    assert list(s.points) == [line.omega for line in dec.lines]
+    assert list(s.points) == dec.omega.tolist()
 
 
 # ---------------------------------------------------------------------------

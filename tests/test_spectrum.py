@@ -8,14 +8,12 @@ import pytest
 
 from spinbath import (
     CapExceededError,
-    EnergyLevel,
     FullObservable,
     IndexOutOfRangeError,
     InvalidParameterError,
     LocalObservable,
     RelevantObservable,
     SpectralDecomposition,
-    SpectralLine,
     SpinBathModel,
     brute_force_expectation,
     degeneracy_count,
@@ -33,6 +31,11 @@ from spinbath.model import PhaseLaw, UniformPositive
 from spinbath.spectrum import ENUMERATION_CAP, ORACLE_CAP
 
 from conftest import ROOT_HALF, bounded_model, random_full_observable
+
+
+def lines(dec):
+    """(omega, weight, multiplicity) per line, as Python numbers."""
+    return list(zip(dec.omega.tolist(), dec.weight.tolist(), dec.multiplicity.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +93,10 @@ def test_decomposition_agrees_with_per_index_enumeration(rng):
         acc[1] += 1
     dec = spectral_decomposition(m)
     assert dec.n_lines == len(pairs)
-    for line in dec.lines:
-        mass, count = pairs[line.omega]
-        assert line.multiplicity == count
-        assert abs(line.weight - mass) < 1e-15
+    for omega, weight, multiplicity in lines(dec):
+        mass, count = pairs[omega]
+        assert multiplicity == count
+        assert abs(weight - mass) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +114,9 @@ def test_decomposition_identity_with_r(rng):
 def test_decomposition_bookkeeping(rng):
     m = bounded_model(11, rng)
     dec = spectral_decomposition(m)
-    assert sum(line.multiplicity for line in dec.lines) == 2**11
-    assert abs(math.fsum(line.weight for line in dec.lines) - 1.0) <= 1e-12
-    omegas = [line.omega for line in dec.lines]
+    assert sum(dec.multiplicity.tolist()) == 2**11
+    assert abs(math.fsum(dec.weight.tolist()) - 1.0) <= 1e-12
+    omegas = dec.omega.tolist()
     assert omegas == sorted(omegas)
 
 
@@ -125,12 +128,12 @@ def test_equal_couplings_collide_exactly():
                   [(math.sqrt(a2), math.sqrt(1 - a2), g)] * n)
     dec = spectral_decomposition(m)
     assert dec.n_lines == n + 1
-    for k, line in enumerate(dec.lines):
+    for k, (omega, weight, multiplicity) in enumerate(lines(dec)):
         m_alpha = n - k  # minus signs come from alpha picks
-        assert abs(line.omega - (n - 2 * m_alpha) * g) < 1e-15
-        assert line.multiplicity == math.comb(n, m_alpha)
+        assert abs(omega - (n - 2 * m_alpha) * g) < 1e-15
+        assert multiplicity == math.comb(n, m_alpha)
         expected_w = math.comb(n, m_alpha) * a2**m_alpha * (1 - a2)**(n - m_alpha)
-        assert abs(line.weight - expected_w) < 1e-12
+        assert abs(weight - expected_w) < 1e-12
 
 
 def test_merged_weights_are_pairwise_sums_in_index_order(rng):
@@ -152,7 +155,7 @@ def test_mixed_collisions_merge_exactly():
                              (ROOT_HALF, ROOT_HALF, 0.5),
                              (ROOT_HALF, ROOT_HALF, 0.5)])
     dec = spectral_decomposition(m)
-    got = [(line.omega, line.multiplicity) for line in dec.lines]
+    got = [(omega, multiplicity) for omega, _, multiplicity in lines(dec)]
     assert got == [(-2.0, 1), (-1.0, 2), (0.0, 2), (1.0, 2), (2.0, 1)]
 
 
@@ -162,7 +165,7 @@ def test_extreme_magnitude_ratio_stays_exact():
                              (ROOT_HALF, ROOT_HALF, 2.0**-50)])
     dec = spectral_decomposition(m)
     assert dec.n_lines == 4
-    assert dec.lines[1].omega - dec.lines[0].omega == 2.0**-49
+    assert dec.omega[1] - dec.omega[0] == 2.0**-49
 
 
 def test_omega_tolerance_merges_near_lines():
@@ -172,10 +175,20 @@ def test_omega_tolerance_merges_near_lines():
     assert spectral_decomposition(m).n_lines == 4
     merged = spectral_decomposition(m, omega_tolerance=1e-9)
     assert merged.n_lines == 2
-    assert all(line.multiplicity == 2 for line in merged.lines)
-    assert abs(math.fsum(line.weight for line in merged.lines) - 1.0) <= 1e-12
+    assert all(multiplicity == 2 for multiplicity in merged.multiplicity.tolist())
+    assert abs(math.fsum(merged.weight.tolist()) - 1.0) <= 1e-12
     # representative is the weight-averaged position inside each pair
-    assert abs(merged.lines[1].omega - 1.0) < eps
+    assert abs(merged.omega[1] - 1.0) < eps
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1e-9, -math.inf])
+def test_merge_tolerances_must_be_nonnegative_numbers(rng, tolerance):
+    """A NaN radius would merge every line into one; it is refused."""
+    m = bounded_model(4, rng)
+    with pytest.raises(InvalidParameterError):
+        spectral_decomposition(m, omega_tolerance=tolerance)
+    with pytest.raises(InvalidParameterError):
+        hamiltonian_spectrum(m, merge_tolerance=tolerance)
 
 
 def test_decomposition_cap(rng):
@@ -185,32 +198,38 @@ def test_decomposition_cap(rng):
 
 
 def test_spectral_line_and_decomposition_validation():
+    with pytest.raises(InvalidParameterError, match="finite"):
+        SpectralDecomposition([-1.0, math.inf], [0.5, 0.5], [1, 1], 1)
+    with pytest.raises(InvalidParameterError, match="nonnegative"):
+        SpectralDecomposition([-1.0, 0.0], [1.5, -0.5], [1, 1], 1)
+    with pytest.raises(InvalidParameterError, match="multiplicity"):
+        SpectralDecomposition([-1.0, 0.0], [0.5, 0.5], [2, 0], 1)
+    arrays = ([-1.0, 1.0], [0.5, 0.5], [1, 1])
+    SpectralDecomposition(*arrays, 1)
     with pytest.raises(InvalidParameterError):
-        SpectralLine(math.inf, 0.5, 1)
+        SpectralDecomposition(*(a[::-1] for a in arrays), 1)
     with pytest.raises(InvalidParameterError):
-        SpectralLine(0.0, -0.5, 1)
+        SpectralDecomposition(*arrays, 2)  # multiplicities must sum to 2^n
     with pytest.raises(InvalidParameterError):
-        SpectralLine(0.0, 0.5, 0)
-    lines = (SpectralLine(-1.0, 0.5, 1), SpectralLine(1.0, 0.5, 1))
-    SpectralDecomposition(lines, 1)
-    with pytest.raises(InvalidParameterError):
-        SpectralDecomposition(lines[::-1], 1)
-    with pytest.raises(InvalidParameterError):
-        SpectralDecomposition(lines, 2)  # multiplicities must sum to 2^n
-    bad_mass = (SpectralLine(-1.0, 0.5, 1), SpectralLine(1.0, 0.6, 1))
-    with pytest.raises(InvalidParameterError):
-        SpectralDecomposition(bad_mass, 1)
+        SpectralDecomposition([-1.0, 1.0], [0.5, 0.6], [1, 1], 1)  # bad mass
+    with pytest.raises(InvalidParameterError, match="equal length"):
+        SpectralDecomposition([-1.0, 1.0], [1.0], [1, 1], 1)
+    with pytest.raises(InvalidParameterError, match="1-d"):
+        SpectralDecomposition([[-1.0, 1.0]], [[0.5, 0.5]], [[1, 1]], 1)
 
 
-def test_decomposition_arrays_are_read_only_and_lines_cached(rng):
+def test_decomposition_arrays_are_read_only(rng):
     dec = spectral_decomposition(bounded_model(6, rng))
     for array in (dec.omega, dec.weight, dec.multiplicity):
         assert not array.flags.writeable
-    assert dec.lines is dec.lines
-    assert [line.omega for line in dec.lines] == dec.omega.tolist()
-    assert dec.weight_sum == math.fsum(line.weight for line in dec.lines)
+    assert dec.weight_sum == math.fsum(dec.weight.tolist())
     with pytest.raises(AttributeError):
         dec.n_spins = 7
+    # arrays of the stored dtypes are kept, not copied
+    arrays = (np.array([-1.0, 1.0]), np.array([0.5, 0.5]), np.array([1, 1], dtype=np.int64))
+    dec = SpectralDecomposition(*arrays, 1)
+    assert all(kept is given for kept, given in
+               zip((dec.omega, dec.weight, dec.multiplicity), arrays))
 
 
 def test_r_from_spectrum_rejects_non_finite_time(rng):
@@ -229,6 +248,10 @@ def _decomposition_bytes(m, **kwargs):
     return dec.omega.tobytes(), dec.weight.tobytes(), dec.multiplicity.tobytes()
 
 
+def _levels_bytes(m):
+    return tuple(array.tobytes() for array in hamiltonian_spectrum(m))
+
+
 def _force_python_ints(monkeypatch):
     monkeypatch.setattr(spectrum, "_fits_int64", lambda scaled, denominator: False)
 
@@ -244,10 +267,10 @@ def test_int64_and_python_int_paths_agree_across_63_bits(small, int64_path, monk
     scaled, common = spectrum._scaled_couplings(m)
     assert spectrum._fits_int64(scaled, common) is int64_path
     default = _decomposition_bytes(m)
-    levels = hamiltonian_spectrum(m)
+    levels = _levels_bytes(m)
     _force_python_ints(monkeypatch)
     assert _decomposition_bytes(m) == default
-    assert hamiltonian_spectrum(m) == levels
+    assert _levels_bytes(m) == levels
 
 
 def test_subnormal_couplings_take_the_python_int_path():
@@ -276,10 +299,10 @@ def test_both_sum_paths_match_per_index_terms(rng, force_python_ints, monkeypatc
 def test_both_sum_paths_give_equal_coupling_collisions(monkeypatch):
     m = new_model(1.0, 0.0, [(0.6, 0.8, 0.3)] * 10)
     default = _decomposition_bytes(m)
-    levels = hamiltonian_spectrum(m)
+    levels = _levels_bytes(m)
     _force_python_ints(monkeypatch)
     assert _decomposition_bytes(m) == default
-    assert hamiltonian_spectrum(m) == levels
+    assert _levels_bytes(m) == levels
 
 
 # ---------------------------------------------------------------------------
@@ -368,27 +391,25 @@ def test_available_memory_reuses_a_reading_within_its_window(monkeypatch):
 
 def test_hamiltonian_single_spin_frozen():
     m = new_model(1.0, 0.0, [(ROOT_HALF, ROOT_HALF, 2.0)])
-    levels = hamiltonian_spectrum(m)
-    assert [(lv.energy, lv.degeneracy) for lv in levels] == [(-1.0, 2), (1.0, 2)]
+    energies, degeneracies = hamiltonian_spectrum(m)
+    assert list(zip(energies.tolist(), degeneracies.tolist())) == [(-1.0, 2), (1.0, 2)]
 
 
 def test_hamiltonian_equal_couplings_binomial_degeneracies():
     g = 0.3
     for n in (2, 5, 12):
         m = new_model(1.0, 0.0, [(ROOT_HALF, ROOT_HALF, g)] * n)
-        levels = hamiltonian_spectrum(m)
-        assert len(levels) == n + 1
-        for l, lv in enumerate(levels):
+        energies, degeneracies = hamiltonian_spectrum(m)
+        assert len(energies) == len(degeneracies) == n + 1
+        for l, (energy, degeneracy) in enumerate(zip(energies.tolist(), degeneracies.tolist())):
             # ascending energies: l counts down-spins against the sum
-            assert abs(lv.energy - (2 * l - n) * g / 2.0) < 1e-15
-            assert lv.degeneracy == degeneracy_count(n, l)
+            assert abs(energy - (2 * l - n) * g / 2.0) < 1e-15
+            assert degeneracy == degeneracy_count(n, l)
 
 
 def test_hamiltonian_negation_symmetry(rng):
     m = bounded_model(8, rng)
-    levels = hamiltonian_spectrum(m)
-    energies = [lv.energy for lv in levels]
-    degens = [lv.degeneracy for lv in levels]
+    energies, degens = (array.tolist() for array in hamiltonian_spectrum(m))
     assert energies == [-e for e in reversed(energies)]
     assert degens == degens[::-1]
     assert sum(degens) == 2**9
@@ -399,16 +420,20 @@ def test_hamiltonian_merge_tolerance():
     # already coincide pairwise at radius zero
     m = new_model(1.0, 0.0, [(ROOT_HALF, ROOT_HALF, 1.0),
                              (ROOT_HALF, ROOT_HALF, 1e-13)])
-    exact = hamiltonian_spectrum(m)
-    assert [lv.degeneracy for lv in exact] == [2, 2, 2, 2]
-    merged = hamiltonian_spectrum(m, merge_tolerance=1e-9)
-    assert [lv.degeneracy for lv in merged] == [4, 4]
-    assert abs(merged[0].energy + 0.5) < 1e-12 and abs(merged[1].energy - 0.5) < 1e-12
+    _, exact = hamiltonian_spectrum(m)
+    assert exact.tolist() == [2, 2, 2, 2]
+    energies, merged = hamiltonian_spectrum(m, merge_tolerance=1e-9)
+    assert merged.tolist() == [4, 4]
+    assert abs(energies[0] + 0.5) < 1e-12 and abs(energies[1] - 0.5) < 1e-12
 
 
-def test_energy_level_validation():
+def test_energy_level_validation(monkeypatch):
+    """A level of degeneracy 0 is refused, even when the total is right."""
+    m = new_model(1.0, 0.0, [(ROOT_HALF, ROOT_HALF, 2.0)])
+    monkeypatch.setattr(spectrum, "_merge_sorted", lambda values, weights, radius: (
+        np.array([-1.0, 0.0, 1.0]), None, np.array([2, 0, 2])))
     with pytest.raises(InvalidParameterError):
-        EnergyLevel(0.0, 0)
+        hamiltonian_spectrum(m)
 
 
 @pytest.mark.parametrize("n", [1, 4, 17, 30])
