@@ -144,6 +144,14 @@ def _model_dict_from_flags(args: argparse.Namespace) -> dict[str, Any] | None:
     return {"random": section}
 
 
+def _section(data: dict[str, Any], key: str) -> dict[str, Any]:
+    """The config's object at ``key`` (empty where absent), before flags merge into it."""
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config.{key}", "expected an object")
+    return section
+
+
 def _assemble(args: argparse.Namespace, default_format: str) -> dict[str, Any]:
     """Merge the config file (if any) with flag overrides into one dict."""
     data: dict[str, Any] = {}
@@ -158,7 +166,7 @@ def _assemble(args: argparse.Namespace, default_format: str) -> dict[str, Any]:
         data["model"] = model
 
     if hasattr(args, "t_start"):
-        grid = dict(data.get("grid", {}))
+        grid = dict(_section(data, "grid"))
         for key, value in (("t_start", args.t_start), ("t_end", args.t_end),
                            ("steps", args.steps)):
             if value is not None:
@@ -171,13 +179,13 @@ def _assemble(args: argparse.Namespace, default_format: str) -> dict[str, Any]:
         if getattr(args, f.key, None) is not None
     }
     if verdict:
-        data["verdict"] = {**data.get("verdict", {}), **verdict}
+        data["verdict"] = {**_section(data, "verdict"), **verdict}
 
     if getattr(args, "output", None) is not None:
-        fmt = getattr(args, "format", None) or data.get("output", {}).get("format")
+        fmt = getattr(args, "format", None) or _section(data, "output").get("format")
         data["output"] = {"path": args.output, "format": fmt or default_format}
     elif getattr(args, "format", None) is not None and "output" in data:
-        data["output"] = {**data["output"], "format": args.format}
+        data["output"] = {**_section(data, "output"), "format": args.format}
     return data
 
 

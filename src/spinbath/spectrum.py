@@ -53,13 +53,16 @@ ORACLE_CAP = 12
 _WEIGHT_SUM_TOLERANCE = 1e-12
 
 # Peak-RSS rise per enumerated value, for the up-front memory check in
-# _require_cap. Measured in a fresh process: spectral_decomposition about
-# 98 B per term at N = 20 and 81 B at N = 22 (sorted copies, group starts
-# and sizes on top of the sums and weights); hamiltonian_spectrum, which
-# returns arrays only, about 57 B per value at N = 18 and 20 and 53 B at
-# N = 22. brute_force_expectation peaks at about 76 B per state under
-# tracemalloc at N = 10, 11 and 12 (the state, its phases and the evolved
-# copy in complex128, the energies in float64).
+# _require_cap. Measured in a fresh process on generate_random(n, 1):
+# spectral_decomposition about 72 B per term at N = 20 and 65 B at N = 22
+# and 24, set by SpectralDecomposition (its three arrays and the list that
+# math.fsum reads; the sorted doubling peaks at about 32 B), and 34 B with
+# equal couplings; hamiltonian_spectrum about 30 B per value at N = 20 and
+# 22. The bound stays at 100 B because `predict` runs the verdict on the
+# spectrum it holds: at N = 24 its whole run peaks at about 77 B per term,
+# set by check_quasi_continuous. brute_force_expectation peaks at about
+# 76 B per state under tracemalloc at N = 10, 11 and 12 (the state, its
+# phases and the evolved copy in complex128, the energies in float64).
 _ENUMERATION_BYTES_PER_VALUE = 100
 _ORACLE_BYTES_PER_STATE = 80
 
@@ -182,6 +185,102 @@ def _signed_sum_values(model: SpinBathModel, scale: int = 1) -> np.ndarray:
         return values
     sums = _signed_sums(scaled)
     return np.fromiter((s / denominator for s in sums), dtype=np.float64, count=len(sums))
+
+
+def _weight_factors(model: SpinBathModel) -> list[tuple[float, float]]:
+    """(|beta_i|^2, |alpha_i|^2) per spin: the weight factors of bit 0 and bit 1."""
+    return [
+        (s.beta.real**2 + s.beta.imag**2, s.alpha.real**2 + s.alpha.imag**2)
+        for s in model.spins
+    ]
+
+
+def _index_order_weights(factors: list[tuple[float, float]]) -> np.ndarray:
+    """All 2^N weights indexed by nu, multiplying the last spin first."""
+    weights = np.empty(1 << len(factors))
+    weights[0] = 1.0
+    size = 1
+    for b2, a2 in reversed(factors):
+        np.multiply(weights[:size], a2, out=weights[size:2 * size])
+        weights[:size] *= b2
+        size *= 2
+    return weights
+
+
+def _sorted_sums_int64(
+    scaled: list[int],
+    factors: list[tuple[float, float]] | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The sums of _signed_sums_int64 in increasing order, with their weights.
+
+    Each doubling writes sums + m, then sums - m, into one buffer: two
+    sorted runs, which a stable sort merges in linear time (Horowitz &
+    Sahni, J. ACM 21, 277, 1974). On a tie the +m copy comes first and
+    has the lower index, because the new bit is the most significant one,
+    so equal sums stay in index order. Each weight is the same product,
+    in the same order, as in _index_order_weights; only its position
+    differs. No array of 2^N indices outlives its doubling.
+    """
+    sums = np.zeros(1, dtype=np.int64)
+    weights = None if factors is None else np.ones(1)
+    for k in range(len(scaled) - 1, -1, -1):
+        size = sums.size
+        buffer = np.empty(2 * size, dtype=np.int64)
+        np.add(sums, scaled[k], out=buffer[:size])
+        np.subtract(sums, scaled[k], out=buffer[size:])
+        del sums
+        if weights is None:
+            buffer.sort(kind="stable")
+            sums = buffer
+            continue
+        order = np.argsort(buffer, kind="stable")
+        sums = buffer[order]
+        del buffer
+        b2, a2 = factors[k]
+        buffer = np.empty(2 * size)
+        np.multiply(weights, b2, out=buffer[:size])
+        np.multiply(weights, a2, out=buffer[size:])
+        del weights
+        weights = buffer[order]
+        del buffer, order
+    return sums, weights
+
+
+def _sorted_terms(
+    model: SpinBathModel,
+    scale: int = 1,
+    weighted: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The values of _signed_sum_values in increasing order, with their weights.
+
+    Equal values keep index order, exactly as a stable argsort of the
+    index-order arrays leaves them, so merged weights keep their np.sum
+    bits. Sorting the exact int64 sums orders their floats too, since
+    rounding is monotone. Below 2^53 distinct sums stay distinct floats.
+    Above it two sums may round to one float, whose group must then be in
+    index order, not integer order: where that happens to weighted terms,
+    and where the sums need Python ints, the index-order arrays are
+    sorted with one stable argsort instead.
+    """
+    scaled, common = _scaled_couplings(model)
+    denominator = common * scale
+    factors = _weight_factors(model) if weighted else None
+    if _fits_int64(scaled, denominator):
+        sums, weights = _sorted_sums_int64(scaled, factors)
+        values = sums.astype(np.float64)
+        values /= denominator
+        if weights is None or sum(abs(m) for m in scaled).bit_length() <= 53:
+            return values, weights
+        ties = np.flatnonzero(values[1:] == values[:-1])
+        if not np.any(sums[ties] != sums[ties + 1]):
+            return values, weights
+        del sums, weights, values, ties
+    values = _signed_sum_values(model, scale)
+    if factors is None:
+        values.sort(kind="stable")
+        return values, None
+    order = np.argsort(values, kind="stable")
+    return values[order], _index_order_weights(factors)[order]
 
 
 def _check_index(model: SpinBathModel, nu: int) -> None:
@@ -335,35 +434,36 @@ def _merge_sorted(
     weights: np.ndarray | None,
     radius: float,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Group consecutive sorted values whose gaps are <= radius.
+    """Group consecutive values, given in increasing order, whose gaps are <= radius.
 
     Returns (representatives, merged weights or None, group sizes). A group
     of identical values keeps that exact value; otherwise the representative
     is the weight-averaged position (plain mean if the mass is zero).
-    Single-member groups are taken as they are; only groups of two or
-    more are summed, each with np.sum, whose pairwise rounding
-    np.add.reduceat does not reproduce.
+    Where every group is a single value the inputs are returned as they
+    are. Of the groups of two or more only those that need it take a
+    Python iteration: each weight sum is np.sum, whose pairwise rounding
+    np.add.reduceat does not reproduce, and only a group of differing
+    values needs a new representative.
     """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    w = weights[order] if weights is not None else None
-    del order
-    starts = np.flatnonzero(np.diff(v) > radius)
+    starts = np.flatnonzero(np.diff(values) > radius)
     starts += 1
     starts = np.concatenate(([0], starts))
-    sizes = np.diff(starts, append=len(v))
-    reps = v[starts]
-    mass = w[starts] if w is not None else None
-    for k in np.flatnonzero(sizes > 1).tolist():
+    if starts.size == values.size:
+        return values, weights, np.ones(values.size, dtype=np.int64)
+    sizes = np.diff(starts, append=len(values))
+    reps = values[starts]
+    spread = reps != values[starts + sizes - 1]
+    mass = weights[starts] if weights is not None else None
+    for k in np.flatnonzero(spread if weights is None else sizes > 1).tolist():
         lo = int(starts[k])
         hi = lo + int(sizes[k])
-        block = v[lo:hi]
-        if w is not None:
-            mass[k] = np.sum(w[lo:hi])
-        if block[0] == block[-1]:
+        if weights is not None:
+            mass[k] = np.sum(weights[lo:hi])
+        if not spread[k]:
             continue
-        if w is not None and mass[k] > 0.0:
-            reps[k] = np.sum(block * w[lo:hi]) / mass[k]
+        block = values[lo:hi]
+        if weights is not None and mass[k] > 0.0:
+            reps[k] = np.sum(block * weights[lo:hi]) / mass[k]
         else:
             reps[k] = np.mean(block)
     return reps, mass, sizes
@@ -387,19 +487,10 @@ def spectral_decomposition(
     n = model.n_spins
     _require_cap(n, max_spins, n, _ENUMERATION_BYTES_PER_VALUE, "spectral enumeration")
 
-    omegas = _signed_sum_values(model)
-    weights = np.empty(1 << n)
-    weights[0] = 1.0
-    size = 1
-    for spin in reversed(model.spins):
-        a2 = spin.alpha.real**2 + spin.alpha.imag**2
-        b2 = spin.beta.real**2 + spin.beta.imag**2
-        np.multiply(weights[:size], a2, out=weights[size:2 * size])
-        weights[:size] *= b2
-        size *= 2
-
+    omegas, weights = _sorted_terms(model)
     radius = omega_tolerance * max(abs(s.g) for s in model.spins)
     reps, merged, sizes = _merge_sorted(omegas, weights, radius)
+    del omegas, weights
     return SpectralDecomposition(reps, merged, sizes, n)
 
 
@@ -430,10 +521,13 @@ def hamiltonian_spectrum(
     n = model.n_spins
     _require_cap(n, max_spins, n + 1, _ENUMERATION_BYTES_PER_VALUE, "eigenvalue enumeration")
 
-    # Rounding is symmetric, so negating a rounded half-sum is exact.
-    half = _signed_sum_values(model, scale=2)
-    energies = np.concatenate([half, -half])
+    # Rounding is symmetric, so negating a rounded half-sum is exact. The
+    # half-sums and their negations are two sorted runs, which a stable
+    # sort merges in linear time.
+    half, _ = _sorted_terms(model, scale=2, weighted=False)
+    energies = np.concatenate([half, -half[::-1]])
     del half
+    energies.sort(kind="stable")
     radius = merge_tolerance * max(abs(s.g) for s in model.spins)
     reps, _, sizes = _merge_sorted(energies, None, radius)
     total = int(np.sum(sizes))

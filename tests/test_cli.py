@@ -311,6 +311,30 @@ def test_equal_coupling_conflicts_with_g_max(capsys):
     assert "conflicts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, value, flags", [
+    ("simulate", "grid", [1], []),
+    ("simulate", "grid", [1], ["--steps", "5"]),
+    ("predict", "output", 3, ["--output", "OUT"]),
+    ("predict", "output", None, ["--output", "OUT"]),
+    ("predict", "output", 3, ["--format", "json"]),
+    ("predict", "verdict", 5, ["--cv-max", "1"]),
+    ("compare", "verdict", [1], ["--ks-max", "0.5"]),
+])
+def test_config_section_that_is_not_an_object_exits_two(
+    tmp_path, capsys, command, section, value, flags
+):
+    """Flags merge into a config section; a section that is not an object
+    is a config error naming it, not a traceback."""
+    config = write_json(tmp_path / "config.json", {
+        "model": {"random": {"n": 3, "seed": 1}}, section: value,
+    })
+    flags = [str(tmp_path / "out.json") if flag == "OUT" else flag for flag in flags]
+    assert main([command, "--config", config, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"config.{section}" in err
+
+
 def test_unreadable_config_exits_two(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "absent.json")])
     assert code == 2

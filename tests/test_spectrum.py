@@ -306,6 +306,100 @@ def test_both_sum_paths_give_equal_coupling_collisions(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Sorted enumeration against one stable argsort of the index order
+# ---------------------------------------------------------------------------
+
+def _sorted_path_model(kind):
+    rng = np.random.default_rng(7)
+    n = 14 if kind == "random" else 12
+    a2 = rng.uniform(0.05, 0.95, size=n)
+    g = {
+        "random": rng.uniform(0.0, 1.0, size=n),
+        "equal": np.full(n, 0.3),
+        "mixed": rng.choice([0.25, 0.5, -0.75, 0.75, 1.0], size=n),
+        "negative": -rng.uniform(0.0, 1.0, size=n),
+    }[kind]
+    return new_model(ROOT_HALF, ROOT_HALF, [
+        (math.sqrt(a), math.sqrt(1.0 - a), float(c)) for a, c in zip(a2, g)
+    ])
+
+
+def _argsorted_terms(m):
+    """All 2^N (omega, weight) terms, in index order and then stably argsorted."""
+    omegas = np.array([omega_of_index(m, nu) for nu in range(2**m.n_spins)])
+    weights = np.array([weight_of_index(m, nu) for nu in range(2**m.n_spins)])
+    order = np.argsort(omegas, kind="stable")
+    return omegas[order], weights[order]
+
+
+def _argsort_reference(m):
+    """Decomposition bytes at merge radius zero, built from the argsorted
+    terms: each run of equal frequencies summed with np.sum."""
+    omegas, weights = _argsorted_terms(m)
+    starts = (np.flatnonzero(np.diff(omegas) != 0) + 1).tolist()
+    groups = list(zip([0, *starts], [*starts, omegas.size]))
+    omega = np.array([omegas[lo] for lo, _ in groups])
+    weight = np.array([np.sum(weights[lo:hi]) for lo, hi in groups])
+    multiplicity = np.array([hi - lo for lo, hi in groups], dtype=np.int64)
+    return omega.tobytes(), weight.tobytes(), multiplicity.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["random", "equal", "mixed", "negative"])
+def test_sorted_enumeration_matches_one_stable_argsort(kind):
+    m = _sorted_path_model(kind)
+    assert _decomposition_bytes(m) == _argsort_reference(m)
+
+
+@pytest.mark.parametrize("kind", ["random", "negative"])
+def test_sorted_enumeration_matches_one_stable_argsort_when_merging_near_lines(kind):
+    m = _sorted_path_model(kind)
+    tolerance = 2e-3
+    radius = tolerance * max(abs(s.g) for s in m.spins)
+    reps, mass, sizes = spectrum._merge_sorted(*_argsorted_terms(m), radius)
+    assert np.any(sizes > 1)
+    assert _decomposition_bytes(m, omega_tolerance=tolerance) == (
+        reps.tobytes(), mass.tobytes(), sizes.tobytes())
+
+
+@pytest.mark.parametrize("kind", ["random", "equal", "mixed", "negative"])
+def test_sorted_levels_match_one_sort(kind):
+    m = _sorted_path_model(kind)
+    half = np.array([omega_of_index(m, nu) / 2 for nu in range(2**m.n_spins)])
+    energies = np.sort(np.concatenate([half, -half]), kind="stable")
+    # first member of each run of equal energies: +0.0 precedes -0.0
+    starts = np.flatnonzero(np.diff(energies, prepend=-np.inf) != 0)
+    counts = np.diff(starts, append=energies.size)
+    assert _levels_bytes(m) == (energies[starts].tobytes(), counts.tobytes())
+
+
+def test_float_ties_above_2_53_are_summed_in_index_order():
+    """Above 2^53 distinct integer sums can round to one float. Such a
+    group must be summed in index order, as a stable argsort of the
+    index-order floats leaves it; integer order gives other bits here."""
+    couplings = [2.0**55, 1.0, 0.5, 2.0]
+    a2 = [0.623, 0.293, 0.087, 0.065]
+    m = new_model(1.0, 0.0, [
+        (math.sqrt(a), math.sqrt(1.0 - a), g) for a, g in zip(a2, couplings)
+    ])
+    n = m.n_spins
+    exact = [
+        sum(-Fraction(g) if (nu >> (n - 1 - i)) & 1 else Fraction(g)
+            for i, g in enumerate(couplings))
+        for nu in range(2**n)
+    ]
+    omegas = [omega_of_index(m, nu) for nu in range(2**n)]
+    weights = [weight_of_index(m, nu) for nu in range(2**n)]
+    by_integer = sorted(range(2**n), key=lambda nu: (exact[nu], nu))
+    tie = -(2.0**55)
+    group = [nu for nu in range(2**n) if omegas[nu] == tie]
+    assert len(group) >= 3 and len({exact[nu] for nu in group}) >= 3
+    index_sum = np.sum(np.array([weights[nu] for nu in group]))
+    integer_sum = np.sum(np.array([weights[nu] for nu in by_integer if nu in group]))
+    assert index_sum != integer_sum
+    assert _decomposition_bytes(m) == _argsort_reference(m)
+
+
+# ---------------------------------------------------------------------------
 # Enumeration caps and the memory estimate
 # ---------------------------------------------------------------------------
 
