@@ -132,11 +132,19 @@ def _r_values(a2: np.ndarray, b2: np.ndarray, g: np.ndarray, times: np.ndarray) 
     spins, points whose product is exactly zero (both parts) are dropped:
     no finite factor can move them off zero. Dropped points come back as
     ``0j``; every other entry is bit-identical to the full product over
-    an array of the input's length.
+    any array of two or more time points.
+
+    numpy multiplies a one-element array in place with its reduction
+    loop, which rounds complex products unlike the vector loop of longer
+    arrays. So no array here is shorter than two: a lone time point is
+    evaluated twice, and a zero rides along with a lone live point.
     """
-    index = np.arange(len(times))
     t = np.asarray(times, dtype=np.float64)
-    r = np.ones(len(t), dtype=np.complex128)
+    if len(t) == 1:
+        t = np.repeat(t, 2)
+    size = len(t)
+    index = np.arange(size)
+    r = np.ones(size, dtype=np.complex128)
     for start in range(0, len(g), _ZERO_SWEEP_SPINS):
         stop = start + _ZERO_SWEEP_SPINS
         for a2_i, b2_i, g_i in zip(a2[start:stop], b2[start:stop], g[start:stop]):
@@ -148,15 +156,12 @@ def _r_values(a2: np.ndarray, b2: np.ndarray, g: np.ndarray, times: np.ndarray) 
             break
         if n_live < len(r):
             if n_live == 1:
-                # numpy multiplies a one-element array in place with its
-                # reduction loop, which rounds complex products unlike the
-                # vector loop of longer arrays; a zero rides along instead.
                 live[np.argmin(live)] = True
             index, t, r = index[live], t[live], r[live]
-    out = np.zeros(len(times), dtype=np.complex128)
+    out = np.zeros(size, dtype=np.complex128)
     live = r != 0
     out[index[live]] = r[live]
-    return out
+    return out[:len(times)]
 
 
 def r_of_t(model: SpinBathModel, t: float) -> complex:

@@ -71,16 +71,29 @@ class Normalization(Enum):
     DIVIDE_BY_N = "divide_by_n"
 
 
+def _frozen_float64(values) -> np.ndarray:
+    """``values`` itself if a read-only float64 array, else a float64 copy."""
+    array = np.asarray(values)
+    if array.dtype == np.float64 and not array.flags.writeable:
+        return array
+    return np.array(array, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class WeightedPointSet:
-    """Frequencies with nonnegative weights, stored sorted by frequency."""
+    """Frequencies with nonnegative weights, stored sorted by frequency.
+
+    Read-only float64 input, such as a SpectralDecomposition's arrays, is
+    kept without a copy; any other input is copied, so that the set cannot
+    change after it is built.
+    """
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        points = np.array(self.points, dtype=np.float64)
-        weights = np.array(self.weights, dtype=np.float64)
+        points = _frozen_float64(self.points)
+        weights = _frozen_float64(self.weights)
         if points.ndim != 1 or weights.shape != points.shape:
             raise InvalidParameterError("points and weights must be 1-d and equal length")
         if points.size == 0:

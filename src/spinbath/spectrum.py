@@ -17,9 +17,10 @@ is an exact identity with the product form, checked to 1e-10 in tests.
 
 Collision handling is exact rather than approximate: couplings are
 rescaled to integers over a common power-of-two denominator (every float
-is a dyadic rational), signed subset sums are formed exactly (in int64
-while they fit in 62 bits, in arbitrary precision beyond), and only the
-final division back to float rounds. Equal
+is a dyadic rational), and the signed subset sums are formed exactly by
+one doubling over the spins, in int64 while they fit in 62 bits and as
+Python ints beyond. The int64 sums stay sorted while they double, so no
+global sort is needed. Only the final division back to float rounds. Equal
 couplings therefore collide bit-exactly and merge at tolerance zero;
 random couplings collide with probability zero.
 
@@ -57,13 +58,16 @@ _WEIGHT_SUM_TOLERANCE = 1e-12
 # spectral_decomposition about 72 B per term at N = 20 and 65 B at N = 22
 # and 24, set by SpectralDecomposition (its three arrays and the list that
 # math.fsum reads; the sorted doubling peaks at about 32 B), and 34 B with
-# equal couplings; hamiltonian_spectrum about 30 B per value at N = 20 and
-# 22. The bound stays at 100 B because `predict` runs the verdict on the
-# spectrum it holds: at N = 24 its whole run peaks at about 77 B per term,
-# set by check_quasi_continuous. brute_force_expectation peaks at about
-# 76 B per state under tracemalloc at N = 10, 11 and 12 (the state, its
-# phases and the evolved copy in complex128, the energies in float64).
+# equal couplings. The bound stays at 100 B because `predict` runs the
+# verdict on the spectrum it holds: at N = 24 its whole run peaks at about
+# 77 B per term, set by check_quasi_continuous. hamiltonian_spectrum peaks
+# at about 30 B per value at N = 20 and 22 (18 to 20 B with equal
+# couplings, 42 B where the sums need Python ints), so it has its own
+# bound. brute_force_expectation peaks at about 76 B per state under
+# tracemalloc at N = 10, 11 and 12 (the state, its phases and the evolved
+# copy in complex128, the energies in float64).
 _ENUMERATION_BYTES_PER_VALUE = 100
+_LEVEL_BYTES_PER_VALUE = 48
 _ORACLE_BYTES_PER_STATE = 80
 
 
@@ -136,31 +140,6 @@ def _scaled_couplings(model: SpinBathModel) -> tuple[list[int], int]:
     return [num * (common // den) for num, den in ratios], common
 
 
-def _signed_sums(scaled: list[int]) -> list[int]:
-    """All 2^N signed sums of the scaled couplings, indexed by nu.
-
-    Built by doubling from the last spin so that spin 1 lands at the most
-    significant bit; within each doubling the +g (bit 0) block precedes
-    the -g (bit 1) block. Arbitrary-precision integers keep collisions
-    exact at any magnitude ratio of the couplings.
-    """
-    sums = [0]
-    for m in reversed(scaled):
-        sums = [s + m for s in sums] + [s - m for s in sums]
-    return sums
-
-
-def _signed_sums_int64(scaled: list[int]) -> np.ndarray:
-    """_signed_sums in one int64 array; exact while sum |scaled| < 2^62."""
-    sums = np.zeros(1 << len(scaled), dtype=np.int64)
-    size = 1
-    for m in reversed(scaled):
-        np.subtract(sums[:size], m, out=sums[size:2 * size])
-        sums[:size] += m
-        size *= 2
-    return sums
-
-
 def _fits_int64(scaled: list[int], denominator: int) -> bool:
     """Whether the int64 path gives the same floats as the Python-int path.
 
@@ -172,21 +151,6 @@ def _fits_int64(scaled: list[int], denominator: int) -> bool:
     return sum(abs(m) for m in scaled).bit_length() < 63 and denominator.bit_length() <= 1023
 
 
-def _signed_sum_values(model: SpinBathModel, scale: int = 1) -> np.ndarray:
-    """All 2^N values sum_i (+-g_i) / scale, indexed by nu, each correctly rounded.
-
-    ``scale`` is a power of two, so the common denominator stays one too.
-    """
-    scaled, common = _scaled_couplings(model)
-    denominator = common * scale
-    if _fits_int64(scaled, denominator):
-        values = _signed_sums_int64(scaled).astype(np.float64)
-        values /= denominator
-        return values
-    sums = _signed_sums(scaled)
-    return np.fromiter((s / denominator for s in sums), dtype=np.float64, count=len(sums))
-
-
 def _weight_factors(model: SpinBathModel) -> list[tuple[float, float]]:
     """(|beta_i|^2, |alpha_i|^2) per spin: the weight factors of bit 0 and bit 1."""
     return [
@@ -195,53 +159,49 @@ def _weight_factors(model: SpinBathModel) -> list[tuple[float, float]]:
     ]
 
 
-def _index_order_weights(factors: list[tuple[float, float]]) -> np.ndarray:
-    """All 2^N weights indexed by nu, multiplying the last spin first."""
-    weights = np.empty(1 << len(factors))
-    weights[0] = 1.0
-    size = 1
-    for b2, a2 in reversed(factors):
-        np.multiply(weights[:size], a2, out=weights[size:2 * size])
-        weights[:size] *= b2
-        size *= 2
-    return weights
-
-
-def _sorted_sums_int64(
+def _doubled_terms(
     scaled: list[int],
     factors: list[tuple[float, float]] | None,
+    dtype,
+    sort: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The sums of _signed_sums_int64 in increasing order, with their weights.
+    """All 2^N signed sums of the scaled couplings, with their weights.
 
-    Each doubling writes sums + m, then sums - m, into one buffer: two
-    sorted runs, which a stable sort merges in linear time (Horowitz &
-    Sahni, J. ACM 21, 277, 1974). On a tie the +m copy comes first and
-    has the lower index, because the new bit is the most significant one,
-    so equal sums stay in index order. Each weight is the same product,
-    in the same order, as in _index_order_weights; only its position
-    differs. No array of 2^N indices outlives its doubling.
+    Built by doubling from the last spin, so that spin 1 lands at the most
+    significant bit of nu: each step writes sums + m (bit 0), then
+    sums - m (bit 1), and the weights times |beta|^2, then times
+    |alpha|^2. ``dtype`` is np.int64, exact while sum |scaled| < 2^62, or
+    object, whose Python ints are exact at any size. Without ``sort`` the
+    terms come in index order. With it, the two runs of each step, both
+    sorted, are merged by one stable sort in linear time (Horowitz &
+    Sahni, J. ACM 21, 277, 1974). On a tie the +m copy comes first and has
+    the lower index, because the new bit is the most significant one, so
+    equal sums stay in index order. No array of 2^N indices outlives its
+    doubling.
     """
-    sums = np.zeros(1, dtype=np.int64)
+    sums = np.zeros(1, dtype=dtype)
     weights = None if factors is None else np.ones(1)
     for k in range(len(scaled) - 1, -1, -1):
         size = sums.size
-        buffer = np.empty(2 * size, dtype=np.int64)
+        buffer = np.empty(2 * size, dtype=dtype)
         np.add(sums, scaled[k], out=buffer[:size])
         np.subtract(sums, scaled[k], out=buffer[size:])
         del sums
-        if weights is None:
+        order = None
+        if sort and weights is None:
             buffer.sort(kind="stable")
-            sums = buffer
-            continue
-        order = np.argsort(buffer, kind="stable")
-        sums = buffer[order]
+        elif sort:
+            order = np.argsort(buffer, kind="stable")
+        sums = buffer if order is None else buffer[order]
         del buffer
+        if weights is None:
+            continue
         b2, a2 = factors[k]
         buffer = np.empty(2 * size)
         np.multiply(weights, b2, out=buffer[:size])
         np.multiply(weights, a2, out=buffer[size:])
         del weights
-        weights = buffer[order]
+        weights = buffer if order is None else buffer[order]
         del buffer, order
     return sums, weights
 
@@ -251,22 +211,25 @@ def _sorted_terms(
     scale: int = 1,
     weighted: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The values of _signed_sum_values in increasing order, with their weights.
+    """All 2^N values sum_i (+-g_i) / scale in increasing order, with their weights.
 
-    Equal values keep index order, exactly as a stable argsort of the
-    index-order arrays leaves them, so merged weights keep their np.sum
-    bits. Sorting the exact int64 sums orders their floats too, since
-    rounding is monotone. Below 2^53 distinct sums stay distinct floats.
-    Above it two sums may round to one float, whose group must then be in
-    index order, not integer order: where that happens to weighted terms,
-    and where the sums need Python ints, the index-order arrays are
-    sorted with one stable argsort instead.
+    ``scale`` is a power of two, so the common denominator stays one too,
+    and each value is correctly rounded. Equal values keep index order,
+    exactly as a stable argsort of the index-order arrays leaves them, so
+    merged weights keep their np.sum bits. Sorting the exact int64 sums
+    orders their floats too, since rounding is monotone. Below 2^53
+    distinct sums stay distinct floats. Above it two sums may round to
+    one float, whose group must then be in index order, not integer
+    order: where that happens to weighted terms, and where the sums need
+    Python ints, the index-order terms are sorted by one stable argsort
+    of their floats instead.
     """
     scaled, common = _scaled_couplings(model)
     denominator = common * scale
     factors = _weight_factors(model) if weighted else None
-    if _fits_int64(scaled, denominator):
-        sums, weights = _sorted_sums_int64(scaled, factors)
+    fits = _fits_int64(scaled, denominator)
+    if fits:
+        sums, weights = _doubled_terms(scaled, factors, np.int64, sort=True)
         values = sums.astype(np.float64)
         values /= denominator
         if weights is None or sum(abs(m) for m in scaled).bit_length() <= 53:
@@ -275,12 +238,15 @@ def _sorted_terms(
         if not np.any(sums[ties] != sums[ties + 1]):
             return values, weights
         del sums, weights, values, ties
-    values = _signed_sum_values(model, scale)
-    if factors is None:
-        values.sort(kind="stable")
-        return values, None
+    sums, weights = _doubled_terms(scaled, factors, np.int64 if fits else object, sort=False)
+    if fits:
+        values = sums.astype(np.float64)
+        values /= denominator
+    else:
+        values = np.fromiter((s / denominator for s in sums), dtype=np.float64, count=sums.size)
+    del sums
     order = np.argsort(values, kind="stable")
-    return values[order], _index_order_weights(factors)[order]
+    return values[order], None if weights is None else weights[order]
 
 
 def _check_index(model: SpinBathModel, nu: int) -> None:
@@ -519,7 +485,7 @@ def hamiltonian_spectrum(
     if not merge_tolerance >= 0:
         raise InvalidParameterError(f"merge_tolerance must be >= 0, got {merge_tolerance!r}")
     n = model.n_spins
-    _require_cap(n, max_spins, n + 1, _ENUMERATION_BYTES_PER_VALUE, "eigenvalue enumeration")
+    _require_cap(n, max_spins, n + 1, _LEVEL_BYTES_PER_VALUE, "eigenvalue enumeration")
 
     # Rounding is symmetric, so negating a rounded half-sum is exact. The
     # half-sums and their negations are two sorted runs, which a stable

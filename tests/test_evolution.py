@@ -275,6 +275,14 @@ def test_sample_series_matches_pointwise_calls(rng):
                    - expectation_relevant(m, obs, t)) < 1e-12
 
 
+def test_r_of_t_matches_sample_series_bit_for_bit(rng):
+    for n in (1, 7, 40, 300):
+        m = bounded_model(n, rng, phases=True)
+        series = sample_series(m, -50.0, 50.0, 21)
+        pointwise = np.array([r_of_t(m, t) for t in series.times.tolist()])
+        assert np.array_equal(pointwise.view(np.float64), series.r_values.view(np.float64))
+
+
 def test_sample_series_without_observable(rng):
     series = sample_series(bounded_model(3, rng), 0.0, 1.0, 5)
     assert series.expectation_values is None

@@ -75,6 +75,19 @@ def test_point_set_from_decomposition(rng):
     s = WeightedPointSet.from_decomposition(dec)
     assert s.n_points == dec.n_lines
     assert list(s.points) == dec.omega.tolist()
+    assert np.shares_memory(s.points, dec.omega)
+    assert np.shares_memory(s.weights, dec.weight)
+
+
+def test_point_set_copies_writable_input():
+    points = np.array([1.0, 2.0, 3.0])
+    weights = np.array([0.2, 0.3, 0.5])
+    s = WeightedPointSet(points, weights)
+    points[0] = 5.0
+    weights[0] = 0.9
+    assert s.points.tolist() == [1.0, 2.0, 3.0]
+    assert s.weights.tolist() == [0.2, 0.3, 0.5]
+    assert points.flags.writeable and weights.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,7 @@ def test_subnormal_couplings_take_the_python_int_path():
     assert not spectrum._fits_int64(scaled, common)
     dec = spectral_decomposition(m)
     assert dec.omega.tolist() == sorted(omega_of_index(m, nu) for nu in range(4))
+    assert _levels_bytes(m) == _one_sort_levels(m)
 
 
 @pytest.mark.parametrize("force_python_ints", [False, True])
@@ -361,18 +362,23 @@ def test_sorted_enumeration_matches_one_stable_argsort_when_merging_near_lines(k
         reps.tobytes(), mass.tobytes(), sizes.tobytes())
 
 
-@pytest.mark.parametrize("kind", ["random", "equal", "mixed", "negative"])
-def test_sorted_levels_match_one_sort(kind):
-    m = _sorted_path_model(kind)
+def _one_sort_levels(m):
+    """Level bytes from one stable sort of all 2^(N+1) energies."""
     half = np.array([omega_of_index(m, nu) / 2 for nu in range(2**m.n_spins)])
     energies = np.sort(np.concatenate([half, -half]), kind="stable")
     # first member of each run of equal energies: +0.0 precedes -0.0
     starts = np.flatnonzero(np.diff(energies, prepend=-np.inf) != 0)
     counts = np.diff(starts, append=energies.size)
-    assert _levels_bytes(m) == (energies[starts].tobytes(), counts.tobytes())
+    return energies[starts].tobytes(), counts.tobytes()
 
 
-def test_float_ties_above_2_53_are_summed_in_index_order():
+@pytest.mark.parametrize("kind", ["random", "equal", "mixed", "negative"])
+def test_sorted_levels_match_one_sort(kind):
+    m = _sorted_path_model(kind)
+    assert _levels_bytes(m) == _one_sort_levels(m)
+
+
+def test_float_ties_above_2_53_are_summed_in_index_order(monkeypatch):
     """Above 2^53 distinct integer sums can round to one float. Such a
     group must be summed in index order, as a stable argsort of the
     index-order floats leaves it; integer order gives other bits here."""
@@ -396,7 +402,10 @@ def test_float_ties_above_2_53_are_summed_in_index_order():
     index_sum = np.sum(np.array([weights[nu] for nu in group]))
     integer_sum = np.sum(np.array([weights[nu] for nu in by_integer if nu in group]))
     assert index_sum != integer_sum
-    assert _decomposition_bytes(m) == _argsort_reference(m)
+    reference = _argsort_reference(m)
+    assert _decomposition_bytes(m) == reference
+    _force_python_ints(monkeypatch)
+    assert _decomposition_bytes(m) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +424,19 @@ def test_cap_message_states_terms_and_a_nonzero_estimate(rng):
 
 def test_enumeration_refused_when_memory_is_short(rng, monkeypatch):
     m = bounded_model(10, rng)
-    monkeypatch.setattr(spectrum, "_available_memory", lambda: 10**5)
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: 9 * 10**4)
     with pytest.raises(CapExceededError, match="free"):
         spectral_decomposition(m)
     with pytest.raises(CapExceededError, match="free"):
         hamiltonian_spectrum(m)
     with pytest.raises(CapExceededError, match="free"):
         brute_force_expectation(m, random_full_observable(rng, 10), 1.0)
+    # above the levels' estimate (2^11 values at 48 B, not at the
+    # spectrum's 100 B), below the spectrum's (2^10 terms at 100 B)
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: 10**5)
+    assert int(np.sum(hamiltonian_spectrum(m)[1])) == 2**11
+    with pytest.raises(CapExceededError, match="free"):
+        spectral_decomposition(m)
     monkeypatch.setattr(spectrum, "_available_memory", lambda: None)
     assert spectral_decomposition(m).n_lines == 2**10
 
