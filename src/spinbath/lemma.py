@@ -199,11 +199,14 @@ def check_quasi_continuous(
     gaps = np.diff(pts)
     mean_gap = span / (n - 1)
     gap_cv = float(np.std(gaps) / mean_gap)
+    del gaps
 
+    # The empirical CDF steps from grid[i] to grid[i + 1] at the i-th point.
     u = (pts - pts[0]) / span
-    upper = np.arange(1, n + 1) / n
-    lower = np.arange(0, n) / n
-    ks_stat = float(max(np.max(upper - u), np.max(u - lower)))
+    grid = np.arange(n + 1) / n
+    above = np.max(grid[1:] - u)
+    u -= grid[:-1]
+    ks_stat = float(max(above, np.max(u)))
 
     size_ok = n >= thresholds.n_min
     cv_ok = gap_cv <= thresholds.cv_max

@@ -55,30 +55,71 @@ _WEIGHT_SUM_TOLERANCE = 1e-12
 
 # Peak-RSS rise per enumerated value, for the up-front memory check in
 # _require_cap. Measured in a fresh process on generate_random(n, 1):
-# spectral_decomposition about 72 B per term at N = 20 and 65 B at N = 22
-# and 24, set by SpectralDecomposition (its three arrays and the list that
-# math.fsum reads; the sorted doubling peaks at about 32 B), and 34 B with
-# equal couplings. The bound stays at 100 B because `predict` runs the
-# verdict on the spectrum it holds: at N = 24 its whole run peaks at about
-# 77 B per term, set by check_quasi_continuous. hamiltonian_spectrum peaks
-# at about 30 B per value at N = 20 and 22 (18 to 20 B with equal
-# couplings, 42 B where the sums need Python ints), so it has its own
-# bound. brute_force_expectation peaks at about 76 B per state under
-# tracemalloc at N = 10, 11 and 12 (the state, its phases and the evolved
-# copy in complex128, the energies in float64).
+# spectral_decomposition about 41 B per term at N = 20, 34 B at N = 22 and
+# 33 B at N = 24, set by the sorted doubling, and `predict`, which runs the
+# verdict on the spectrum it holds, 57, 49 and 49 B, set by
+# check_quasi_continuous. The bound stays at 100 B because sums that need
+# Python ints (couplings 1 and 2^-80, say) make spectral_decomposition and
+# the whole verdict peak at about 90 B per term at N = 19 and 20.
+# hamiltonian_spectrum peaks at about 30 B per value at N = 20 and 22 (18
+# to 20 B with equal couplings, 42 B where the sums need Python ints), so
+# it has its own bound. brute_force_expectation peaks at about 76 B per
+# state under tracemalloc at N = 10, 11 and 12 (the state, its phases and
+# the evolved copy in complex128, the energies in float64).
 _ENUMERATION_BYTES_PER_VALUE = 100
 _LEVEL_BYTES_PER_VALUE = 48
 _ORACLE_BYTES_PER_STATE = 80
+
+# _exact_sum bins this many values per np.bincount call, and folds its
+# per-exponent sums into one Python int after at most _EXACT_SUM_BLOCK.
+# Chunks of 2^14 (128 KB per temporary) measured faster than 2^12, 2^13,
+# 2^15 and 2^16 on the spectral weights at N = 16, 20 and 22.
+_EXACT_SUM_CHUNK = 1 << 14
+_EXACT_SUM_BLOCK = 1 << 26
+_LOW_MANTISSA_BITS = np.uint64((1 << 27) - 1)
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of finite nonnegative float64 values.
+
+    It equals math.fsum, with no Python float per value. Each value splits
+    exactly into a high part, its mantissa with the low 27 bits cleared,
+    and the low remainder. Both parts are summed per biased exponent by
+    np.bincount. Counted in units in the last place of their exponent, the
+    high parts are multiples of 2^27 below 2^53 and the low parts are below
+    2^27, so a sum of at most 2^26 of either keeps within 53 significant
+    bits and is exact. The per-exponent sums are added as Python ints in
+    units of 2^-1074 and divided once, and int / int rounds correctly,
+    subnormal results included. A sum beyond the float range raises
+    OverflowError, as fsum does.
+    """
+    bits = values.view(np.uint64)
+    scaled = 0
+    for block in range(0, bits.size, _EXACT_SUM_BLOCK):
+        # bins 0..2047 are the biased exponents; the sign bit of -0.0 gives 2048
+        sums = np.zeros((2, 2049))
+        stop = min(block + _EXACT_SUM_BLOCK, bits.size)
+        for start in range(block, stop, _EXACT_SUM_CHUNK):
+            end = min(start + _EXACT_SUM_CHUNK, stop)
+            exponent = (bits[start:end] >> 52).view(np.int64)
+            high = (bits[start:end] & ~_LOW_MANTISSA_BITS).view(np.float64)
+            sums[0] += np.bincount(exponent, high, 2049)
+            sums[1] += np.bincount(exponent, values[start:end] - high, 2049)
+        for part in sums[sums != 0.0]:
+            numerator, denominator = part.as_integer_ratio()
+            scaled += numerator << (1075 - denominator.bit_length())
+    return scaled / (1 << 1074)
 
 
 class SpectralDecomposition:
     """All frequencies of r(t) for an N-spin model, merged and sorted.
 
     Three 1-d arrays of equal length: ``omega`` (finite, strictly
-    increasing), ``weight`` (nonnegative, summing to 1 within 1e-12; the
-    exact ``math.fsum`` is kept as ``weight_sum``) and ``multiplicity``
-    (each >= 1, summing to 2^N). Arrays already of dtype float64, float64
-    and int64 are taken without a copy and made read-only.
+    increasing), ``weight`` (finite and nonnegative, summing to 1 within
+    1e-12; their correctly rounded sum (equal to ``math.fsum``) is kept as
+    ``weight_sum``) and ``multiplicity`` (each >= 1, summing to 2^N).
+    Arrays already of dtype float64, float64 and int64 are taken without a
+    copy and made read-only.
     """
 
     __slots__ = ("omega", "weight", "multiplicity", "n_spins", "weight_sum")
@@ -91,6 +132,8 @@ class SpectralDecomposition:
             raise InvalidParameterError("line arrays must be 1-d and of equal length")
         if not np.all(np.isfinite(omega)):
             raise InvalidParameterError("line omega must be finite")
+        if not np.all(np.isfinite(weight)):
+            raise InvalidParameterError("line weight must be finite")
         if np.any(weight < 0):
             raise InvalidParameterError("line weight must be nonnegative")
         if np.any(multiplicity < 1):
@@ -106,7 +149,10 @@ class SpectralDecomposition:
             raise InvalidParameterError(
                 f"multiplicities sum to {total_mult}, expected 2^{n_spins}"
             )
-        total_weight = math.fsum(weight.tolist())
+        try:
+            total_weight = _exact_sum(weight)
+        except OverflowError:
+            total_weight = math.inf
         if abs(total_weight - 1.0) > _WEIGHT_SUM_TOLERANCE:
             raise InvalidParameterError(
                 f"weights sum to {total_weight!r}, expected 1 within 1e-12"

@@ -108,6 +108,23 @@ def test_two_point_ks_by_hand():
     assert abs(diag.ks_stat - 0.5) < 1e-15
 
 
+@pytest.mark.parametrize("points", [
+    np.random.default_rng(3).normal(size=1001),
+    np.repeat([0.0, 0.25, 0.3, 1.0], [5, 1, 7, 3]),  # tied points
+    np.array([-1.0, 2.0]),
+])
+def test_ks_stat_matches_separate_upper_and_lower_steps(points):
+    """One shared grid gives the bits of the two-arange formula."""
+    _, diag = check_quasi_continuous(WeightedPointSet(points, np.full(points.size, 0.5)))
+    pts = np.sort(points)
+    n = pts.size
+    u = (pts - pts[0]) / (pts[-1] - pts[0])
+    upper = np.arange(1, n + 1) / n
+    lower = np.arange(0, n) / n
+    expected = float(max(np.max(upper - u), np.max(u - lower)))
+    assert np.float64(diag.ks_stat).tobytes() == np.float64(expected).tobytes()
+
+
 def test_size_gate():
     ok, diag = check_quasi_continuous(uniform_set(63))
     assert not ok and not diag.size_ok and diag.cv_ok and diag.ks_ok

@@ -232,6 +232,71 @@ def test_decomposition_arrays_are_read_only(rng):
                zip((dec.omega, dec.weight, dec.multiplicity), arrays))
 
 
+def test_decomposition_rejects_nan_weights():
+    with pytest.raises(InvalidParameterError, match="finite"):
+        SpectralDecomposition([0.0, 1.0], [math.nan, 1.0], [1, 1], 1)
+
+
+def test_decomposition_rejects_weights_summing_beyond_the_float_range():
+    with pytest.raises(InvalidParameterError, match="expected 1"):
+        SpectralDecomposition([0.0, 1.0], [1.7e308, 1.7e308], [1, 1], 1)
+
+
+NEXT_AFTER_ONE = 1.0 + 2.0**-52
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([], 0.0),
+    ([0.3], 0.3),
+    ([0.0, 0.0], 0.0),
+    ([-0.0], 0.0),
+    ([5e-324, 5e-324, 0.0], 1e-323),
+    ([1.0, 2.0**-53], 1.0),  # a tie rounds to even
+    ([1.0, 2.0**-53, 2.0**-200], NEXT_AFTER_ONE),  # just above the tie
+    ([NEXT_AFTER_ONE, 2.0**-53], 1.0 + 2.0**-51),  # a tie rounds up to even
+    ([2.0**1000, 1.0, 5e-324], 2.0**1000),
+    ([0.1] * 10, math.fsum([0.1] * 10)),
+])
+def test_exact_sum_is_correctly_rounded(values, expected):
+    total = spectrum._exact_sum(np.array(values, dtype=np.float64))
+    assert total == expected == math.fsum(values)
+
+
+def test_exact_sum_matches_fsum_on_wide_exponent_spreads():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        size = int(rng.integers(1, 1000))
+        values = np.ldexp(rng.uniform(0.5, 1.0, size), rng.integers(-1074, 1001, size))
+        values[rng.random(size) < 0.1] = 0.0
+        values[rng.random(size) < 0.05] = 5e-324
+        assert spectrum._exact_sum(values) == math.fsum(values.tolist())
+
+
+def test_exact_sum_of_many_equal_values():
+    # 2^24 copies of 0.1 sum to exactly 0.1 * 2^24; a zero-stride view
+    # supplies them without 128 MB of memory
+    values = np.broadcast_to(0.1, 1 << 24)
+    assert spectrum._exact_sum(values) == math.ldexp(0.1, 24)
+
+
+@pytest.mark.parametrize("chunk, block", [(None, None), (64, 128), (7, 20)])
+def test_exact_sum_across_chunks_and_blocks(chunk, block, monkeypatch):
+    """Every chunk and every block holds values of the same exponents."""
+    if chunk is not None:
+        monkeypatch.setattr(spectrum, "_EXACT_SUM_CHUNK", chunk)
+        monkeypatch.setattr(spectrum, "_EXACT_SUM_BLOCK", block)
+    rng = np.random.default_rng(6)
+    values = rng.uniform(1.0, 2.0, 3 * spectrum._EXACT_SUM_CHUNK + 5)
+    values[::3] = np.ldexp(values[::3], -1060)  # subnormals in every chunk
+    assert spectrum._exact_sum(values) == math.fsum(values.tolist())
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_exact_sum_matches_fsum_on_spectral_weights(n):
+    weight = spectral_decomposition(generate_random(n, 1)).weight
+    assert spectrum._exact_sum(weight) == math.fsum(weight.tolist())
+
+
 def test_r_from_spectrum_rejects_non_finite_time(rng):
     dec = spectral_decomposition(bounded_model(3, rng))
     for t in (math.inf, -math.inf, math.nan):
