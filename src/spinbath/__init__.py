@@ -36,11 +36,9 @@ from .harness import model_from_dict, model_to_dict
 from .lemma import (
     EFFECTIVELY_INFINITE,
     NOT_EVALUATED,
-    L1Thresholds,
     LemmaReport,
     Normalization,
     PartitionScheme,
-    QCThresholds,
     Verdict,
     VerdictConfig,
     WeightedPointSet,
@@ -99,11 +97,9 @@ __all__ = [
     "sample_series",
     "EFFECTIVELY_INFINITE",
     "NOT_EVALUATED",
-    "L1Thresholds",
     "LemmaReport",
     "Normalization",
     "PartitionScheme",
-    "QCThresholds",
     "Verdict",
     "VerdictConfig",
     "WeightedPointSet",

@@ -17,6 +17,7 @@ from typing import Any
 from .errors import ConfigError, SpinBathError
 from .harness import (
     FLOAT_FORMAT,
+    OUTPUT_FORMATS,
     VERDICT_FIELDS,
     parse_config,
     run_compare,
@@ -62,7 +63,8 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--steps", type=int, default=None)
 
 
-def _add_output_flags(sub: argparse.ArgumentParser, formats: list[str]) -> None:
+def _add_output_flags(sub: argparse.ArgumentParser, command: str) -> None:
+    formats = OUTPUT_FORMATS[command]
     sub.add_argument("--output", metavar="FILE", help="write results to this path")
     sub.add_argument(
         "--format", choices=formats, default=None,
@@ -91,18 +93,18 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="sample r(t) and |r(t)|^2 on a grid")
     _add_model_flags(simulate)
     _add_grid_flags(simulate)
-    _add_output_flags(simulate, ["csv", "json"])
+    _add_output_flags(simulate, "simulate")
 
     predict = sub.add_parser("predict", help="analytical decoherence verdict")
     _add_model_flags(predict)
     _add_verdict_flags(predict)
-    _add_output_flags(predict, ["json"])
+    _add_output_flags(predict, "predict")
 
     compare = sub.add_parser("compare", help="run both pipelines and reconcile")
     _add_model_flags(compare)
     _add_grid_flags(compare)
     _add_verdict_flags(compare)
-    _add_output_flags(compare, ["json"])
+    _add_output_flags(compare, "compare")
 
     oracle = sub.add_parser(
         "oracle-check", help="closed form vs state-vector oracle on random cases"
@@ -152,7 +154,7 @@ def _section(data: dict[str, Any], key: str) -> dict[str, Any]:
     return section
 
 
-def _assemble(args: argparse.Namespace, default_format: str) -> dict[str, Any]:
+def _assemble(args: argparse.Namespace) -> dict[str, Any]:
     """Merge the config file (if any) with flag overrides into one dict."""
     data: dict[str, Any] = {}
     if args.config is not None:
@@ -182,15 +184,16 @@ def _assemble(args: argparse.Namespace, default_format: str) -> dict[str, Any]:
         data["verdict"] = {**_section(data, "verdict"), **verdict}
 
     if getattr(args, "output", None) is not None:
+        # a format left out here is the command's default, filled in by parse_config
         fmt = getattr(args, "format", None) or _section(data, "output").get("format")
-        data["output"] = {"path": args.output, "format": fmt or default_format}
+        data["output"] = {"path": args.output, **({"format": fmt} if fmt else {})}
     elif getattr(args, "format", None) is not None and "output" in data:
         data["output"] = {**_section(data, "output"), "format": args.format}
     return data
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = parse_config(_assemble(args, "csv"))
+    config = parse_config(_assemble(args), OUTPUT_FORMATS["simulate"])
     series = run_simulate(config)
     t0, t1 = float(series.times[0]), float(series.times[-1])
     print(f"simulated {len(series)} points on [{t0:{FLOAT_FORMAT}}, {t1:{FLOAT_FORMAT}}]")
@@ -203,7 +206,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    config = parse_config(_assemble(args, "json"))
+    config = parse_config(_assemble(args), OUTPUT_FORMATS["predict"])
     report = run_predict(config)
     print(
         f"verdict: {report.verdict.value} "
@@ -216,7 +219,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = parse_config(_assemble(args, "json"))
+    config = parse_config(_assemble(args), OUTPUT_FORMATS["compare"])
     result = run_compare(config)
     status = "consistent" if result.agreement.consistent else "tension"
     print(
@@ -253,12 +256,12 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    data = _assemble(args, "csv")
+    data = _assemble(args)
     # the spectrum goes as CSV to --output alone, never to the config's output
     data.pop("output", None)
     if args.output is not None:
         data["output"] = {"path": args.output}
-    dec = run_spectrum(parse_config(data))
+    dec = run_spectrum(parse_config(data, OUTPUT_FORMATS["spectrum"]))
     lo, hi = dec.omega[0], dec.omega[-1]
     print(f"{dec.n_lines} lines over [{lo:{FLOAT_FORMAT}}, {hi:{FLOAT_FORMAT}}]")
     if args.output is not None:

@@ -20,11 +20,12 @@ Config schema (all sections optional unless a runner needs them):
       "grid": {"t_start": x, "t_end": x, "steps": int},
       "observable": {"s_uu": x, "s_dd": x, "s_du": [re, im]},
       "verdict": {key: int | x, ...},  one key per row of VERDICT_FIELDS
-      "output": {"path": str, "format": "csv" | "json"}
+      "output": {"path": str, "format": str}  one of the command's OUTPUT_FORMATS
     }
 
-Defaults: grid [0, 20 / mean|g|] with 2000 steps; verdict thresholds as
-in :mod:`spinbath.lemma`. The inline model schema is the one
+Defaults: grid [t_start, t_start + 20 / mean|g|] with 2000 steps; verdict
+thresholds as in :mod:`spinbath.lemma`; the output format first in the
+command's OUTPUT_FORMATS. The inline model schema is the one
 :func:`model_to_dict` writes and :func:`model_from_dict` reads.
 """
 
@@ -34,8 +35,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -44,8 +44,6 @@ from .errors import ConfigError, InvalidParameterError, NormalizationError
 from .evolution import TimeSeries, expectation_full, r_bounds, sample_series
 from .lemma import (
     LemmaReport,
-    L1Thresholds,
-    QCThresholds,
     Verdict,
     VerdictConfig,
     verdict_from_decomposition,
@@ -78,69 +76,41 @@ CSV_HEADER = "t,re_r,im_r,r_sq,expectation"
 # any double.
 FLOAT_FORMAT = ".17g"
 
+# The output formats each command writes, its default first.
+OUTPUT_FORMATS = {
+    "simulate": ("csv", "json"),
+    "predict": ("json",),
+    "compare": ("json",),
+    "spectrum": ("csv",),
+}
+
 
 # ---------------------------------------------------------------------------
 # Config value objects
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RandomSource:
-    n: int
-    seed: int
-    coupling_law: UniformPositive | Equal = UniformPositive(1.0)
-    phase_law: PhaseLaw = PhaseLaw.ZERO
-
-
-@dataclass(frozen=True)
-class InlineSource:
-    model: SpinBathModel
-
-
-ModelSource = RandomSource | InlineSource
-
-
-@dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling grid; t_end None defers to the model default."""
+    """Uniform sampling grid."""
 
-    t_start: float = 0.0
-    t_end: float | None = None
-    steps: int = DEFAULT_STEPS
-
-
-class OutputFormat(Enum):
-    CSV = "csv"
-    JSON = "json"
+    t_start: float
+    t_end: float
+    steps: int
 
 
 @dataclass(frozen=True)
 class OutputSpec:
     path: str
-    format: OutputFormat
+    format: str  # one of the command's OUTPUT_FORMATS
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model_source: ModelSource
-    grid: TimeGrid = TimeGrid()
+    model: SpinBathModel
+    grid: TimeGrid
     observable: RelevantObservable | None = None
     verdict: VerdictConfig = field(default_factory=VerdictConfig)
     output: OutputSpec | None = None
-
-
-def build_model(source: ModelSource) -> SpinBathModel:
-    if isinstance(source, InlineSource):
-        return source.model
-    return generate_random(source.n, source.seed, source.coupling_law, source.phase_law)
-
-
-def resolve_grid(grid: TimeGrid, model: SpinBathModel) -> tuple[float, float, int]:
-    """Fill in the default horizon: 20 / mean|g| past t_start."""
-    t_end = grid.t_end
-    if t_end is None:
-        mean_g = sum(abs(s.g) for s in model.spins) / model.n_spins
-        t_end = grid.t_start + DEFAULT_T_END_OVER_MEAN_G / mean_g
-    return grid.t_start, t_end, grid.steps
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +202,7 @@ def model_from_dict(data: Any, path: str = "model") -> SpinBathModel:
         raise ConfigError(path, str(exc)) from None
 
 
-def _parse_random_source(data: dict, path: str) -> RandomSource:
+def _parse_random_model(data: dict, path: str) -> SpinBathModel:
     _reject_unknown(data, {"n", "seed", "coupling", "phases"}, path)
     _require(data, ("n", "seed"), path)
     n = _parse_int(data["n"], f"{path}.n")
@@ -261,22 +231,26 @@ def _parse_random_source(data: dict, path: str) -> RandomSource:
             phases = PhaseLaw(raw)
         except ValueError:
             raise ConfigError(f"{path}.phases", 'expected "zero" or "uniform"') from None
-    return RandomSource(n, seed, coupling, phases)
+    try:
+        return generate_random(n, seed, coupling, phases)
+    except (InvalidParameterError, ValueError) as exc:  # numpy refuses a negative seed
+        raise ConfigError(path, str(exc)) from None
 
 
-def _parse_model_source(data: Any, path: str) -> ModelSource:
+def _parse_model(data: Any, path: str) -> SpinBathModel:
     data = _expect_dict(data, path)
     _reject_unknown(data, {"random", "inline"}, path)
     if ("random" in data) == ("inline" in data):
         raise ConfigError(path, 'expected exactly one of "random" or "inline"')
     if "random" in data:
-        return _parse_random_source(
+        return _parse_random_model(
             _expect_dict(data["random"], f"{path}.random"), f"{path}.random"
         )
-    return InlineSource(model_from_dict(data["inline"], f"{path}.inline"))
+    return model_from_dict(data["inline"], f"{path}.inline")
 
 
-def _parse_grid(data: Any, path: str) -> TimeGrid:
+def _parse_grid(data: Any, path: str, model: SpinBathModel) -> TimeGrid:
+    """The grid, its horizon 20 / mean|g| past t_start where t_end is absent or null."""
     data = _expect_dict(data, path)
     _reject_unknown(data, {"t_start", "t_end", "steps"}, path)
     t_start = _parse_real(data.get("t_start", 0.0), f"{path}.t_start")
@@ -288,7 +262,10 @@ def _parse_grid(data: Any, path: str) -> TimeGrid:
         steps = _parse_int(data["steps"], f"{path}.steps")
     if steps < 2:
         raise ConfigError(f"{path}.steps", f"must be >= 2, got {steps}")
-    if t_end is not None and t_end <= t_start:
+    if t_end is None:
+        mean_g = sum(abs(s.g) for s in model.spins) / model.n_spins
+        t_end = t_start + DEFAULT_T_END_OVER_MEAN_G / mean_g
+    elif t_end <= t_start:
         raise ConfigError(f"{path}.t_end", "must exceed t_start")
     return TimeGrid(t_start, t_end, steps)
 
@@ -313,12 +290,9 @@ class VerdictField:
     """One verdict setting, as config key, CLI flag and VerdictConfig field.
 
     The CLI flag is ``--`` plus the key with dashes for underscores.
-    ``section`` names the VerdictConfig attribute that holds the field
-    ("qc" or "l1"), or is None for a field of VerdictConfig itself.
     """
 
     key: str
-    section: str | None
     kind: type  # int or float
     help: str | None = None
     null_is_default: bool = False  # a JSON null stands for the default
@@ -326,16 +300,16 @@ class VerdictField:
 
 
 VERDICT_FIELDS = (
-    VerdictField("n_min", "qc", int, "minimum line count gate"),
-    VerdictField("cv_max", "qc", float, "gap spread gate"),
-    VerdictField("ks_max", "qc", float, "uniformity gate"),
-    VerdictField("eps_global", "l1", float, "max weight gate"),
-    VerdictField("eps_group", "l1", float, "per-group deviation gate"),
-    VerdictField("g_groups", None, int, "partition group count", null_is_default=True),
-    VerdictField("q_max", None, int, "rationalization denominator cap"),
-    VerdictField("rel_tolerance", None, float),
-    VerdictField("omega_tolerance", None, float, "line merge radius / max|g|", enumeration=True),
-    VerdictField("enumeration_cap", None, int, enumeration=True),
+    VerdictField("n_min", int, "minimum line count gate"),
+    VerdictField("cv_max", float, "gap spread gate"),
+    VerdictField("ks_max", float, "uniformity gate"),
+    VerdictField("eps_global", float, "max weight gate"),
+    VerdictField("eps_group", float, "per-group deviation gate"),
+    VerdictField("g_groups", int, "partition group count", null_is_default=True),
+    VerdictField("q_max", int, "rationalization denominator cap"),
+    VerdictField("rel_tolerance", float),
+    VerdictField("omega_tolerance", float, "line merge radius / max|g|", enumeration=True),
+    VerdictField("enumeration_cap", int, enumeration=True),
 )
 
 
@@ -345,7 +319,7 @@ def _parse_verdict(data: Any, path: str) -> VerdictConfig:
     fail silently. Infinities are kept; +inf switches a max gate off."""
     data = _expect_dict(data, path)
     _reject_unknown(data, {f.key for f in VERDICT_FIELDS}, path)
-    sections: dict[str | None, dict[str, Any]] = {"qc": {}, "l1": {}, None: {}}
+    values: dict[str, Any] = {}
     for f in VERDICT_FIELDS:
         if f.key not in data or (f.null_is_default and data[f.key] is None):
             continue
@@ -356,34 +330,32 @@ def _parse_verdict(data: Any, path: str) -> VerdictConfig:
             value = _parse_real(data[f.key], where)
             if math.isnan(value):
                 raise ConfigError(where, "expected a number, got NaN")
-        sections[f.section][f.key] = value
-    return VerdictConfig(
-        qc=QCThresholds(**sections["qc"]), l1=L1Thresholds(**sections["l1"]), **sections[None]
-    )
+        values[f.key] = value
+    return VerdictConfig(**values)
 
 
-def _parse_output(data: Any, path: str) -> OutputSpec:
+def _parse_output(data: Any, path: str, formats: tuple[str, ...]) -> OutputSpec:
     data = _expect_dict(data, path)
     _reject_unknown(data, {"path", "format"}, path)
     _require(data, ("path",), path)
     raw_path = data["path"]
     if not isinstance(raw_path, str) or not raw_path:
         raise ConfigError(f"{path}.path", "expected a non-empty string")
-    raw_format = data.get("format", "csv")
-    try:
-        fmt = OutputFormat(raw_format)
-    except ValueError:
-        raise ConfigError(f"{path}.format", 'expected "csv" or "json"') from None
+    fmt = data.get("format", formats[0])
+    if fmt not in formats:
+        raise ConfigError(f"{path}.format", "expected " + " or ".join(f'"{f}"' for f in formats))
     return OutputSpec(raw_path, fmt)
 
 
-def parse_config(data: Any, path: str = "config") -> ExperimentConfig:
-    """Validate a config dict; every failure names its field path."""
+def parse_config(data: Any, formats: tuple[str, ...], path: str = "config") -> ExperimentConfig:
+    """Validate a config dict and build its model and grid; every failure
+    names its field path. ``formats`` are the output formats the command
+    writes, its default first."""
     data = _expect_dict(data, path)
     _reject_unknown(data, {"model", "grid", "observable", "verdict", "output"}, path)
     _require(data, ("model",), path)
-    source = _parse_model_source(data["model"], f"{path}.model")
-    grid = _parse_grid(data["grid"], f"{path}.grid") if "grid" in data else TimeGrid()
+    model = _parse_model(data["model"], f"{path}.model")
+    grid = _parse_grid(data.get("grid", {}), f"{path}.grid", model)
     observable = (
         _parse_observable(data["observable"], f"{path}.observable")
         if data.get("observable") is not None else None
@@ -392,8 +364,10 @@ def parse_config(data: Any, path: str = "config") -> ExperimentConfig:
         _parse_verdict(data["verdict"], f"{path}.verdict")
         if "verdict" in data else VerdictConfig()
     )
-    output = _parse_output(data["output"], f"{path}.output") if "output" in data else None
-    return ExperimentConfig(source, grid, observable, verdict, output)
+    output = (
+        _parse_output(data["output"], f"{path}.output", formats) if "output" in data else None
+    )
+    return ExperimentConfig(model, grid, observable, verdict, output)
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +476,10 @@ def run_simulate(config: ExperimentConfig) -> TimeSeries:
     Writes CSV columns t, re_r, im_r, r_sq, expectation (or the JSON
     equivalent) when an output is configured.
     """
-    model = build_model(config.model_source)
-    t_start, t_end, steps = resolve_grid(config.grid, model)
-    series = sample_series(model, t_start, t_end, steps, config.observable)
+    grid = config.grid
+    series = sample_series(config.model, grid.t_start, grid.t_end, grid.steps, config.observable)
     if config.output is not None:
-        if config.output.format is OutputFormat.CSV:
+        if config.output.format == "csv":
             _atomic_write_text(config.output.path, series_to_csv(series))
         else:
             write_json(config.output.path, series_to_jsonable(series))
@@ -518,12 +491,9 @@ def run_spectrum(config: ExperimentConfig) -> SpectralDecomposition:
     the verdict settings, and emit it as CSV."""
     verdict = config.verdict
     dec = spectral_decomposition(
-        build_model(config.model_source), verdict.omega_tolerance,
-        max_spins=verdict.enumeration_cap,
+        config.model, verdict.omega_tolerance, max_spins=verdict.enumeration_cap
     )
     if config.output is not None:
-        if config.output.format is not OutputFormat.CSV:
-            raise ConfigError("config.output.format", 'spectrum emits "csv" only')
         _atomic_write_text(config.output.path, decomposition_to_csv(dec))
     return dec
 
@@ -543,11 +513,8 @@ def _predict_payload(model: SpinBathModel, verdict_config: VerdictConfig) -> tup
 
 def run_predict(config: ExperimentConfig) -> LemmaReport:
     """Run the analytical verdict pipeline and emit the JSON report."""
-    model = build_model(config.model_source)
-    report, payload = _predict_payload(model, config.verdict)
+    report, payload = _predict_payload(config.model, config.verdict)
     if config.output is not None:
-        if config.output.format is not OutputFormat.JSON:
-            raise ConfigError("config.output.format", 'predict emits "json" only')
         write_json(config.output.path, payload)
     return report
 
@@ -568,12 +535,7 @@ class DecayStats:
             )
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "time_avg_r_sq": self.time_avg_r_sq,
-            "time_avg_r_sq_last_half": self.time_avg_r_sq_last_half,
-            "min_r_sq": self.min_r_sq,
-            "lower_bound": self.lower_bound,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -624,11 +586,10 @@ def assess_agreement(prediction: LemmaReport, decay: DecayStats) -> Agreement:
 
 def run_compare(config: ExperimentConfig) -> ComparisonReport:
     """Run simulation and prediction on one model and reconcile them."""
-    model = build_model(config.model_source)
+    model, grid = config.model, config.grid
     report, predict_payload = _predict_payload(model, config.verdict)
 
-    t_start, t_end, steps = resolve_grid(config.grid, model)
-    series = sample_series(model, t_start, t_end, steps)
+    series = sample_series(model, grid.t_start, grid.t_end, grid.steps)
     r_sq = np.abs(series.r_values) ** 2
     lower, _ = r_bounds(model)
     half = len(r_sq) // 2
@@ -641,8 +602,6 @@ def run_compare(config: ExperimentConfig) -> ComparisonReport:
     agreement = assess_agreement(report, decay)
     result = ComparisonReport(report, decay, agreement)
     if config.output is not None:
-        if config.output.format is not OutputFormat.JSON:
-            raise ConfigError("config.output.format", 'compare emits "json" only')
         write_json(config.output.path, {
             "prediction": predict_payload,
             "decay_stats": decay.to_dict(),

@@ -28,7 +28,7 @@ reported regardless of the verdict, so callers can re-gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -39,19 +39,20 @@ from .spectrum import ENUMERATION_CAP, SpectralDecomposition, spectral_decomposi
 
 
 class _Sentinel:
-    """Named singleton for non-numeric report values."""
+    """Named singleton for non-numeric report values; ``label`` is its JSON string."""
 
-    __slots__ = ("_name",)
+    __slots__ = ("_name", "label")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, label: str):
         self._name = name
+        self.label = label
 
     def __repr__(self) -> str:
         return self._name
 
 
-EFFECTIVELY_INFINITE = _Sentinel("EffectivelyInfinite")
-NOT_EVALUATED = _Sentinel("NotEvaluated")
+EFFECTIVELY_INFINITE = _Sentinel("EffectivelyInfinite", "effectively_infinite")
+NOT_EVALUATED = _Sentinel("NotEvaluated", "not_evaluated")
 
 
 class Verdict(Enum):
@@ -121,29 +122,28 @@ class WeightedPointSet:
 
 
 @dataclass(frozen=True)
-class QCThresholds:
-    """Gates for the quasi-continuity check.
+class VerdictConfig:
+    """Everything the verdict pipeline can be tuned with.
 
-    n_min encodes "many points"; cv_max caps the spread of nearest-neighbor
-    gaps relative to their mean; ks_max caps the sup-distance between the
-    empirical CDF and the uniform CDF on the spanned interval.
+    The quasi-continuity gates: n_min encodes "many points"; cv_max caps
+    the spread of nearest-neighbor gaps relative to their mean; ks_max
+    caps the sup-distance between the empirical CDF and the uniform CDF on
+    the spanned interval. The weight gates: eps_global caps every weight;
+    eps_group caps max-minus-min within each partition group. g_groups
+    None means ceil(sqrt(n)) groups, so group count and group size both
+    grow with the spectrum.
     """
 
     n_min: int = 64
     cv_max: float = 1.0
     ks_max: float = 0.2
-
-
-@dataclass(frozen=True)
-class L1Thresholds:
-    """Gates for the weight-smallness check.
-
-    eps_global caps every weight; eps_group caps max-minus-min within each
-    partition group.
-    """
-
     eps_global: float = 1e-3
     eps_group: float = 1e-3
+    g_groups: int | None = None
+    q_max: int = 10**6
+    rel_tolerance: float = 1e-9
+    omega_tolerance: float = 0.0
+    enumeration_cap: int = ENUMERATION_CAP
 
 
 @dataclass(frozen=True)
@@ -180,14 +180,14 @@ class PartitionScheme:
 
 def check_quasi_continuous(
     point_set: WeightedPointSet,
-    thresholds: QCThresholds | None = None,
+    config: VerdictConfig | None = None,
 ) -> tuple[bool, QCDiagnostics]:
     """Test whether the points are numerous and nearly uniformly spread.
 
     Returns the boolean gate result together with diagnostics that are
     always fully populated, whatever the outcome.
     """
-    thresholds = thresholds or QCThresholds()
+    config = config or VerdictConfig()
     pts = point_set.points
     n = pts.size
     if n < 2:
@@ -208,9 +208,9 @@ def check_quasi_continuous(
     u -= grid[:-1]
     ks_stat = float(max(above, np.max(u)))
 
-    size_ok = n >= thresholds.n_min
-    cv_ok = gap_cv <= thresholds.cv_max
-    ks_ok = ks_stat <= thresholds.ks_max
+    size_ok = n >= config.n_min
+    cv_ok = gap_cv <= config.cv_max
+    ks_ok = ks_stat <= config.ks_max
     diag = QCDiagnostics(n, gap_cv, ks_stat, size_ok, cv_ok, ks_ok)
     return size_ok and cv_ok and ks_ok, diag
 
@@ -240,10 +240,10 @@ def make_partition(point_set: WeightedPointSet, g_groups: int) -> PartitionSchem
 def check_l1(
     point_set: WeightedPointSet,
     partition: PartitionScheme,
-    thresholds: L1Thresholds | None = None,
+    config: VerdictConfig | None = None,
 ) -> tuple[bool, L1Diagnostics]:
     """Test whether weights are globally small and locally near-constant."""
-    thresholds = thresholds or L1Thresholds()
+    config = config or VerdictConfig()
     n = point_set.n_points
     bounds = partition.group_boundaries
     if len(bounds) != partition.g_groups:
@@ -264,8 +264,8 @@ def check_l1(
     deviations = np.maximum.reduceat(weights, starts) - np.minimum.reduceat(weights, starts)
     worst = int(np.argmax(deviations))  # the first group on a tie
     max_dev = float(deviations[worst])
-    global_ok = max_weight <= thresholds.eps_global
-    group_ok = max_dev <= thresholds.eps_group
+    global_ok = max_weight <= config.eps_global
+    group_ok = max_dev <= config.eps_group
     diag = L1Diagnostics(max_weight, max_dev, worst, global_ok, group_ok)
     return global_ok and group_ok, diag
 
@@ -383,23 +383,6 @@ def estimate_recurrence_time(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class VerdictConfig:
-    """Everything the verdict pipeline can be tuned with.
-
-    g_groups None means ceil(sqrt(n)) groups, so group count and group
-    size both grow with the spectrum.
-    """
-
-    qc: QCThresholds = field(default_factory=QCThresholds)
-    l1: L1Thresholds = field(default_factory=L1Thresholds)
-    g_groups: int | None = None
-    q_max: int = 10**6
-    rel_tolerance: float = 1e-9
-    omega_tolerance: float = 0.0
-    enumeration_cap: int = ENUMERATION_CAP
-
-
-@dataclass(frozen=True)
 class LemmaReport:
     """Complete outcome of the verdict pipeline, diagnostics included.
 
@@ -422,24 +405,15 @@ class LemmaReport:
     has_degenerate_lines: bool = False
 
     def to_dict(self) -> dict:
-        """JSON-compatible view; sentinels become descriptive strings."""
-        tp = self.recurrence_time
-        mag = self.lemma_sum_magnitude_at_half_tp
-        return {
-            "n_points": self.n_points,
-            "quasi_continuous": self.quasi_continuous,
-            "qc_gap_cv": self.qc_gap_cv,
-            "qc_ks_stat": self.qc_ks_stat,
-            "in_l1": self.in_l1,
-            "l1_max_weight": self.l1_max_weight,
-            "l1_max_group_deviation": self.l1_max_group_deviation,
-            "recurrence_time": tp if isinstance(tp, float) else "effectively_infinite",
-            "lemma_sum_magnitude_at_half_tp": (
-                mag if isinstance(mag, float) else "not_evaluated"
-            ),
-            "verdict": self.verdict.value,
-            "has_degenerate_lines": self.has_degenerate_lines,
-        }
+        """JSON-compatible view in field order; sentinels and the verdict
+        become descriptive strings."""
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json_value(value):
+    if isinstance(value, Verdict):
+        return value.value
+    return value.label if isinstance(value, _Sentinel) else value
 
 
 def default_g_groups(n: int) -> int:
@@ -480,9 +454,9 @@ def verdict_from_decomposition(
     if n < 2:
         raise DegenerateSetError("spectrum collapsed to a single line")
 
-    ok_qc, qc_diag = check_quasi_continuous(points, config.qc)
+    ok_qc, qc_diag = check_quasi_continuous(points, config)
     partition = make_partition(points, config.g_groups or default_g_groups(n))
-    ok_l1, l1_diag = check_l1(points, partition, config.l1)
+    ok_l1, l1_diag = check_l1(points, partition, config)
     recurrence = estimate_recurrence_time(points, config.q_max, config.rel_tolerance)
     if isinstance(recurrence, float):
         magnitude = abs(lemma_sum(points, recurrence / 2.0))

@@ -54,19 +54,21 @@ ORACLE_CAP = 12
 _WEIGHT_SUM_TOLERANCE = 1e-12
 
 # Peak-RSS rise per enumerated value, for the up-front memory check in
-# _require_cap. Measured in a fresh process on generate_random(n, 1):
-# spectral_decomposition about 41 B per term at N = 20, 34 B at N = 22 and
-# 33 B at N = 24, set by the sorted doubling, and `predict`, which runs the
-# verdict on the spectrum it holds, 57, 49 and 49 B, set by
-# check_quasi_continuous. The bound stays at 100 B because sums that need
-# Python ints (couplings 1 and 2^-80, say) make spectral_decomposition and
-# the whole verdict peak at about 90 B per term at N = 19 and 20.
+# _require_cap. Measured in a fresh process on generate_random(n, seed),
+# seeds 1 to 3 (1 and 2 at N = 24): `predict`, which runs the verdict on
+# the spectrum it holds, peaks at about 61 B per term at N = 18, 57 B at
+# N = 20 and 49 B at N = 22 and 24, set by check_quasi_continuous (34 B
+# with equal couplings); the int64 bound adds a margin to that. Sums that
+# need Python ints (couplings 1 and 2^-80, say) take about 89 B per term
+# at N = 19 and 76 B at N = 20, so spectral_decomposition picks its bound
+# by _fits_int64.
 # hamiltonian_spectrum peaks at about 30 B per value at N = 20 and 22 (18
 # to 20 B with equal couplings, 42 B where the sums need Python ints), so
 # it has its own bound. brute_force_expectation peaks at about 76 B per
 # state under tracemalloc at N = 10, 11 and 12 (the state, its phases and
 # the evolved copy in complex128, the energies in float64).
-_ENUMERATION_BYTES_PER_VALUE = 100
+_INT64_ENUMERATION_BYTES_PER_VALUE = 64
+_PYINT_ENUMERATION_BYTES_PER_VALUE = 100
 _LEVEL_BYTES_PER_VALUE = 48
 _ORACLE_BYTES_PER_STATE = 80
 
@@ -497,7 +499,11 @@ def spectral_decomposition(
     if not omega_tolerance >= 0:
         raise InvalidParameterError(f"omega_tolerance must be >= 0, got {omega_tolerance!r}")
     n = model.n_spins
-    _require_cap(n, max_spins, n, _ENUMERATION_BYTES_PER_VALUE, "spectral enumeration")
+    bytes_per_term = (
+        _INT64_ENUMERATION_BYTES_PER_VALUE if _fits_int64(*_scaled_couplings(model))
+        else _PYINT_ENUMERATION_BYTES_PER_VALUE
+    )
+    _require_cap(n, max_spins, n, bytes_per_term, "spectral enumeration")
 
     omegas, weights = _sorted_terms(model)
     radius = omega_tolerance * max(abs(s.g) for s in model.spins)

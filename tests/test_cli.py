@@ -10,7 +10,7 @@ from spinbath import cli
 from spinbath.cli import build_parser, main
 from spinbath.harness import VERDICT_FIELDS
 
-from test_harness import TENSION_MODEL, TENSION_VERDICT, sha256, verdict_value
+from test_harness import TENSION_MODEL, TENSION_VERDICT, sha256
 
 
 def write_json(path, payload):
@@ -92,6 +92,17 @@ def test_simulate_equal_coupling_flag(tmp_path):
     assert code == 0
 
 
+def test_simulate_config_output_without_format_writes_csv(tmp_path):
+    out = tmp_path / "series.csv"
+    config = write_json(tmp_path / "config.json", {
+        "model": {"random": {"n": 3, "seed": 9}},
+        "grid": {"t_end": 4.0, "steps": 6},
+        "output": {"path": str(out)},
+    })
+    assert main(["simulate", "--config", config]) == 0
+    assert out.read_text().startswith("t,re_r,im_r,r_sq,expectation\n")
+
+
 def test_simulate_json_format(tmp_path):
     out = tmp_path / "series.json"
     assert main(["simulate", "--n", "2", "--seed", "3", "--t-end", "2",
@@ -121,6 +132,28 @@ def test_predict_runs_are_byte_identical(tmp_path):
     assert main(argv + ["--output", str(a)]) == 0
     assert main(argv + ["--output", str(b)]) == 0
     assert sha256(a) == sha256(b)
+
+
+@pytest.mark.parametrize("command", ["predict", "compare"])
+def test_config_output_without_format_writes_json(tmp_path, capsys, command):
+    """json is the only format of predict and compare, so it is their default."""
+    out = tmp_path / "report.json"
+    config = write_json(tmp_path / "cfg.json", {
+        "model": {"random": {"n": 5, "seed": 2}},
+        "grid": {"t_end": 20.0, "steps": 100},
+        "output": {"path": str(out)},
+    })
+    assert main([command, "--config", config]) == 0
+    assert f"wrote {out}" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload.get("prediction", payload)["verdict"] == "no_verdict"
+
+
+def test_negative_seed_exits_two_with_field_path(capsys):
+    assert main(["predict", "--n", "3", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "config.model.random" in err
 
 
 def test_predict_threshold_flags(tmp_path, capsys):
@@ -161,9 +194,11 @@ def test_verdict_flag_reaches_its_config_field(monkeypatch, command, key, value)
     (whether the run then succeeds does not matter here)."""
     seen = []
     parse = cli.parse_config
-    monkeypatch.setattr(cli, "parse_config", lambda data: seen.append(parse(data)) or seen[-1])
+    monkeypatch.setattr(
+        cli, "parse_config", lambda data, formats: seen.append(parse(data, formats)) or seen[-1]
+    )
     main([command, "--n", "4", "--seed", "1", "--" + key.replace("_", "-"), str(value)])
-    assert verdict_value(seen[0].verdict, key) == value
+    assert getattr(seen[0].verdict, key) == value
 
 
 def test_predict_equal_coupling_sets_degenerate_flag(tmp_path, capsys):
@@ -265,6 +300,22 @@ def test_spectrum_honours_the_config_verdict_section(tmp_path, capsys):
                                                    "verdict": {"omega_tolerance": 10.0}})
     assert main(["spectrum", "--config", merged]) == 0
     assert "1 lines over" in capsys.readouterr().out
+
+
+def test_spectrum_writes_only_to_its_output_flag(tmp_path, capsys):
+    """The config's output is not spectrum's: only --output gets the CSV."""
+    ignored = tmp_path / "ignored.json"
+    config = write_json(tmp_path / "cfg.json", {
+        "model": {"random": {"n": 3, "seed": 2}},
+        "output": {"path": str(ignored), "format": "json"},
+    })
+    assert main(["spectrum", "--config", config]) == 0
+    assert "wrote" not in capsys.readouterr().out
+    out = tmp_path / "lines.csv"
+    assert main(["spectrum", "--config", config, "--output", str(out)]) == 0
+    assert f"wrote {out}" in capsys.readouterr().out
+    assert out.read_text().startswith("omega,weight,multiplicity\n")
+    assert not ignored.exists()
 
 
 def test_spectrum_model_file(tmp_path, capsys):

@@ -30,10 +30,17 @@ from spinbath import (
     reduced_state,
     sample_series,
 )
-from spinbath.harness import TimeGrid, resolve_grid
+from spinbath.harness import OUTPUT_FORMATS, parse_config
 from spinbath.model import Equal, PhaseLaw
 
 from conftest import ROOT_HALF, bounded_model, random_full_observable, random_system_observable
+
+
+def random_grid(n, seed, **grid):
+    """(t_start, t_end, steps) of the grid parse_config gives generate_random(n, seed)."""
+    doc = {"model": {"random": {"n": n, "seed": seed}}, "grid": grid}
+    parsed = parse_config(doc, OUTPUT_FORMATS["simulate"]).grid
+    return parsed.t_start, parsed.t_end, parsed.steps
 
 
 def balanced_equal_model(n, g):
@@ -310,7 +317,7 @@ def assert_same_nonzero_bits(r, reference):
 @pytest.mark.parametrize("seed", [1, 9])
 def test_sample_series_skips_exact_zeros_without_changing_bits(seed):
     m = generate_random(3000, seed)
-    t_start, t_end, steps = resolve_grid(TimeGrid(steps=400), m)
+    t_start, t_end, steps = random_grid(3000, seed, steps=400)
     r = sample_series(m, t_start, t_end, steps).r_values
     assert np.count_nonzero(r == 0) > steps // 2
     assert_same_nonzero_bits(r, per_spin_loop(m, np.linspace(t_start, t_end, steps)))
@@ -318,7 +325,7 @@ def test_sample_series_skips_exact_zeros_without_changing_bits(seed):
 
 def test_sample_series_bits_with_one_surviving_point():
     m = generate_random(3000, 1)
-    _, t_end, _ = resolve_grid(TimeGrid(), m)
+    _, t_end, _ = random_grid(3000, 1)
     times = np.linspace(0.05, t_end, 20)
     r = sample_series(m, 0.05, t_end, 20).r_values
     assert np.count_nonzero(r) == 1
@@ -339,7 +346,7 @@ def test_large_bath_r_within_exact_log_bounds(seed):
     # -x/(1-x) <= ln(1-x) <= -x, so ln|r|^2 is bracketed at any N; the sum
     # of log1p(-x_i) gives it directly, with no product to underflow.
     m = generate_random(5000, seed)
-    t_start, t_end, steps = resolve_grid(TimeGrid(), m)
+    t_start, t_end, steps = random_grid(5000, seed)
     r = sample_series(m, t_start, t_end, steps).r_values
     times = np.linspace(t_start, t_end, steps)
     g = np.array([s.g for s in m.spins])

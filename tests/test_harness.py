@@ -1,5 +1,6 @@
 """Config parsing, deterministic file output, and the run pipelines."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -21,20 +22,16 @@ from spinbath.evolution import sample_series
 from spinbath.harness import (
     Agreement,
     DecayStats,
-    ExperimentConfig,
     FLOAT_FORMAT,
-    InlineSource,
-    OutputFormat,
+    OUTPUT_FORMATS,
     OutputSpec,
-    RandomSource,
     TimeGrid,
     VERDICT_FIELDS,
     _dump_json,
     assess_agreement,
-    build_model,
     decomposition_to_csv,
+    model_to_dict,
     parse_config,
-    resolve_grid,
     run_compare,
     run_oracle_check,
     run_predict,
@@ -43,7 +40,7 @@ from spinbath.harness import (
     series_to_csv,
     series_to_jsonable,
 )
-from spinbath.lemma import L1Thresholds, QCThresholds, VerdictConfig
+from spinbath.lemma import VerdictConfig
 from spinbath.model import Equal, PhaseLaw, UniformPositive
 
 from conftest import ROOT_HALF, bounded_model
@@ -65,6 +62,11 @@ TENSION_MODEL = {
 }
 TENSION_VERDICT = {"cv_max": 1e9, "ks_max": 1.0, "eps_global": 0.02, "eps_group": 1.0}
 
+SIMULATE = OUTPUT_FORMATS["simulate"]
+PREDICT = OUTPUT_FORMATS["predict"]
+COMPARE = OUTPUT_FORMATS["compare"]
+SPECTRUM = OUTPUT_FORMATS["spectrum"]
+
 
 def sha256(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
@@ -83,21 +85,23 @@ def test_parse_config_full_document():
         "observable": {"s_uu": 1.0, "s_dd": -1.0, "s_du": [0.5, -0.5]},
         "verdict": {"n_min": 32, "eps_global": 1e-2, "g_groups": 7},
         "output": {"path": "out.csv", "format": "csv"},
-    })
-    assert config.model_source == RandomSource(8, 3, Equal(0.4), PhaseLaw.UNIFORM)
+    }, SIMULATE)
+    assert config.model == generate_random(8, 3, Equal(0.4), PhaseLaw.UNIFORM)
     assert config.grid == TimeGrid(1.0, 5.0, 100)
     assert config.observable == RelevantObservable(1.0, -1.0, 0.5 - 0.5j)
-    assert config.verdict.qc.n_min == 32
-    assert config.verdict.l1.eps_global == 1e-2
+    assert config.verdict.n_min == 32
+    assert config.verdict.eps_global == 1e-2
     assert config.verdict.g_groups == 7
-    assert config.verdict.qc.cv_max == 1.0  # untouched default
-    assert config.output == OutputSpec("out.csv", OutputFormat.CSV)
+    assert config.verdict.cv_max == 1.0  # untouched default
+    assert config.output == OutputSpec("out.csv", "csv")
 
 
 def test_parse_config_minimal_defaults():
-    config = parse_config({"model": {"random": {"n": 4, "seed": 1}}})
-    assert config.model_source == RandomSource(4, 1, UniformPositive(1.0), PhaseLaw.ZERO)
-    assert config.grid == TimeGrid(0.0, None, 2000)
+    config = parse_config({"model": {"random": {"n": 4, "seed": 1}}}, SIMULATE)
+    model = generate_random(4, 1, UniformPositive(1.0), PhaseLaw.ZERO)
+    assert config.model == model
+    mean_g = sum(abs(s.g) for s in model.spins) / 4
+    assert config.grid == TimeGrid(0.0, 20.0 / mean_g, 2000)
     assert config.observable is None
     assert config.verdict == VerdictConfig()
     assert config.output is None
@@ -107,9 +111,9 @@ def test_parse_config_inline_model():
     config = parse_config({"model": {"inline": {
         "a": [1.0, 0.0], "b": [0.0, 0.0],
         "spins": [{"alpha": [0.6, 0.0], "beta": [0.8, 0.0], "g": 2.0}],
-    }}})
-    assert isinstance(config.model_source, InlineSource)
-    assert config.model_source.model.spins[0].g == 2.0
+    }}}, SIMULATE)
+    assert config.model.n_spins == 1
+    assert config.model.spins[0].g == 2.0
 
 
 @pytest.mark.parametrize(
@@ -140,25 +144,49 @@ def test_parse_config_inline_model():
         ({"model": {"random": {"n": 2, "seed": 1}},
           "output": {"path": "x", "format": "xml"}}, "config.output.format"),
         ({"model": {"random": {"n": 2, "seed": 1}}, "extra": 1}, "config.extra"),
+        # generate_random refuses these; numpy refuses the negative seed
+        ({"model": {"random": {"n": 0, "seed": 1}}}, "config.model.random"),
+        ({"model": {"random": {"n": 2, "seed": -1}}}, "config.model.random"),
+        ({"model": {"random": {"n": 2, "seed": 1,
+                               "coupling": {"law": "uniform_positive", "g_max": -1.0}}}},
+         "config.model.random"),
     ],
 )
 def test_parse_config_reports_field_paths(doc, path):
     with pytest.raises(ConfigError) as info:
-        parse_config(doc)
+        parse_config(doc, SIMULATE)
     assert info.value.field_path == path
+
+
+@pytest.mark.parametrize("formats, fmt", [
+    (PREDICT, "csv"), (COMPARE, "csv"), (SPECTRUM, "json"),
+])
+def test_parse_config_refuses_a_format_the_command_does_not_write(formats, fmt):
+    with pytest.raises(ConfigError) as info:
+        parse_config({"model": {"random": {"n": 2, "seed": 1}},
+                      "output": {"path": "x", "format": fmt}}, formats)
+    assert info.value.field_path == "config.output.format"
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_FORMATS))
+def test_parse_config_output_format_defaults_per_command(command):
+    formats = OUTPUT_FORMATS[command]
+    config = parse_config({"model": {"random": {"n": 2, "seed": 1}},
+                           "output": {"path": "x"}}, formats)
+    assert config.output == OutputSpec("x", formats[0])
+
+
+def test_verdict_fields_are_the_verdict_config_fields_in_order():
+    assert [f.key for f in VERDICT_FIELDS] == [f.name for f in dataclasses.fields(VerdictConfig)]
 
 
 REAL_KEYS = [f.key for f in VERDICT_FIELDS if f.kind is float]
 
 
 def parse_verdict(section):
-    return parse_config({"model": {"random": {"n": 2, "seed": 1}}, "verdict": section}).verdict
-
-
-def verdict_value(verdict, key):
-    """The setting named key, wherever VerdictConfig holds it."""
-    owner = next(o for o in (verdict, verdict.qc, verdict.l1) if hasattr(o, key))
-    return getattr(owner, key)
+    return parse_config(
+        {"model": {"random": {"n": 2, "seed": 1}}, "verdict": section}, PREDICT
+    ).verdict
 
 
 @pytest.mark.parametrize("key", REAL_KEYS)
@@ -172,7 +200,7 @@ def test_verdict_rejects_nan(key):
 @pytest.mark.parametrize("key", REAL_KEYS)
 def test_verdict_accepts_infinities(key):
     for value in (math.inf, -math.inf):
-        assert verdict_value(parse_verdict({key: value}), key) == value
+        assert getattr(parse_verdict({key: value}), key) == value
 
 
 def test_verdict_null_rules():
@@ -184,21 +212,27 @@ def test_verdict_null_rules():
     assert info.value.field_path == "config.verdict.n_min"
 
 
-def test_resolve_grid_default_horizon(rng):
+def inline_grid(model, grid):
+    return parse_config({"model": {"inline": model_to_dict(model)}, "grid": grid}, SIMULATE).grid
+
+
+def test_parse_config_default_horizon(rng):
     m = bounded_model(5, rng)
     mean_g = sum(abs(s.g) for s in m.spins) / 5
-    t0, t1, steps = resolve_grid(TimeGrid(), m)
-    assert t0 == 0.0 and steps == 2000
-    assert abs(t1 - 20.0 / mean_g) < 1e-12
-    t0, t1, _ = resolve_grid(TimeGrid(t_start=3.0), m)
-    assert abs(t1 - (3.0 + 20.0 / mean_g)) < 1e-12
-    assert resolve_grid(TimeGrid(0.0, 9.0, 10), m) == (0.0, 9.0, 10)
+    grid = inline_grid(m, {})
+    assert grid.t_start == 0.0 and grid.steps == 2000
+    assert abs(grid.t_end - 20.0 / mean_g) < 1e-12
+    grid = inline_grid(m, {"t_start": 3.0})
+    assert abs(grid.t_end - (3.0 + 20.0 / mean_g)) < 1e-12
+    assert inline_grid(m, {"t_start": 0.0, "t_end": 9.0, "steps": 10}) == TimeGrid(0.0, 9.0, 10)
 
 
-def test_build_model_random_vs_inline(rng):
+def test_parse_config_builds_random_and_inline_models(rng):
     direct = generate_random(4, 9)
-    assert build_model(RandomSource(4, 9)) == direct
-    assert build_model(InlineSource(direct)) is direct
+    random_doc = {"model": {"random": {"n": 4, "seed": 9}}}
+    assert parse_config(random_doc, SIMULATE).model == direct
+    inline_doc = {"model": {"inline": model_to_dict(direct)}}
+    assert parse_config(inline_doc, SIMULATE).model == direct
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +307,7 @@ def test_run_simulate_writes_deterministic_csv(tmp_path):
         "model": {"random": {"n": 5, "seed": 11}},
         "grid": {"t_end": 10.0, "steps": 50},
         "output": {"path": str(out), "format": "csv"},
-    })
+    }, SIMULATE)
     series = run_simulate(config)
     assert len(series) == 50
     first = sha256(out)
@@ -292,7 +326,7 @@ def test_run_simulate_json_output(tmp_path):
         "grid": {"t_end": 5.0, "steps": 8},
         "observable": {"s_uu": 1.0, "s_dd": -1.0},
         "output": {"path": str(out), "format": "json"},
-    })
+    }, SIMULATE)
     run_simulate(config)
     payload = json.loads(out.read_text())
     assert len(payload["expectation"]) == 8
@@ -306,7 +340,7 @@ def test_atomic_write_fails_cleanly_on_missing_directory(tmp_path):
         "model": {"random": {"n": 2, "seed": 1}},
         "grid": {"t_end": 1.0, "steps": 4},
         "output": {"path": str(tmp_path / "nosuchdir" / "x.csv"), "format": "csv"},
-    })
+    }, SIMULATE)
     with pytest.raises(OSError):
         run_simulate(config)
 
@@ -316,7 +350,7 @@ def test_run_predict_payload(tmp_path):
     config = parse_config({
         "model": {"random": {"n": 6, "seed": 4}},
         "output": {"path": str(out), "format": "json"},
-    })
+    }, PREDICT)
     report = run_predict(config)
     assert report == decoherence_verdict(generate_random(6, 4))
     payload = json.loads(out.read_text())
@@ -332,24 +366,22 @@ def test_run_predict_payload(tmp_path):
     }
 
 
-def test_run_predict_rejects_csv_output(tmp_path):
-    config = ExperimentConfig(
-        RandomSource(4, 1),
-        output=OutputSpec(str(tmp_path / "x.csv"), OutputFormat.CSV),
-    )
+def test_predict_config_rejects_csv_output(tmp_path):
     with pytest.raises(ConfigError) as info:
-        run_predict(config)
+        parse_config({
+            "model": {"random": {"n": 4, "seed": 1}},
+            "output": {"path": str(tmp_path / "x.csv"), "format": "csv"},
+        }, PREDICT)
     assert info.value.field_path == "config.output.format"
 
 
 def test_run_spectrum_writes_csv_only(tmp_path):
     out = tmp_path / "lines.csv"
-    config = ExperimentConfig(RandomSource(3, 2), output=OutputSpec(str(out), OutputFormat.CSV))
-    dec = run_spectrum(config)
+    doc = {"model": {"random": {"n": 3, "seed": 2}}, "output": {"path": str(out)}}
+    dec = run_spectrum(parse_config(doc, SPECTRUM))
     assert out.read_text() == decomposition_to_csv(dec)
     with pytest.raises(ConfigError) as info:
-        run_spectrum(ExperimentConfig(RandomSource(3, 2),
-                                      output=OutputSpec(str(out), OutputFormat.JSON)))
+        parse_config({**doc, "output": {"path": str(out), "format": "json"}}, SPECTRUM)
     assert info.value.field_path == "config.output.format"
 
 
@@ -358,7 +390,7 @@ def test_run_predict_deterministic_bytes(tmp_path):
     config = parse_config({
         "model": {"random": {"n": 10, "seed": 31}},
         "output": {"path": str(out), "format": "json"},
-    })
+    }, PREDICT)
     run_predict(config)
     first = sha256(out)
     run_predict(config)
@@ -371,7 +403,7 @@ def test_run_compare_consistent_when_verdict_fires(tmp_path):
         "model": {"random": {"n": 16, "seed": 105}},
         "verdict": dict(LOOSE_VERDICT),
         "output": {"path": str(out), "format": "json"},
-    })
+    }, COMPARE)
     result = run_compare(config)
     assert result.prediction.verdict is Verdict.DECOHERES
     assert result.agreement.consistent
@@ -384,7 +416,7 @@ def test_run_compare_consistent_when_verdict_fires(tmp_path):
 
 def test_run_compare_no_verdict_is_vacuously_consistent(rng):
     config = parse_config({"model": {"random": {"n": 4, "seed": 8}},
-                           "grid": {"t_end": 30.0, "steps": 500}})
+                           "grid": {"t_end": 30.0, "steps": 500}}, COMPARE)
     result = run_compare(config)
     assert result.prediction.verdict is Verdict.NO_VERDICT
     assert result.agreement.consistent
@@ -400,7 +432,7 @@ def test_run_compare_detects_tension(tmp_path):
         "model": {"inline": TENSION_MODEL},
         "verdict": dict(TENSION_VERDICT),
         "output": {"path": str(out), "format": "json"},
-    })
+    }, COMPARE)
     result = run_compare(config)
     assert result.prediction.verdict is Verdict.DECOHERES
     assert not result.agreement.consistent
@@ -418,8 +450,7 @@ def test_assess_agreement_branches():
 
     fired = decoherence_verdict(
         generate_random(16, 105),
-        VerdictConfig(qc=QCThresholds(cv_max=30.0, ks_max=0.30),
-                      l1=L1Thresholds(eps_global=5e-3, eps_group=5e-3)),
+        VerdictConfig(cv_max=30.0, ks_max=0.30, eps_global=5e-3, eps_group=5e-3),
     )
     ok = assess_agreement(fired, DecayStats(0.01, 1e-5, 0.0, 0.0))
     assert ok.consistent and ok.description is None

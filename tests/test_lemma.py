@@ -20,10 +20,8 @@ from spinbath import (
 from spinbath.lemma import (
     EFFECTIVELY_INFINITE,
     NOT_EVALUATED,
-    L1Thresholds,
     Normalization,
     PartitionScheme,
-    QCThresholds,
     VerdictConfig,
     WeightedPointSet,
     check_l1,
@@ -151,9 +149,9 @@ def test_quasi_continuity_edge_cases():
 
 def test_custom_thresholds_apply():
     s = uniform_set(40)
-    ok, _ = check_quasi_continuous(s, QCThresholds(n_min=10, cv_max=0.5, ks_max=0.1))
+    ok, _ = check_quasi_continuous(s, VerdictConfig(n_min=10, cv_max=0.5, ks_max=0.1))
     assert ok
-    ok, _ = check_quasi_continuous(s, QCThresholds(n_min=41, cv_max=0.5, ks_max=0.1))
+    ok, _ = check_quasi_continuous(s, VerdictConfig(n_min=41, cv_max=0.5, ks_max=0.1))
     assert not ok
 
 
@@ -227,7 +225,7 @@ def test_l1_group_gate_and_worst_group():
     w[45] = 5e-4 + 2e-3  # inside group 7 of a 10-group split, still < eps_global? no: 2.5e-3 > 1e-3
     s = WeightedPointSet(np.linspace(0, 1, 60), w)
     ok, diag = check_l1(s, make_partition(s, 10),
-                        L1Thresholds(eps_global=1e-2, eps_group=1e-3))
+                        VerdictConfig(eps_global=1e-2, eps_group=1e-3))
     assert not ok
     assert diag.global_ok and not diag.group_ok
     assert diag.worst_group_index == 7
@@ -419,10 +417,7 @@ def test_loosened_thresholds_give_decoheres_with_real_decay():
     verdict fires, and the simulated |r|^2 honors it (cross-checked in
     the harness tests)."""
     m = generate_random(16, 105)
-    config = VerdictConfig(
-        qc=QCThresholds(n_min=64, cv_max=30.0, ks_max=0.30),
-        l1=L1Thresholds(eps_global=5e-3, eps_group=5e-3),
-    )
+    config = VerdictConfig(n_min=64, cv_max=30.0, ks_max=0.30, eps_global=5e-3, eps_group=5e-3)
     report = decoherence_verdict(m, config)
     assert report.verdict is Verdict.DECOHERES
     assert report.n_points == 65536

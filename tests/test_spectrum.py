@@ -489,20 +489,25 @@ def test_cap_message_states_terms_and_a_nonzero_estimate(rng):
 
 def test_enumeration_refused_when_memory_is_short(rng, monkeypatch):
     m = bounded_model(10, rng)
-    monkeypatch.setattr(spectrum, "_available_memory", lambda: 9 * 10**4)
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: 6 * 10**4)
     with pytest.raises(CapExceededError, match="free"):
         spectral_decomposition(m)
     with pytest.raises(CapExceededError, match="free"):
         hamiltonian_spectrum(m)
     with pytest.raises(CapExceededError, match="free"):
         brute_force_expectation(m, random_full_observable(rng, 10), 1.0)
-    # above the levels' estimate (2^11 values at 48 B, not at the
-    # spectrum's 100 B), below the spectrum's (2^10 terms at 100 B)
+    # above the levels' estimate (2^11 values at 48 B) and the int64
+    # spectrum's (2^10 terms at 64 B), below the estimate of the spectrum
+    # whose sums need Python ints (2^10 terms at 100 B)
     monkeypatch.setattr(spectrum, "_available_memory", lambda: 10**5)
     assert int(np.sum(hamiltonian_spectrum(m)[1])) == 2**11
-    with pytest.raises(CapExceededError, match="free"):
-        spectral_decomposition(m)
+    assert spectral_decomposition(m).n_lines == 2**10
+    with monkeypatch.context() as patch:
+        _force_python_ints(patch)
+        with pytest.raises(CapExceededError, match="free"):
+            spectral_decomposition(m)
     monkeypatch.setattr(spectrum, "_available_memory", lambda: None)
+    _force_python_ints(monkeypatch)
     assert spectral_decomposition(m).n_lines == 2**10
 
 
