@@ -19,10 +19,15 @@ Collision handling is exact rather than approximate: couplings are
 rescaled to integers over a common power-of-two denominator (every float
 is a dyadic rational), and the signed subset sums are formed exactly by
 one doubling over the spins, in int64 while they fit in 62 bits and as
-Python ints beyond. The int64 sums stay sorted while they double, so no
-global sort is needed. Only the final division back to float rounds. Equal
-couplings therefore collide bit-exactly and merge at tolerance zero;
-random couplings collide with probability zero.
+Python ints beyond. The int64 path keeps only the distinct sums, sorted,
+with the number of terms behind each one, and the weights of each sum's
+terms as one contiguous block in index order. A doubling merges the two
+sorted runs sums + m and sums - m, adds the counts of equal sums, and
+moves each block of weights whole, so no global sort is needed and the
+cost follows the number of distinct sums: the N + 1 lines of equal
+couplings cost O(N) per step besides the weights. Only the final division
+back to float rounds. Equal couplings therefore collide bit-exactly and
+merge at tolerance zero; random couplings collide with probability zero.
 
 The brute-force expectation at the bottom shares no code with the
 closed forms in :mod:`spinbath.evolution`: it materializes the full
@@ -57,14 +62,17 @@ _WEIGHT_SUM_TOLERANCE = 1e-12
 # _require_cap. Measured in a fresh process on generate_random(n, seed),
 # seeds 1 to 3 (1 and 2 at N = 24): `predict`, which runs the verdict on
 # the spectrum it holds, peaks at about 61 B per term at N = 18, 57 B at
-# N = 20 and 49 B at N = 22 and 24, set by check_quasi_continuous (34 B
-# with equal couplings); the int64 bound adds a margin to that. Sums that
-# need Python ints (couplings 1 and 2^-80, say) take about 89 B per term
-# at N = 19 and 76 B at N = 20, so spectral_decomposition picks its bound
-# by _fits_int64.
-# hamiltonian_spectrum peaks at about 30 B per value at N = 20 and 22 (18
-# to 20 B with equal couplings, 42 B where the sums need Python ints), so
-# it has its own bound. brute_force_expectation peaks at about 76 B per
+# N = 20 and 49 B at N = 22 and 24, set by check_quasi_continuous; the
+# int64 bound adds a margin to that. Random couplings set these bounds:
+# equal couplings, whose doubling keeps only their N + 1 distinct sums,
+# take about 13 B per term in `predict` and `compare` at N = 20 and 12 B
+# at N = 22 and 26, all of it the weights. Sums that need Python ints
+# (couplings 1 and 2^-80, say) take about 89 B per term at N = 19 and
+# 76 B at N = 20, so spectral_decomposition picks its bound by
+# _fits_int64.
+# hamiltonian_spectrum peaks at about 30 B per value at N = 20 and 22
+# (under 1 B with equal couplings, 42 B where the sums need Python ints),
+# so it has its own bound. brute_force_expectation peaks at about 76 B per
 # state under tracemalloc at N = 10, 11 and 12 (the state, its phases and
 # the evolved copy in complex128, the energies in float64).
 _INT64_ENUMERATION_BYTES_PER_VALUE = 64
@@ -177,15 +185,26 @@ class SpectralDecomposition:
 # Exact integer scaling of the couplings
 # ---------------------------------------------------------------------------
 
-def _scaled_couplings(model: SpinBathModel) -> tuple[list[int], int]:
+def _scaled_couplings(model: SpinBathModel, scale: int = 1) -> tuple[list[int], int]:
     """Represent every g_i exactly as M_i / D with integer M_i and common D.
 
     Floats are dyadic rationals, so each as_integer_ratio denominator is a
-    power of two and D is simply their maximum.
+    power of two and D is simply their maximum. A model whose largest
+    signed sum, sum |g_i| / ``scale``, is beyond the float range is
+    refused, since its extreme values would be infinite.
     """
     ratios = [s.g.as_integer_ratio() for s in model.spins]
     common = max(d for _, d in ratios)
-    return [num * (common // den) for num, den in ratios], common
+    scaled = [num * (common // den) for num, den in ratios]
+    try:
+        sum(abs(m) for m in scaled) / (common * scale)
+    except OverflowError:
+        over = f" / {scale}" if scale != 1 else ""
+        raise InvalidParameterError(
+            f"sum_i |g_i|{over} over {model.n_spins} spins (largest |g_i| = "
+            f"{max(abs(s.g) for s in model.spins)!r}) is beyond the float range"
+        ) from None
+    return scaled, common
 
 
 def _fits_int64(scaled: list[int], denominator: int) -> bool:
@@ -207,27 +226,113 @@ def _weight_factors(model: SpinBathModel) -> list[tuple[float, float]]:
     ]
 
 
+# A doubling moves the weights of each source block with one np.multiply
+# into its place while the blocks average at least this many terms, and
+# with one gather of all terms below that. Moving 2^20 weights took about
+# 12 ms by one gather at any block length, and by block copies 34 ms at
+# 64 terms per block, 12 ms at 128, 9.6 ms at 256 and 3.8 ms at 1024
+# (in-process medians on a 2-core 2.0 GHz Xeon VM).
+_BLOCK_COPY_MIN_TERMS = 256
+
+
+def _merged_equal(
+    sums: np.ndarray, counts: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sorted sums with equal neighbours merged into one, their counts added.
+
+    ``counts`` None stands for one term per sum, and is returned as None
+    while every sum is distinct.
+    """
+    distinct = sums[1:] != sums[:-1]
+    if distinct.all():
+        return sums, counts
+    starts = np.flatnonzero(np.concatenate(([True], distinct)))
+    if counts is None:
+        counts = np.diff(starts, append=sums.size)
+    else:
+        counts = np.add.reduceat(counts, starts)
+    return sums[starts], counts
+
+
+def _doubled_weights(
+    weights: np.ndarray,
+    factors: tuple[float, float],
+    order: np.ndarray | None,
+    counts: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One doubling of the weights, times |beta|^2 then times |alpha|^2.
+
+    Returns the new weights and the gather that puts them in order, None
+    where they already are. Without ``order`` the two halves stay in index
+    order. With it, entry i of ``order`` names the block that goes i-th:
+    block j < K holds the counts[j] weights of sum j times |beta|^2, block
+    K + j the same weights times |alpha|^2 (K sums; one weight each where
+    ``counts`` is None). Each block is moved whole, so its terms keep their
+    order.
+    """
+    b2, a2 = factors
+    size = weights.size
+    moved = np.empty(2 * size)
+    gather = order
+    if counts is not None:
+        firsts = np.cumsum(counts)
+        firsts -= counts
+        sources = np.concatenate((firsts, firsts + size))[order]
+        lengths = np.concatenate((counts, counts))[order]
+        if order.size * _BLOCK_COPY_MIN_TERMS <= moved.size:
+            stop = 0
+            for first, length in zip(sources.tolist(), lengths.tolist()):
+                start, stop = stop, stop + length
+                factor = b2 if first < size else a2
+                first %= size
+                np.multiply(weights[first:first + length], factor, out=moved[start:stop])
+            return moved, None
+        # the place in `moved` of every term: one step on within a block,
+        # and at each block's start a jump to its first source term
+        gather = np.ones(moved.size, dtype=np.int64)
+        gather[0] = sources[0]
+        jumps = sources[1:] - sources[:-1]
+        jumps -= lengths[:-1]
+        jumps += 1
+        gather[np.cumsum(lengths[:-1])] = jumps
+        np.cumsum(gather, out=gather)
+    np.multiply(weights, b2, out=moved[:size])
+    np.multiply(weights, a2, out=moved[size:])
+    return moved, gather
+
+
 def _doubled_terms(
     scaled: list[int],
     factors: list[tuple[float, float]] | None,
     dtype,
     sort: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """All 2^N signed sums of the scaled couplings, with their weights.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """All 2^N signed sums of the scaled couplings, with their counts and weights.
 
     Built by doubling from the last spin, so that spin 1 lands at the most
     significant bit of nu: each step writes sums + m (bit 0), then
     sums - m (bit 1), and the weights times |beta|^2, then times
     |alpha|^2. ``dtype`` is np.int64, exact while sum |scaled| < 2^62, or
-    object, whose Python ints are exact at any size. Without ``sort`` the
-    terms come in index order. With it, the two runs of each step, both
-    sorted, are merged by one stable sort in linear time (Horowitz &
-    Sahni, J. ACM 21, 277, 1974). On a tie the +m copy comes first and has
-    the lower index, because the new bit is the most significant one, so
-    equal sums stay in index order. No array of 2^N indices outlives its
+    object, whose Python ints are exact at any size.
+
+    Without ``sort`` all 2^N sums come in index order, and counts is None.
+    With it, the sums are the distinct ones in increasing order, and
+    counts[j] terms stand behind sum j (counts is None while every sum is
+    one term); the weights of each sum's terms are one contiguous block,
+    in index order. Each step merges the two sorted runs sums + m and
+    sums - m by one stable sort of 2K values in linear time (Horowitz &
+    Sahni, J. ACM 21, 277, 1974), and equal neighbours merge into one sum.
+    On a tie the +m copy comes first, and its terms have the lower
+    indices, because the new bit is the most significant one. So the
+    weights of sum j, the block of its +m source, then the block of its
+    -m source, stay in index order, exactly as a stable argsort of all
+    2^N index-order terms leaves them. While every sum is one term, a
+    step is one argsort, one gather of the sums and of the weights, and
+    one comparison of neighbours. No array of 2^N indices outlives its
     doubling.
     """
     sums = np.zeros(1, dtype=dtype)
+    counts = None
     weights = None if factors is None else np.ones(1)
     for k in range(len(scaled) - 1, -1, -1):
         size = sums.size
@@ -236,57 +341,63 @@ def _doubled_terms(
         np.subtract(sums, scaled[k], out=buffer[size:])
         del sums
         order = None
-        if sort and weights is None:
+        if sort and weights is None and counts is None:
             buffer.sort(kind="stable")
         elif sort:
             order = np.argsort(buffer, kind="stable")
         sums = buffer if order is None else buffer[order]
         del buffer
-        if weights is None:
-            continue
-        b2, a2 = factors[k]
-        buffer = np.empty(2 * size)
-        np.multiply(weights, b2, out=buffer[:size])
-        np.multiply(weights, a2, out=buffer[size:])
-        del weights
-        weights = buffer if order is None else buffer[order]
-        del buffer, order
-    return sums, weights
+        if weights is not None:
+            moved, gather = _doubled_weights(weights, factors[k], order, counts)
+            del weights
+            weights = moved if gather is None else moved[gather]
+            del moved, gather
+        if counts is not None:
+            counts = np.concatenate((counts, counts))[order]
+        del order
+        if sort:
+            sums, counts = _merged_equal(sums, counts)
+    return sums, counts, weights
 
 
 def _sorted_terms(
     model: SpinBathModel,
     scale: int = 1,
     weighted: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """All 2^N values sum_i (+-g_i) / scale in increasing order, with their weights.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The values sum_i (+-g_i) / scale in increasing order, with counts and weights.
 
     ``scale`` is a power of two, so the common denominator stays one too,
-    and each value is correctly rounded. Equal values keep index order,
-    exactly as a stable argsort of the index-order arrays leaves them, so
-    merged weights keep their np.sum bits. Sorting the exact int64 sums
-    orders their floats too, since rounding is monotone. Below 2^53
-    distinct sums stay distinct floats. Above it two sums may round to
-    one float, whose group must then be in index order, not integer
+    and each value is correctly rounded. The value array holds the
+    distinct values of the int64 path, each standing for counts[j] terms
+    (counts is None where each value is one term), and the weights of each
+    value's terms come as one contiguous block. Equal values keep index
+    order, exactly as a stable argsort of the index-order arrays leaves
+    them, so merged weights keep their np.sum bits. Sorting the exact
+    int64 sums orders their floats too, since rounding is monotone. Below
+    2^53 distinct sums stay distinct floats. Above it two sums may round
+    to one float, whose group must then be in index order, not integer
     order: where that happens to weighted terms, and where the sums need
-    Python ints, the index-order terms are sorted by one stable argsort
-    of their floats instead.
+    Python ints, all 2^N index-order terms are sorted by one stable
+    argsort of their floats instead, and counts is None.
     """
-    scaled, common = _scaled_couplings(model)
+    scaled, common = _scaled_couplings(model, scale)
     denominator = common * scale
     factors = _weight_factors(model) if weighted else None
     fits = _fits_int64(scaled, denominator)
     if fits:
-        sums, weights = _doubled_terms(scaled, factors, np.int64, sort=True)
+        sums, counts, weights = _doubled_terms(scaled, factors, np.int64, sort=True)
         values = sums.astype(np.float64)
         values /= denominator
-        if weights is None or sum(abs(m) for m in scaled).bit_length() <= 53:
-            return values, weights
-        ties = np.flatnonzero(values[1:] == values[:-1])
-        if not np.any(sums[ties] != sums[ties + 1]):
-            return values, weights
-        del sums, weights, values, ties
-    sums, weights = _doubled_terms(scaled, factors, np.int64 if fits else object, sort=False)
+        del sums
+        if (
+            weights is None
+            or sum(abs(m) for m in scaled).bit_length() <= 53
+            or not np.any(values[1:] == values[:-1])
+        ):
+            return values, counts, weights
+        del counts, weights, values
+    sums, _, weights = _doubled_terms(scaled, factors, np.int64 if fits else object, sort=False)
     if fits:
         values = sums.astype(np.float64)
         values /= denominator
@@ -294,7 +405,7 @@ def _sorted_terms(
         values = np.fromiter((s / denominator for s in sums), dtype=np.float64, count=sums.size)
     del sums
     order = np.argsort(values, kind="stable")
-    return values[order], None if weights is None else weights[order]
+    return values[order], None, None if weights is None else weights[order]
 
 
 def _check_index(model: SpinBathModel, nu: int) -> None:
@@ -445,37 +556,48 @@ def _require_cap(n: int, cap: int, exponent: int, bytes_per_value: int, what: st
 
 def _merge_sorted(
     values: np.ndarray,
+    counts: np.ndarray | None,
     weights: np.ndarray | None,
     radius: float,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Group consecutive values, given in increasing order, whose gaps are <= radius.
 
-    Returns (representatives, merged weights or None, group sizes). A group
-    of identical values keeps that exact value; otherwise the representative
-    is the weight-averaged position (plain mean if the mass is zero).
-    Where every group is a single value the inputs are returned as they
-    are. Of the groups of two or more only those that need it take a
-    Python iteration: each weight sum is np.sum, whose pairwise rounding
+    Value j stands for counts[j] terms (one where ``counts`` is None),
+    whose weights are the next counts[j] entries of ``weights``. Returns
+    (representatives, merged weights or None, group sizes in terms). A
+    group of identical values keeps that exact value; otherwise the
+    representative is the weight-averaged position of its terms (plain
+    mean if the mass is zero). Where every group is a single term the
+    inputs are returned as they are. Of the groups of two or more terms
+    only those that need it take a Python iteration: each weight sum is
+    np.sum over one slice of the weights, whose pairwise rounding
     np.add.reduceat does not reproduce, and only a group of differing
     values needs a new representative.
     """
     starts = np.flatnonzero(np.diff(values) > radius)
     starts += 1
     starts = np.concatenate(([0], starts))
-    if starts.size == values.size:
+    if counts is None and starts.size == values.size:
         return values, weights, np.ones(values.size, dtype=np.int64)
-    sizes = np.diff(starts, append=len(values))
+    widths = np.diff(starts, append=values.size)
     reps = values[starts]
-    spread = reps != values[starts + sizes - 1]
-    mass = weights[starts] if weights is not None else None
+    spread = reps != values[starts + widths - 1]
+    if counts is None:
+        firsts, sizes = starts, widths
+    else:
+        sizes = np.add.reduceat(counts, starts)
+        firsts = np.cumsum(sizes)
+        firsts -= sizes
+    mass = weights[firsts] if weights is not None else None
     for k in np.flatnonzero(spread if weights is None else sizes > 1).tolist():
-        lo = int(starts[k])
+        lo = int(firsts[k])
         hi = lo + int(sizes[k])
         if weights is not None:
             mass[k] = np.sum(weights[lo:hi])
         if not spread[k]:
             continue
-        block = values[lo:hi]
+        group = slice(int(starts[k]), int(starts[k] + widths[k]))
+        block = values[group] if counts is None else np.repeat(values[group], counts[group])
         if weights is not None and mass[k] > 0.0:
             reps[k] = np.sum(block * weights[lo:hi]) / mass[k]
         else:
@@ -505,10 +627,10 @@ def spectral_decomposition(
     )
     _require_cap(n, max_spins, n, bytes_per_term, "spectral enumeration")
 
-    omegas, weights = _sorted_terms(model)
+    omegas, counts, weights = _sorted_terms(model)
     radius = omega_tolerance * max(abs(s.g) for s in model.spins)
-    reps, merged, sizes = _merge_sorted(omegas, weights, radius)
-    del omegas, weights
+    reps, merged, sizes = _merge_sorted(omegas, counts, weights, radius)
+    del omegas, counts, weights
     return SpectralDecomposition(reps, merged, sizes, n)
 
 
@@ -542,12 +664,18 @@ def hamiltonian_spectrum(
     # Rounding is symmetric, so negating a rounded half-sum is exact. The
     # half-sums and their negations are two sorted runs, which a stable
     # sort merges in linear time.
-    half, _ = _sorted_terms(model, scale=2, weighted=False)
+    half, counts, _ = _sorted_terms(model, scale=2, weighted=False)
     energies = np.concatenate([half, -half[::-1]])
     del half
-    energies.sort(kind="stable")
+    if counts is None:
+        energies.sort(kind="stable")
+    else:
+        order = np.argsort(energies, kind="stable")
+        energies = energies[order]
+        counts = np.concatenate([counts, counts[::-1]])[order]
+        del order
     radius = merge_tolerance * max(abs(s.g) for s in model.spins)
-    reps, _, sizes = _merge_sorted(energies, None, radius)
+    reps, _, sizes = _merge_sorted(energies, counts, None, radius)
     total = int(np.sum(sizes))
     if total != 1 << (n + 1) or np.any(sizes < 1):
         raise InvalidParameterError(

@@ -412,3 +412,11 @@ def test_cap_violation_exits_two(capsys):
     code = main(["predict", "--n", "30", "--seed", "1"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "compare", "spectrum"])
+def test_couplings_summing_beyond_the_float_range_exit_two(command, capsys):
+    code = main([command, "--n", "5", "--seed", "1", "--equal-coupling", "1e308"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "beyond the float range" in err

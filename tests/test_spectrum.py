@@ -27,7 +27,7 @@ from spinbath import (
     weight_of_index,
 )
 from spinbath import spectrum
-from spinbath.model import PhaseLaw, UniformPositive
+from spinbath.model import Equal, PhaseLaw, UniformPositive
 from spinbath.spectrum import ENUMERATION_CAP, ORACLE_CAP
 
 from conftest import ROOT_HALF, bounded_model, random_full_observable
@@ -71,6 +71,19 @@ def test_omega_is_correctly_rounded_exact_sum(rng):
             bit = (nu >> (m.n_spins - 1 - i)) & 1
             exact += -Fraction(s.g) if bit else Fraction(s.g)
         assert omega_of_index(m, nu) == float(exact)
+
+
+def test_couplings_summing_beyond_the_float_range_are_refused():
+    """sum |g| = 2e308 is no float; every enumeration refuses it up front.
+    The levels are half-sums, so two spins of 1e308 still fit there."""
+    m = generate_random(2, 1, Equal(1e308))
+    for call in (lambda: spectral_decomposition(m), lambda: omega_of_index(m, 1)):
+        with pytest.raises(InvalidParameterError, match="float range"):
+            call()
+    energies, _ = hamiltonian_spectrum(m)
+    assert energies.tolist() == [-1e308, 0.0, 1e308]
+    with pytest.raises(InvalidParameterError, match="float range"):
+        hamiltonian_spectrum(generate_random(5, 1, Equal(1e308)))
 
 
 def test_index_out_of_range(rng):
@@ -377,13 +390,17 @@ def test_both_sum_paths_give_equal_coupling_collisions(monkeypatch):
 
 def _sorted_path_model(kind):
     rng = np.random.default_rng(7)
-    n = 14 if kind == "random" else 12
+    n = 14 if kind in ("random", "partial") else 12
     a2 = rng.uniform(0.05, 0.95, size=n)
     g = {
         "random": rng.uniform(0.0, 1.0, size=n),
         "equal": np.full(n, 0.3),
         "mixed": rng.choice([0.25, 0.5, -0.75, 0.75, 1.0], size=n),
         "negative": -rng.uniform(0.0, 1.0, size=n),
+        # repeated and exactly related values among distinct ones: sums
+        # of one term and of 2, 3, 5, 7 and 9 terms mix
+        "partial": rng.permutation(np.concatenate((
+            rng.uniform(0.0, 1.0, size=n - 6), [0.375] * 3, [0.5, -0.5], [0.125]))),
     }[kind]
     return new_model(ROOT_HALF, ROOT_HALF, [
         (math.sqrt(a), math.sqrt(1.0 - a), float(c)) for a, c in zip(a2, g)
@@ -410,21 +427,35 @@ def _argsort_reference(m):
     return omega.tobytes(), weight.tobytes(), multiplicity.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["random", "equal", "mixed", "negative"])
+@pytest.mark.parametrize("kind", ["random", "equal", "mixed", "negative", "partial"])
 def test_sorted_enumeration_matches_one_stable_argsort(kind):
     m = _sorted_path_model(kind)
     assert _decomposition_bytes(m) == _argsort_reference(m)
 
 
-@pytest.mark.parametrize("kind", ["random", "negative"])
+@pytest.mark.parametrize("kind", ["random", "negative", "equal", "mixed", "partial"])
 def test_sorted_enumeration_matches_one_stable_argsort_when_merging_near_lines(kind):
     m = _sorted_path_model(kind)
-    tolerance = 2e-3
+    # the lattices of equal and mixed couplings (steps 0.6 and 0.5) merge
+    # into one group, random ones into groups of nearby lines
+    tolerance = {"equal": 2.5, "mixed": 0.6}.get(kind, 2e-3)
     radius = tolerance * max(abs(s.g) for s in m.spins)
-    reps, mass, sizes = spectrum._merge_sorted(*_argsorted_terms(m), radius)
+    omegas, weights = _argsorted_terms(m)
+    reps, mass, sizes = spectrum._merge_sorted(omegas, None, weights, radius)
     assert np.any(sizes > 1)
     assert _decomposition_bytes(m, omega_tolerance=tolerance) == (
         reps.tobytes(), mass.tobytes(), sizes.tobytes())
+
+
+@pytest.mark.parametrize("kind", ["equal", "mixed", "partial"])
+@pytest.mark.parametrize("min_terms", [1, 1 << 62])
+def test_block_copies_and_one_gather_move_the_same_weights(kind, min_terms, monkeypatch):
+    """A doubling moves the weights block by block where blocks are long,
+    and by one gather where they are short; forcing either way gives the
+    argsort bytes at these sizes."""
+    monkeypatch.setattr(spectrum, "_BLOCK_COPY_MIN_TERMS", min_terms)
+    m = _sorted_path_model(kind)
+    assert _decomposition_bytes(m) == _argsort_reference(m)
 
 
 def _one_sort_levels(m):
@@ -437,7 +468,7 @@ def _one_sort_levels(m):
     return energies[starts].tobytes(), counts.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["random", "equal", "mixed", "negative"])
+@pytest.mark.parametrize("kind", ["random", "equal", "mixed", "negative", "partial"])
 def test_sorted_levels_match_one_sort(kind):
     m = _sorted_path_model(kind)
     assert _levels_bytes(m) == _one_sort_levels(m)
@@ -609,7 +640,7 @@ def test_hamiltonian_merge_tolerance():
 def test_energy_level_validation(monkeypatch):
     """A level of degeneracy 0 is refused, even when the total is right."""
     m = new_model(1.0, 0.0, [(ROOT_HALF, ROOT_HALF, 2.0)])
-    monkeypatch.setattr(spectrum, "_merge_sorted", lambda values, weights, radius: (
+    monkeypatch.setattr(spectrum, "_merge_sorted", lambda values, counts, weights, radius: (
         np.array([-1.0, 0.0, 1.0]), None, np.array([2, 0, 2])))
     with pytest.raises(InvalidParameterError):
         hamiltonian_spectrum(m)
