@@ -37,7 +37,6 @@ from .lemma import (
     EFFECTIVELY_INFINITE,
     NOT_EVALUATED,
     LemmaReport,
-    Normalization,
     PartitionScheme,
     Verdict,
     VerdictConfig,
@@ -69,7 +68,6 @@ from .spectrum import (
     degeneracy_count,
     hamiltonian_spectrum,
     omega_of_index,
-    r_from_spectrum,
     spectral_decomposition,
     weight_of_index,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "EFFECTIVELY_INFINITE",
     "NOT_EVALUATED",
     "LemmaReport",
-    "Normalization",
     "PartitionScheme",
     "Verdict",
     "VerdictConfig",
@@ -128,7 +125,6 @@ __all__ = [
     "degeneracy_count",
     "hamiltonian_spectrum",
     "omega_of_index",
-    "r_from_spectrum",
     "spectral_decomposition",
     "weight_of_index",
     "__version__",

@@ -42,12 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidParameterError, NormalizationError
 from .evolution import TimeSeries, expectation_full, r_bounds, sample_series
-from .lemma import (
-    LemmaReport,
-    Verdict,
-    VerdictConfig,
-    verdict_from_decomposition,
-)
+from .lemma import LemmaReport, Verdict, VerdictConfig, decoherence_verdict
 from .model import (
     EnvironmentSpin,
     Equal,
@@ -63,6 +58,7 @@ from .spectrum import (
     ORACLE_CAP,
     SpectralDecomposition,
     brute_force_expectation,
+    require_memory,
     spectral_decomposition,
 )
 
@@ -470,6 +466,26 @@ def decomposition_to_csv(dec: SpectralDecomposition) -> str:
 # Pipelines
 # ---------------------------------------------------------------------------
 
+# Peak-RSS rise per grid step, keyed by the series' output format (None:
+# no series text), for the up-front memory check of run_simulate and
+# run_compare. Measured in fresh processes on generate_random(n, 1) with
+# 2.5e5 and 1e6 steps and a system observable: sample_series alone (as in
+# compare, or simulate without output) takes 96 to 102 B per step; with
+# the CSV text 466 B at N = 2 and 489 B at N = 50; with the JSON text,
+# whose columns are held as Python floats besides the text, 626 B and
+# 660 B. The bounds add a margin.
+_BYTES_PER_STEP = {None: 128, "csv": 544, "json": 736}
+
+
+def _require_grid_memory(grid: TimeGrid, output_format: str | None) -> None:
+    estimate = grid.steps * _BYTES_PER_STEP[output_format]
+    require_memory(
+        estimate,
+        f"a grid of {grid.steps} steps needs roughly {estimate / 1e6:.3g} MB",
+        "Reduce the steps.",
+    )
+
+
 def run_simulate(config: ExperimentConfig) -> TimeSeries:
     """Sample the closed-form evolution on the configured grid.
 
@@ -477,6 +493,7 @@ def run_simulate(config: ExperimentConfig) -> TimeSeries:
     equivalent) when an output is configured.
     """
     grid = config.grid
+    _require_grid_memory(grid, config.output.format if config.output is not None else None)
     series = sample_series(config.model, grid.t_start, grid.t_end, grid.steps, config.observable)
     if config.output is not None:
         if config.output.format == "csv":
@@ -498,24 +515,11 @@ def run_spectrum(config: ExperimentConfig) -> SpectralDecomposition:
     return dec
 
 
-def _predict_payload(model: SpinBathModel, verdict_config: VerdictConfig) -> tuple[LemmaReport, dict]:
-    dec = spectral_decomposition(
-        model, verdict_config.omega_tolerance, max_spins=verdict_config.enumeration_cap
-    )
-    report = verdict_from_decomposition(dec, verdict_config)
-    payload = {
-        "n_spins": model.n_spins,
-        "sum_of_weights": dec.weight_sum,
-        **report.to_dict(),
-    }
-    return report, payload
-
-
 def run_predict(config: ExperimentConfig) -> LemmaReport:
     """Run the analytical verdict pipeline and emit the JSON report."""
-    report, payload = _predict_payload(config.model, config.verdict)
+    report = decoherence_verdict(config.model, config.verdict)
     if config.output is not None:
-        write_json(config.output.path, payload)
+        write_json(config.output.path, report.to_dict())
     return report
 
 
@@ -587,7 +591,8 @@ def assess_agreement(prediction: LemmaReport, decay: DecayStats) -> Agreement:
 def run_compare(config: ExperimentConfig) -> ComparisonReport:
     """Run simulation and prediction on one model and reconcile them."""
     model, grid = config.model, config.grid
-    report, predict_payload = _predict_payload(model, config.verdict)
+    _require_grid_memory(grid, None)
+    report = decoherence_verdict(model, config.verdict)
 
     series = sample_series(model, grid.t_start, grid.t_end, grid.steps)
     r_sq = np.abs(series.r_values) ** 2
@@ -603,7 +608,7 @@ def run_compare(config: ExperimentConfig) -> ComparisonReport:
     result = ComparisonReport(report, decay, agreement)
     if config.output is not None:
         write_json(config.output.path, {
-            "prediction": predict_payload,
+            "prediction": report.to_dict(),
             "decay_stats": decay.to_dict(),
             "agreement": agreement.to_dict(),
         })
@@ -653,6 +658,8 @@ def run_oracle_check(n_max: int, cases: int, seed: int) -> OracleCheckSummary:
         )
     if cases < 1:
         raise ConfigError("oracle_check.cases", f"must be >= 1, got {cases}")
+    if seed < 0:
+        raise ConfigError("oracle_check.seed", f"must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     failures: list[OracleFailure] = []

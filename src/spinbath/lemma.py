@@ -60,18 +60,6 @@ class Verdict(Enum):
     NO_VERDICT = "no_verdict"
 
 
-class Normalization(Enum):
-    """Weight convention for lemma_sum.
-
-    RAW_WEIGHTS uses the stored weights as-is (the spectral weights of a
-    spin bath already sum to 1); DIVIDE_BY_N divides by the point count,
-    matching the 1/N prefactor of the abstract statement.
-    """
-
-    RAW_WEIGHTS = "raw_weights"
-    DIVIDE_BY_N = "divide_by_n"
-
-
 def _frozen_float64(values) -> np.ndarray:
     """``values`` itself if a read-only float64 array, else a float64 copy."""
     array = np.asarray(values)
@@ -180,14 +168,13 @@ class PartitionScheme:
 
 def check_quasi_continuous(
     point_set: WeightedPointSet,
-    config: VerdictConfig | None = None,
+    config: VerdictConfig = VerdictConfig(),
 ) -> tuple[bool, QCDiagnostics]:
     """Test whether the points are numerous and nearly uniformly spread.
 
     Returns the boolean gate result together with diagnostics that are
     always fully populated, whatever the outcome.
     """
-    config = config or VerdictConfig()
     pts = point_set.points
     n = pts.size
     if n < 2:
@@ -240,10 +227,9 @@ def make_partition(point_set: WeightedPointSet, g_groups: int) -> PartitionSchem
 def check_l1(
     point_set: WeightedPointSet,
     partition: PartitionScheme,
-    config: VerdictConfig | None = None,
+    config: VerdictConfig = VerdictConfig(),
 ) -> tuple[bool, L1Diagnostics]:
     """Test whether weights are globally small and locally near-constant."""
-    config = config or VerdictConfig()
     n = point_set.n_points
     bounds = partition.group_boundaries
     if len(bounds) != partition.g_groups:
@@ -270,18 +256,14 @@ def check_l1(
     return global_ok and group_ok, diag
 
 
-def lemma_sum(
-    point_set: WeightedPointSet,
-    t: float,
-    normalization: Normalization = Normalization.RAW_WEIGHTS,
-) -> complex:
-    """Evaluate sum_i w_i e^{+i x_i t} under the chosen weight convention."""
+def lemma_sum(point_set: WeightedPointSet, t: float) -> complex:
+    """Evaluate sum_i w_i e^{+i x_i t} with the stored weights.
+
+    On a spin bath's spectral weights (which sum to 1) this is r(t).
+    """
     if not math.isfinite(t):
         raise InvalidParameterError(f"t must be finite, got {t!r}")
-    weights = point_set.weights
-    if normalization is Normalization.DIVIDE_BY_N:
-        weights = weights / point_set.n_points
-    return complex(np.sum(weights * np.exp(1j * point_set.points * t)))
+    return complex(np.sum(point_set.weights * np.exp(1j * point_set.points * t)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +368,16 @@ def estimate_recurrence_time(
 class LemmaReport:
     """Complete outcome of the verdict pipeline, diagnostics included.
 
+    ``sum_of_weights`` is the spectrum's correctly rounded weight sum.
     ``verdict`` is Decoheres exactly when both hypothesis booleans hold.
     ``lemma_sum_magnitude_at_half_tp`` is informational only, and
     ``has_degenerate_lines`` flags that distinct indices collided into
     shared frequencies (the checks run on the aggregated spectrum).
+    :meth:`to_dict` is the JSON that ``predict`` writes.
     """
 
+    n_spins: int
+    sum_of_weights: float
     n_points: int
     quasi_continuous: bool
     qc_gap_cv: float
@@ -426,7 +412,7 @@ def default_g_groups(n: int) -> int:
 
 def decoherence_verdict(
     model: SpinBathModel,
-    config: VerdictConfig | None = None,
+    config: VerdictConfig = VerdictConfig(),
 ) -> LemmaReport:
     """Run both hypothesis checks on the model's exact spectrum and decide.
 
@@ -436,7 +422,6 @@ def decoherence_verdict(
     weight checks. The recurrence time and, when finite, the sum magnitude
     at half of it are attached as diagnostics.
     """
-    config = config or VerdictConfig()
     dec = spectral_decomposition(
         model, config.omega_tolerance, max_spins=config.enumeration_cap
     )
@@ -445,10 +430,9 @@ def decoherence_verdict(
 
 def verdict_from_decomposition(
     dec: SpectralDecomposition,
-    config: VerdictConfig | None = None,
+    config: VerdictConfig = VerdictConfig(),
 ) -> LemmaReport:
     """Verdict pipeline on an already-enumerated spectrum."""
-    config = config or VerdictConfig()
     points = WeightedPointSet.from_decomposition(dec)
     n = points.n_points
     if n < 2:
@@ -464,6 +448,8 @@ def verdict_from_decomposition(
         magnitude = NOT_EVALUATED
 
     return LemmaReport(
+        n_spins=dec.n_spins,
+        sum_of_weights=dec.weight_sum,
         n_points=n,
         quasi_continuous=ok_qc,
         qc_gap_cv=qc_diag.gap_cv,

@@ -532,6 +532,17 @@ def _read_available_memory() -> int | None:
     return headroom if available is None else min(available, headroom)
 
 
+def require_memory(estimate: int, needs: str, remedy: str) -> None:
+    """Refuse a computation up front when its estimate, in bytes, exceeds the
+    memory available to this process now. ``needs`` states the estimate and
+    ``remedy`` ends the message."""
+    available = _available_memory()
+    if available is not None and estimate > available:
+        raise CapExceededError(
+            f"{needs}; only {available / 1e6:.3g} MB of memory is free. {remedy}"
+        )
+
+
 def _require_cap(n: int, cap: int, exponent: int, bytes_per_value: int, what: str) -> None:
     """Refuse an enumeration of 2^exponent values over n spins up front.
 
@@ -547,11 +558,7 @@ def _require_cap(n: int, cap: int, exponent: int, bytes_per_value: int, what: st
         raise CapExceededError(
             f"{needs}; the cap is {cap} spins. Reduce N or raise the cap."
         )
-    available = _available_memory()
-    if available is not None and estimate > available:
-        raise CapExceededError(
-            f"{needs}; only {available / 1e6:.3g} MB of memory is free. Reduce N."
-        )
+    require_memory(estimate, needs, "Reduce N.")
 
 
 def _merge_sorted(
@@ -632,13 +639,6 @@ def spectral_decomposition(
     reps, merged, sizes = _merge_sorted(omegas, counts, weights, radius)
     del omegas, counts, weights
     return SpectralDecomposition(reps, merged, sizes, n)
-
-
-def r_from_spectrum(dec: SpectralDecomposition, t: float) -> complex:
-    """Evaluate the trigonometric sum sum_lines weight * e^{+i omega t}."""
-    if not math.isfinite(t):
-        raise InvalidParameterError(f"t must be finite, got {t!r}")
-    return complex(np.sum(dec.weight * np.exp(1j * dec.omega * t)))
 
 
 def hamiltonian_spectrum(

@@ -29,14 +29,13 @@ from spinbath import (
     hamiltonian_spectrum,
     new_model,
     r_bounds,
-    r_from_spectrum,
     r_of_t,
     r_squared,
     sample_series,
     spectral_decomposition,
 )
 from spinbath.cli import main
-from spinbath.lemma import EFFECTIVELY_INFINITE, WeightedPointSet
+from spinbath.lemma import EFFECTIVELY_INFINITE, WeightedPointSet, lemma_sum
 
 from conftest import ROOT_HALF, bounded_model, random_full_observable
 from test_harness import sha256
@@ -80,9 +79,9 @@ def test_criterion_02_spectral_identity():
     sizes = [2 + (k % 15) for k in range(20)]  # covers 2..16
     for n in sizes:
         m = bounded_model(n, rng, phases=True)
-        dec = spectral_decomposition(m)
+        points = WeightedPointSet.from_decomposition(spectral_decomposition(m))
         for t in rng.uniform(0.0, 40.0, size=100):
-            err = abs(r_of_t(m, float(t)) - r_from_spectrum(dec, float(t)))
+            err = abs(r_of_t(m, float(t)) - lemma_sum(points, float(t)))
             worst = max(worst, err)
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-10 and elapsed < 30.0

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from spinbath import cli
+from spinbath import cli, spectrum
 from spinbath.cli import build_parser, main
 from spinbath.harness import VERDICT_FIELDS
 
@@ -264,6 +264,12 @@ def test_oracle_check_rejects_oversized_n(capsys):
     assert "oracle cap" in capsys.readouterr().err
 
 
+def test_oracle_check_rejects_negative_seed(capsys):
+    code = main(["oracle-check", "--seed", "-1", "--cases", "2"])
+    assert code == 2
+    assert "oracle_check.seed" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
@@ -412,6 +418,16 @@ def test_cap_violation_exits_two(capsys):
     code = main(["predict", "--n", "30", "--seed", "1"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_grid_beyond_memory_exits_two(monkeypatch, command, capsys):
+    # a small reading stands in for a grid too large for the machine
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: 10**5)
+    code = main([command, "--n", "2", "--seed", "1", "--steps", "10000"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "10000 steps" in err
 
 
 @pytest.mark.parametrize("command", ["predict", "compare", "spectrum"])

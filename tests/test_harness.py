@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from spinbath import (
+    CapExceededError,
     ConfigError,
     RelevantObservable,
     Verdict,
@@ -18,6 +19,7 @@ from spinbath import (
     new_model,
     spectral_decomposition,
 )
+from spinbath import spectrum
 from spinbath.evolution import sample_series
 from spinbath.harness import (
     Agreement,
@@ -27,6 +29,7 @@ from spinbath.harness import (
     OutputSpec,
     TimeGrid,
     VERDICT_FIELDS,
+    _BYTES_PER_STEP,
     _dump_json,
     assess_agreement,
     decomposition_to_csv,
@@ -335,6 +338,26 @@ def test_run_simulate_json_output(tmp_path):
     assert payload["re_r"][3] == float(series.r_values[3].real)
 
 
+@pytest.mark.parametrize("command, fmt", [
+    ("simulate", None), ("simulate", "csv"), ("simulate", "json"), ("compare", None),
+])
+def test_grid_beyond_memory_is_refused_up_front(monkeypatch, tmp_path, command, fmt):
+    steps = 1000
+    doc = {"model": {"random": {"n": 3, "seed": 1}}, "grid": {"steps": steps}}
+    out = tmp_path / "out"
+    if command == "compare" or fmt is not None:
+        doc["output"] = {"path": str(out), **({"format": fmt} if fmt else {})}
+    config = parse_config(doc, OUTPUT_FORMATS[command])
+    run = run_simulate if command == "simulate" else run_compare
+    need = steps * _BYTES_PER_STEP[fmt]
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: need - 1)
+    with pytest.raises(CapExceededError, match=f"{steps} steps.*free"):
+        run(config)
+    assert not out.exists()
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: need)
+    run(config)
+
+
 def test_atomic_write_fails_cleanly_on_missing_directory(tmp_path):
     config = parse_config({
         "model": {"random": {"n": 2, "seed": 1}},
@@ -358,12 +381,27 @@ def test_run_predict_payload(tmp_path):
     assert abs(payload["sum_of_weights"] - 1.0) <= 1e-12
     assert payload["verdict"] == "no_verdict"
     assert payload["n_points"] == 64
-    assert set(payload) == {
+    assert list(payload) == [
         "n_spins", "sum_of_weights", "n_points", "quasi_continuous",
         "qc_gap_cv", "qc_ks_stat", "in_l1", "l1_max_weight",
         "l1_max_group_deviation", "recurrence_time",
         "lemma_sum_magnitude_at_half_tp", "verdict", "has_degenerate_lines",
-    }
+    ]
+
+
+@pytest.mark.parametrize("doc", [
+    {"model": {"random": {"n": 16, "seed": 105}}, "verdict": dict(LOOSE_VERDICT)},
+    {"model": {"random": {"n": 8, "seed": 2, "coupling": {"law": "equal", "g": 0.5}}}},
+    {"model": {"inline": TENSION_MODEL}, "verdict": {"omega_tolerance": 1e-6}},
+])
+def test_compare_prediction_is_the_predict_payload(tmp_path, doc):
+    predicted, compared = tmp_path / "predict.json", tmp_path / "compare.json"
+    run_predict(parse_config({**doc, "output": {"path": str(predicted)}}, PREDICT))
+    run_compare(parse_config({**doc, "output": {"path": str(compared)}}, COMPARE))
+    payload = json.loads(predicted.read_text())
+    prediction = json.loads(compared.read_text())["prediction"]
+    assert list(prediction) == list(payload)
+    assert prediction == payload
 
 
 def test_predict_config_rejects_csv_output(tmp_path):
@@ -496,3 +534,9 @@ def test_run_oracle_check_validation():
         run_oracle_check(n_max=13, cases=10, seed=1)
     with pytest.raises(ConfigError):
         run_oracle_check(n_max=4, cases=0, seed=1)
+
+
+def test_run_oracle_check_rejects_negative_seed():
+    with pytest.raises(ConfigError) as info:
+        run_oracle_check(n_max=4, cases=2, seed=-1)
+    assert info.value.field_path == "oracle_check.seed"

@@ -20,7 +20,6 @@ from spinbath import (
 from spinbath.lemma import (
     EFFECTIVELY_INFINITE,
     NOT_EVALUATED,
-    Normalization,
     PartitionScheme,
     VerdictConfig,
     WeightedPointSet,
@@ -275,9 +274,7 @@ def test_lemma_sum_equals_r(rng):
 def test_lemma_sum_normalization_modes():
     s = WeightedPointSet([0.0, 1.0], [1.0, 1.0])
     raw = lemma_sum(s, 0.0)
-    divided = lemma_sum(s, 0.0, Normalization.DIVIDE_BY_N)
     assert abs(raw - 2.0) < 1e-15
-    assert abs(divided - 1.0) < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,12 @@ from spinbath import (
     hamiltonian_spectrum,
     new_model,
     omega_of_index,
-    r_from_spectrum,
     r_of_t,
     spectral_decomposition,
     weight_of_index,
 )
 from spinbath import spectrum
+from spinbath.lemma import WeightedPointSet, lemma_sum
 from spinbath.model import Equal, PhaseLaw, UniformPositive
 from spinbath.spectrum import ENUMERATION_CAP, ORACLE_CAP
 
@@ -119,9 +119,9 @@ def test_decomposition_agrees_with_per_index_enumeration(rng):
 def test_decomposition_identity_with_r(rng):
     for n in (1, 6, 12):
         m = bounded_model(n, rng, phases=True)
-        dec = spectral_decomposition(m)
+        points = WeightedPointSet.from_decomposition(spectral_decomposition(m))
         for t in rng.uniform(0.0, 40.0, size=25):
-            assert abs(r_from_spectrum(dec, float(t)) - r_of_t(m, float(t))) < 1e-10
+            assert abs(lemma_sum(points, float(t)) - r_of_t(m, float(t))) < 1e-10
 
 
 def test_decomposition_bookkeeping(rng):
@@ -308,13 +308,6 @@ def test_exact_sum_across_chunks_and_blocks(chunk, block, monkeypatch):
 def test_exact_sum_matches_fsum_on_spectral_weights(n):
     weight = spectral_decomposition(generate_random(n, 1)).weight
     assert spectrum._exact_sum(weight) == math.fsum(weight.tolist())
-
-
-def test_r_from_spectrum_rejects_non_finite_time(rng):
-    dec = spectral_decomposition(bounded_model(3, rng))
-    for t in (math.inf, -math.inf, math.nan):
-        with pytest.raises(InvalidParameterError):
-            r_from_spectrum(dec, t)
 
 
 # ---------------------------------------------------------------------------
