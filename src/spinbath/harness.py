@@ -3,9 +3,9 @@
 A single JSON config document (or an equivalent dict assembled from CLI
 flags) describes the model source, time grid, optional observable,
 verdict thresholds, and output destination. The runners are plain
-functions returning value objects; files are written atomically and every
-emitted numeric carries 17 significant digits so artifacts are
-byte-identical across runs with the same config.
+functions returning value objects; files are written atomically, one chunk
+of rows of text at a time, and every number carries 17 significant digits,
+so artifacts are byte-identical across runs with the same config.
 
 Config schema (all sections optional unless a runner needs them):
 
@@ -36,7 +36,7 @@ import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -250,9 +250,13 @@ def _parse_grid(data: Any, path: str, model: SpinBathModel) -> TimeGrid:
     data = _expect_dict(data, path)
     _reject_unknown(data, {"t_start", "t_end", "steps"}, path)
     t_start = _parse_real(data.get("t_start", 0.0), f"{path}.t_start")
+    if not math.isfinite(t_start):
+        raise ConfigError(f"{path}.t_start", f"must be finite, got {t_start!r}")
     t_end = None
     if data.get("t_end") is not None:
         t_end = _parse_real(data["t_end"], f"{path}.t_end")
+        if not math.isfinite(t_end):
+            raise ConfigError(f"{path}.t_end", f"must be finite, got {t_end!r}")
     steps = DEFAULT_STEPS
     if "steps" in data:
         steps = _parse_int(data["steps"], f"{path}.steps")
@@ -370,12 +374,14 @@ def parse_config(data: Any, formats: tuple[str, ...], path: str = "config") -> E
 # Atomic file output at fixed precision
 # ---------------------------------------------------------------------------
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write(path: str, *parts: Iterable[str]) -> None:
+    """Write each part's text pieces to a temp file beside ``path``, then move it there."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spinbath-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            for pieces in parts:
+                handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -383,102 +389,97 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _dump_json(obj: Any, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits, keys in given order."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        return format(obj, FLOAT_FORMAT)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_dump_json(v, indent + 2)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{inner}{_dump_json(v, indent + 2)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def write_json(path: str, payload: Any) -> None:
-    _atomic_write_text(path, _dump_json(payload) + "\n")
-
-
-# Rows of series_to_csv are formatted from Python floats, made one chunk of
-# rows at a time: whole columns at once raised the peak memory of a
-# 2000-step simulate call by about 0.2 MB, for no gain in speed.
-_CSV_CHUNK_ROWS = 256
+# Array text is formatted from Python floats one chunk of rows at a time, so a
+# file costs one chunk of text. Whole columns at once raised the peak memory of
+# a 2000-step simulate call by about 0.2 MB, for no gain in speed.
+_CHUNK_ROWS = 256
 
 # One str.format call makes a whole row.
 _CELL = f"{{:{FLOAT_FORMAT}}}"
 
 
-def series_to_csv(series: TimeSeries) -> str:
-    rows = [CSV_HEADER]
-    r = series.r_values
-    columns = [series.times, r.real, r.imag, np.abs(r) ** 2]
-    blank = [""]
-    if series.expectation_values is not None:
-        columns.append(series.expectation_values)
-        blank = []
-    row = ",".join([_CELL] * len(columns) + blank).format
-    for start in range(0, len(series), _CSV_CHUNK_ROWS):
-        chunk = (column[start:start + _CSV_CHUNK_ROWS].tolist() for column in columns)
-        rows.extend(row(*values) for values in zip(*chunk))
-    return "\n".join(rows) + "\n"
+def _rows(row: Callable[..., str], columns: Sequence[np.ndarray], sep: str = "") -> Iterator[str]:
+    """``row(*values)`` for each row of the columns, joined by ``sep``, a piece per chunk."""
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        if start:
+            yield sep
+        chunk = [column[start:start + _CHUNK_ROWS].tolist() for column in columns]
+        yield sep.join(map(row, *chunk))
 
 
-def series_to_jsonable(series: TimeSeries) -> dict[str, Any]:
+def _dump_json(obj: Any, indent: int = 0) -> Iterator[str]:
+    """JSON text in pieces, with floats at 17 significant digits and keys in
+    given order; a numpy array is written as the list of its values."""
+    if isinstance(obj, bool):
+        yield "true" if obj else "false"
+    elif obj is None:
+        yield "null"
+    elif isinstance(obj, float):
+        yield format(obj, FLOAT_FORMAT)
+    elif isinstance(obj, int):
+        yield str(obj)
+    elif isinstance(obj, str):
+        yield json.dumps(obj)
+    elif not isinstance(obj, (dict, list, tuple, np.ndarray)):
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    elif not len(obj):
+        yield "{}" if isinstance(obj, dict) else "[]"
+    else:
+        is_dict = isinstance(obj, dict)
+        inner = " " * (indent + 2)
+        yield "{\n" if is_dict else "[\n"
+        if isinstance(obj, np.ndarray):
+            yield from _rows(f"{inner}{_CELL}".format, [obj], ",\n")
+        else:
+            for i, (key, value) in enumerate(obj.items() if is_dict else enumerate(obj)):
+                label = f"{json.dumps(str(key))}: " if is_dict else ""
+                yield (",\n" if i else "") + inner + label
+                yield from _dump_json(value, indent + 2)
+        yield "\n" + " " * indent + ("}" if is_dict else "]")
+
+
+def write_json(path: str, payload: Any) -> None:
+    _atomic_write(path, _dump_json(payload), ["\n"])
+
+
+def series_to_csv(path: str, series: TimeSeries) -> None:
+    """Write the series as CSV, its expectation column blank without an observable."""
+    columns = list(series_to_jsonable(series).values())
+    row = ",".join("" if column is None else _CELL for column in columns) + "\n"
+    present = [column for column in columns if column is not None]
+    _atomic_write(path, [CSV_HEADER + "\n"], _rows(row.format, present))
+
+
+def series_to_jsonable(series: TimeSeries) -> dict[str, np.ndarray | None]:
+    """The series columns by JSON key, expectation None without an observable."""
     r = series.r_values
     return {
-        "times": series.times.tolist(),
-        "re_r": r.real.tolist(),
-        "im_r": r.imag.tolist(),
-        "r_sq": (np.abs(r) ** 2).tolist(),
-        "expectation": (
-            series.expectation_values.tolist()
-            if series.expectation_values is not None else None
-        ),
+        "times": series.times,
+        "re_r": r.real,
+        "im_r": r.imag,
+        "r_sq": np.abs(r) ** 2,
+        "expectation": series.expectation_values,
     }
 
 
-def decomposition_to_csv(dec: SpectralDecomposition) -> str:
-    row = f"{_CELL},{_CELL},{{}}".format
-    rows = ["omega,weight,multiplicity"]
-    rows.extend(map(row, dec.omega.tolist(), dec.weight.tolist(), dec.multiplicity.tolist()))
-    return "\n".join(rows) + "\n"
+def decomposition_to_csv(path: str, dec: SpectralDecomposition) -> None:
+    row = f"{_CELL},{_CELL},{{}}\n".format
+    columns = [dec.omega, dec.weight, dec.multiplicity]
+    _atomic_write(path, ["omega,weight,multiplicity\n"], _rows(row, columns))
 
 
 # ---------------------------------------------------------------------------
 # Pipelines
 # ---------------------------------------------------------------------------
 
-# Peak-RSS rise per grid step, keyed by the series' output format (None:
-# no series text), for the up-front memory check of run_simulate and
-# run_compare. Measured in fresh processes on generate_random(n, 1) with
-# 2.5e5 and 1e6 steps and a system observable: sample_series alone (as in
-# compare, or simulate without output) takes 96 to 102 B per step; with
-# the CSV text 466 B at N = 2 and 489 B at N = 50; with the JSON text,
-# whose columns are held as Python floats besides the text, 626 B and
-# 660 B. The bounds add a margin.
-_BYTES_PER_STEP = {None: 128, "csv": 544, "json": 736}
+# Peak-RSS rise per grid step of run_simulate and run_compare, whatever the
+# output: 98 B measured in fresh processes on generate_random(n, 1) at N = 2
+# and 50 with 1e6 steps and a system observable, plus a margin of about 30 %.
+_BYTES_PER_STEP = 128
 
 
-def _require_grid_memory(grid: TimeGrid, output_format: str | None) -> None:
-    estimate = grid.steps * _BYTES_PER_STEP[output_format]
+def _require_grid_memory(grid: TimeGrid) -> None:
+    estimate = grid.steps * _BYTES_PER_STEP
     require_memory(
         estimate,
         f"a grid of {grid.steps} steps needs roughly {estimate / 1e6:.3g} MB",
@@ -493,11 +494,11 @@ def run_simulate(config: ExperimentConfig) -> TimeSeries:
     equivalent) when an output is configured.
     """
     grid = config.grid
-    _require_grid_memory(grid, config.output.format if config.output is not None else None)
+    _require_grid_memory(grid)
     series = sample_series(config.model, grid.t_start, grid.t_end, grid.steps, config.observable)
     if config.output is not None:
         if config.output.format == "csv":
-            _atomic_write_text(config.output.path, series_to_csv(series))
+            series_to_csv(config.output.path, series)
         else:
             write_json(config.output.path, series_to_jsonable(series))
     return series
@@ -511,7 +512,7 @@ def run_spectrum(config: ExperimentConfig) -> SpectralDecomposition:
         config.model, verdict.omega_tolerance, max_spins=verdict.enumeration_cap
     )
     if config.output is not None:
-        _atomic_write_text(config.output.path, decomposition_to_csv(dec))
+        decomposition_to_csv(config.output.path, dec)
     return dec
 
 
@@ -591,7 +592,7 @@ def assess_agreement(prediction: LemmaReport, decay: DecayStats) -> Agreement:
 def run_compare(config: ExperimentConfig) -> ComparisonReport:
     """Run simulation and prediction on one model and reconcile them."""
     model, grid = config.model, config.grid
-    _require_grid_memory(grid, None)
+    _require_grid_memory(grid)
     report = decoherence_verdict(model, config.verdict)
 
     series = sample_series(model, grid.t_start, grid.t_end, grid.steps)

@@ -439,7 +439,8 @@ def verdict_from_decomposition(
         raise DegenerateSetError("spectrum collapsed to a single line")
 
     ok_qc, qc_diag = check_quasi_continuous(points, config)
-    partition = make_partition(points, config.g_groups or default_g_groups(n))
+    g_groups = default_g_groups(n) if config.g_groups is None else config.g_groups
+    partition = make_partition(points, g_groups)
     ok_l1, l1_diag = check_l1(points, partition, config)
     recurrence = estimate_recurrence_time(points, config.q_max, config.rel_tolerance)
     if isinstance(recurrence, float):

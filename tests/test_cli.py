@@ -180,6 +180,17 @@ def test_nan_in_a_config_file_exits_two(tmp_path, capsys):
     assert "config.verdict.eps_group" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["simulate", "--t-start", "nan"], "config.grid.t_start"),
+    (["simulate", "--t-end", "inf"], "config.grid.t_end"),
+    (["compare", "--t-start", "inf"], "config.grid.t_start"),
+])
+def test_non_finite_grid_bound_exits_two_with_field_path(capsys, argv, field):
+    assert main([*argv, "--n", "3", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+
+
 def _flag_cases():
     for f in VERDICT_FIELDS:
         value = 7 if f.kind is int else 0.375

@@ -19,7 +19,7 @@ from spinbath import (
     new_model,
     spectral_decomposition,
 )
-from spinbath import spectrum
+from spinbath import harness, spectrum
 from spinbath.evolution import sample_series
 from spinbath.harness import (
     Agreement,
@@ -30,6 +30,7 @@ from spinbath.harness import (
     TimeGrid,
     VERDICT_FIELDS,
     _BYTES_PER_STEP,
+    _atomic_write,
     _dump_json,
     assess_agreement,
     decomposition_to_csv,
@@ -42,6 +43,7 @@ from spinbath.harness import (
     run_spectrum,
     series_to_csv,
     series_to_jsonable,
+    write_json,
 )
 from spinbath.lemma import VerdictConfig
 from spinbath.model import Equal, PhaseLaw, UniformPositive
@@ -153,6 +155,15 @@ def test_parse_config_inline_model():
         ({"model": {"random": {"n": 2, "seed": 1,
                                "coupling": {"law": "uniform_positive", "g_max": -1.0}}}},
          "config.model.random"),
+        # non-finite grid bounds
+        ({"model": {"random": {"n": 2, "seed": 1}},
+          "grid": {"t_start": math.nan}}, "config.grid.t_start"),
+        ({"model": {"random": {"n": 2, "seed": 1}},
+          "grid": {"t_start": -math.inf, "t_end": 1.0}}, "config.grid.t_start"),
+        ({"model": {"random": {"n": 2, "seed": 1}},
+          "grid": {"t_end": math.inf}}, "config.grid.t_end"),
+        ({"model": {"random": {"n": 2, "seed": 1}},
+          "grid": {"t_end": math.nan}}, "config.grid.t_end"),
     ],
 )
 def test_parse_config_reports_field_paths(doc, path):
@@ -251,7 +262,7 @@ def test_fmt_round_trips_doubles(rng):
 
 def test_dump_json_fixed_point():
     payload = {"a": 0.1, "b": [True, False, None], "c": "text", "n": 42}
-    text = _dump_json(payload)
+    text = "".join(_dump_json(payload))
     assert '"a": 0.10000000000000001' in text
     assert '"b": [\n    true,\n    false,\n    null\n  ]' in text
     assert json.loads(text) == {"a": 0.1, "b": [True, False, None],
@@ -260,13 +271,15 @@ def test_dump_json_fixed_point():
 
 def test_dump_json_rejects_unknown_types():
     with pytest.raises(TypeError):
-        _dump_json({"x": object()})
+        "".join(_dump_json({"x": object()}))
 
 
-def test_series_to_csv_golden():
+def test_series_to_csv_golden(tmp_path):
     m = new_model(ROOT_HALF, ROOT_HALF, [(ROOT_HALF, ROOT_HALF, 1.0)])
     series = sample_series(m, 0.0, 1.0, 3, RelevantObservable(1.0, -1.0, 0.5))
-    assert series_to_csv(series) == (
+    out = tmp_path / "series.csv"
+    series_to_csv(str(out), series)
+    assert out.read_text() == (
         "t,re_r,im_r,r_sq,expectation\n"
         "0,1.0000000000000002,0,1.0000000000000004,0.50000000000000022\n"
         "0.5,0.87758256189037298,0,0.77015115293407033,0.4387912809451866\n"
@@ -274,9 +287,37 @@ def test_series_to_csv_golden():
     )
 
 
-def test_series_to_csv_blank_expectation_column(rng):
+def test_simulate_json_golden(tmp_path):
+    """The same series as test_series_to_csv_golden, through simulate --format json."""
+    out = tmp_path / "series.json"
+    run_simulate(parse_config({
+        "model": {"inline": {
+            "a": [ROOT_HALF, 0.0], "b": [ROOT_HALF, 0.0],
+            "spins": [{"alpha": [ROOT_HALF, 0.0], "beta": [ROOT_HALF, 0.0], "g": 1.0}],
+        }},
+        "grid": {"t_start": 0.0, "t_end": 1.0, "steps": 3},
+        "observable": {"s_uu": 1.0, "s_dd": -1.0, "s_du": [0.5, 0.0]},
+        "output": {"path": str(out), "format": "json"},
+    }, SIMULATE))
+    assert out.read_text() == (
+        '{\n'
+        '  "times": [\n    0,\n    0.5,\n    1\n  ],\n'
+        '  "re_r": [\n    1.0000000000000002,\n    0.87758256189037298,\n'
+        '    0.54030230586813988\n  ],\n'
+        '  "im_r": [\n    0,\n    0,\n    0\n  ],\n'
+        '  "r_sq": [\n    1.0000000000000004,\n    0.77015115293407033,\n'
+        '    0.29192658172642899\n  ],\n'
+        '  "expectation": [\n    0.50000000000000022,\n    0.4387912809451866,\n'
+        '    0.27015115293406999\n  ]\n'
+        '}\n'
+    )
+
+
+def test_series_to_csv_blank_expectation_column(rng, tmp_path):
     series = sample_series(bounded_model(2, rng), 0.0, 1.0, 3)
-    lines = series_to_csv(series).strip().split("\n")
+    out = tmp_path / "series.csv"
+    series_to_csv(str(out), series)
+    lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,re_r,im_r,r_sq,expectation"
     assert all(line.endswith(",") for line in lines[1:])
 
@@ -289,15 +330,60 @@ def test_series_to_jsonable_shape(rng):
     assert len(payload["times"]) == 4
 
 
-def test_decomposition_to_csv_golden():
+def test_decomposition_to_csv_golden(tmp_path):
     m = new_model(ROOT_HALF, ROOT_HALF,
                   [(ROOT_HALF, ROOT_HALF, 0.5), (ROOT_HALF, ROOT_HALF, 0.5)])
-    assert decomposition_to_csv(spectral_decomposition(m)) == (
+    out = tmp_path / "lines.csv"
+    decomposition_to_csv(str(out), spectral_decomposition(m))
+    assert out.read_text() == (
         "omega,weight,multiplicity\n"
         "-1,0.25000000000000011,1\n"
         "0,0.50000000000000022,2\n"
         "1,0.25000000000000011,1\n"
     )
+
+
+def _artifacts(directory, rows):
+    """Bytes of the series CSV, the series JSON and the spectrum CSV, each
+    of ``rows`` rows."""
+    m = new_model(ROOT_HALF, ROOT_HALF, [(ROOT_HALF, ROOT_HALF, 0.5)] * 2)
+    series = sample_series(m, 0.0, 3.0, rows, RelevantObservable(1.0, -1.0, 0.5))
+    series_to_csv(str(directory / "series.csv"), series)
+    write_json(str(directory / "series.json"), series_to_jsonable(series))
+    # equal couplings over n spins give n + 1 lines
+    dec = spectral_decomposition(generate_random(rows - 1, 3, Equal(0.5)))
+    decomposition_to_csv(str(directory / "lines.csv"), dec)
+    return [(directory / name).read_bytes() for name in ("series.csv", "series.json", "lines.csv")]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_artifact_bytes_do_not_depend_on_the_chunk_size(monkeypatch, tmp_path, chunk, offset):
+    rows = 3 * chunk + offset  # just below, at and above a multiple of the chunk
+    assert rows < harness._CHUNK_ROWS
+    (tmp_path / "one").mkdir()
+    (tmp_path / "chunked").mkdir()
+    whole = _artifacts(tmp_path / "one", rows)
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", chunk)
+    assert _artifacts(tmp_path / "chunked", rows) == whole
+
+
+def _fails_partway():
+    yield "half of a new artifact"
+    raise RuntimeError("failed while making the text")
+
+
+@pytest.mark.parametrize("write, error", [
+    (lambda path: _atomic_write(path, ["head\n"], _fails_partway()), RuntimeError),
+    (lambda path: write_json(path, {"r": np.arange(600.0), "x": object()}), TypeError),
+])
+def test_failing_pieces_leave_the_previous_artifact(tmp_path, write, error):
+    out = tmp_path / "artifact"
+    out.write_text("previous\n")
+    with pytest.raises(error):
+        write(str(out))
+    assert out.read_text() == "previous\n"
+    assert os.listdir(tmp_path) == ["artifact"]
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +428,7 @@ def test_run_simulate_json_output(tmp_path):
     ("simulate", None), ("simulate", "csv"), ("simulate", "json"), ("compare", None),
 ])
 def test_grid_beyond_memory_is_refused_up_front(monkeypatch, tmp_path, command, fmt):
+    """One estimate per step, whatever the output: its text costs one chunk."""
     steps = 1000
     doc = {"model": {"random": {"n": 3, "seed": 1}}, "grid": {"steps": steps}}
     out = tmp_path / "out"
@@ -349,7 +436,7 @@ def test_grid_beyond_memory_is_refused_up_front(monkeypatch, tmp_path, command, 
         doc["output"] = {"path": str(out), **({"format": fmt} if fmt else {})}
     config = parse_config(doc, OUTPUT_FORMATS[command])
     run = run_simulate if command == "simulate" else run_compare
-    need = steps * _BYTES_PER_STEP[fmt]
+    need = steps * _BYTES_PER_STEP
     monkeypatch.setattr(spectrum, "_available_memory", lambda: need - 1)
     with pytest.raises(CapExceededError, match=f"{steps} steps.*free"):
         run(config)
@@ -417,7 +504,8 @@ def test_run_spectrum_writes_csv_only(tmp_path):
     out = tmp_path / "lines.csv"
     doc = {"model": {"random": {"n": 3, "seed": 2}}, "output": {"path": str(out)}}
     dec = run_spectrum(parse_config(doc, SPECTRUM))
-    assert out.read_text() == decomposition_to_csv(dec)
+    decomposition_to_csv(str(tmp_path / "direct.csv"), dec)
+    assert out.read_text() == (tmp_path / "direct.csv").read_text()
     with pytest.raises(ConfigError) as info:
         parse_config({**doc, "output": {"path": str(out), "format": "json"}}, SPECTRUM)
     assert info.value.field_path == "config.output.format"

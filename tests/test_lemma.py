@@ -442,6 +442,13 @@ def test_verdict_threads_g_groups(rng):
     assert left.l1_max_group_deviation >= right.l1_max_group_deviation
 
 
+def test_verdict_refuses_zero_groups(rng):
+    """Zero groups is refused like any other count out of range; only None
+    means the default."""
+    with pytest.raises(InvalidParameterError, match="g_groups"):
+        decoherence_verdict(bounded_model(4, rng), VerdictConfig(g_groups=0))
+
+
 def test_verdict_enumeration_cap(rng):
     from spinbath import CapExceededError
 
