@@ -10,6 +10,7 @@ failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -118,6 +119,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verdict_flags(spectrum, enumeration_only=True)
     spectrum.add_argument("--output", metavar="FILE", help="write CSV to this path")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parse tree, built on the first ``main`` call and kept for the process.
+
+    Building it (five subparsers, about seventy flags) is a fixed cost as
+    large as the physics of a small ``predict``; parsing leaves no state in it,
+    so repeated in-process calls share it. A shell invocation still builds it once.
+    """
+    return build_parser()
 
 
 def _model_dict_from_flags(args: argparse.Namespace) -> dict[str, Any] | None:
@@ -279,8 +291,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

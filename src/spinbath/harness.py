@@ -380,6 +380,11 @@ def _atomic_write(path: str, *parts: Iterable[str]) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spinbath-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
+            # the mode open(path, "w") would give, not mkstemp's private 0600;
+            # the umask can only be read by setting it
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             for pieces in parts:
                 handle.writelines(pieces)
         os.replace(tmp, path)
@@ -487,6 +492,22 @@ def _require_grid_memory(grid: TimeGrid) -> None:
     )
 
 
+def _require_horizon(grid: TimeGrid) -> None:
+    """Refuse a grid whose default horizon does not reach past t_start.
+
+    A given t_end is checked by the parser; the default t_start + 20 / mean|g|
+    can round back to t_start or overflow, and is checked here, where the grid
+    is sampled, so that a command that never samples it (predict) still runs
+    and compare first reports what its enumeration finds.
+    """
+    if not (math.isfinite(grid.t_end) and grid.t_end > grid.t_start):
+        raise ConfigError(
+            "config.grid.t_end",
+            f"the default horizon 20 / mean|g| does not exceed t_start = "
+            f"{grid.t_start!r} (t_end would be {grid.t_end!r}); give t_end",
+        )
+
+
 def run_simulate(config: ExperimentConfig) -> TimeSeries:
     """Sample the closed-form evolution on the configured grid.
 
@@ -495,6 +516,7 @@ def run_simulate(config: ExperimentConfig) -> TimeSeries:
     """
     grid = config.grid
     _require_grid_memory(grid)
+    _require_horizon(grid)
     series = sample_series(config.model, grid.t_start, grid.t_end, grid.steps, config.observable)
     if config.output is not None:
         if config.output.format == "csv":
@@ -595,6 +617,7 @@ def run_compare(config: ExperimentConfig) -> ComparisonReport:
     _require_grid_memory(grid)
     report = decoherence_verdict(model, config.verdict)
 
+    _require_horizon(grid)
     series = sample_series(model, grid.t_start, grid.t_end, grid.steps)
     r_sq = np.abs(series.r_values) ** 2
     lower, _ = r_bounds(model)

@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,46 @@ def test_predict_format_choices_exclude_csv():
     assert info.value.code == 2
 
 
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for argv in (["simulate", "--n", "2", "--seed", "1", "--steps", "4"],
+                     ["predict", "--n", "3", "--seed", "1"],
+                     ["oracle-check", "--n-max", "2", "--cases", "2"]):
+            assert main(argv) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+
+
+def test_cached_parser_carries_no_flag_into_the_next_call(tmp_path):
+    """A flag given to one call is gone from the next: the second artifact
+    equals the one a fresh process writes for the same argv."""
+    a, b, fresh = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "fresh.json"
+    assert main(["predict", "--n", "6", "--seed", "1", "--equal-coupling", "0.5",
+                 "--output", str(a)]) == 0
+    assert main(["predict", "--n", "6", "--seed", "1", "--output", str(b)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    subprocess.run(
+        [sys.executable, "-m", "spinbath.cli", "predict", "--n", "6", "--seed", "1",
+         "--output", str(fresh)],
+        env=env, check=True, capture_output=True, timeout=120,
+    )
+    assert b.read_bytes() == fresh.read_bytes()
+    assert a.read_bytes() != b.read_bytes()
+
+
+def test_a_parse_error_leaves_the_next_call_working(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--bogus"])
+    assert info.value.code == 2
+    assert main(["simulate", "--n", "2", "--seed", "1", "--steps", "4"]) == 0
+    assert "simulated 4 points" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -55,6 +99,19 @@ def test_simulate_writes_csv(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,re_r,im_r,r_sq,expectation"
     assert len(lines) == 51
+
+
+def test_simulate_output_mode_follows_the_umask(tmp_path):
+    argv = ["simulate", "--n", "2", "--seed", "1", "--steps", "4", "--output"]
+    previous = os.umask(0o022)
+    try:
+        assert main([*argv, str(tmp_path / "shared.csv")]) == 0
+        os.umask(0o077)
+        assert main([*argv, str(tmp_path / "private.csv")]) == 0
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "shared.csv").stat().st_mode & 0o777 == 0o644
+    assert (tmp_path / "private.csv").stat().st_mode & 0o777 == 0o600
 
 
 def test_simulate_runs_are_byte_identical(tmp_path):
@@ -189,6 +246,17 @@ def test_non_finite_grid_bound_exits_two_with_field_path(capsys, argv, field):
     assert main([*argv, "--n", "3", "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "5", "--equal-coupling", "1e308"],  # mean|g| overflows: no horizon
+    ["simulate", "--n", "2", "--t-start", "1.7e308"],  # the horizon rounds to t_start
+    ["compare", "--n", "2", "--t-start", "1.7e308"],
+])
+def test_degenerate_default_horizon_exits_two_with_field_path(capsys, argv):
+    assert main([*argv, "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.grid.t_end") and "give t_end" in err
 
 
 def _flag_cases():
