@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import tempfile
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -374,17 +375,25 @@ def parse_config(data: Any, formats: tuple[str, ...], path: str = "config") -> E
 # Atomic file output at fixed precision
 # ---------------------------------------------------------------------------
 
+def _open_mode(path: str) -> int:
+    """The mode ``open(path, "w")`` would leave, not mkstemp's private 0600:
+    an existing file's permission bits, else 0666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        # the umask can only be read by setting it
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _atomic_write(path: str, *parts: Iterable[str]) -> None:
     """Write each part's text pieces to a temp file beside ``path``, then move it there."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spinbath-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            # the mode open(path, "w") would give, not mkstemp's private 0600;
-            # the umask can only be read by setting it
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
+            os.fchmod(handle.fileno(), _open_mode(path))
             for pieces in parts:
                 handle.writelines(pieces)
         os.replace(tmp, path)
@@ -478,8 +487,10 @@ def decomposition_to_csv(path: str, dec: SpectralDecomposition) -> None:
 # ---------------------------------------------------------------------------
 
 # Peak-RSS rise per grid step of run_simulate and run_compare, whatever the
-# output: 98 B measured in fresh processes on generate_random(n, 1) at N = 2
-# and 50 with 1e6 steps and a system observable, plus a margin of about 30 %.
+# output: 63-65 B measured in fresh processes on generate_random(n, 1) at
+# N = 2 and 64 with 1e6 steps and a system observable, on one CPU and with
+# the grid split over two threads (98-104 B before the r(t) kernel reused
+# its block buffers), so the estimate keeps a wide margin.
 _BYTES_PER_STEP = 128
 
 

@@ -114,6 +114,20 @@ def test_simulate_output_mode_follows_the_umask(tmp_path):
     assert (tmp_path / "private.csv").stat().st_mode & 0o777 == 0o600
 
 
+def test_rewritten_artifact_keeps_its_mode(tmp_path):
+    out = tmp_path / "keep.csv"
+    out.write_text("old\n")
+    out.chmod(0o600)
+    previous = os.umask(0o022)
+    try:
+        assert main(["simulate", "--n", "2", "--seed", "1", "--steps", "4",
+                     "--output", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert out.read_text().startswith("t,re_r")
+    assert out.stat().st_mode & 0o777 == 0o600
+
+
 def test_simulate_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["simulate", "--n", "6", "--seed", "123", "--t-end", "25",

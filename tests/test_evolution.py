@@ -7,6 +7,10 @@ formulas under test.
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from spinbath import (
     reduced_state,
     sample_series,
 )
+from spinbath import evolution
 from spinbath.harness import OUTPUT_FORMATS, parse_config
 from spinbath.model import Equal, PhaseLaw
 
@@ -338,6 +343,113 @@ def test_sample_series_bits_without_zeros(rng):
     assert np.all(r != 0)
     reference = per_spin_loop(m, np.linspace(-3.0, 7.0, 257))
     assert np.array_equal(r.view(np.float64), reference.view(np.float64))
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make the kernel see ``cpus`` usable CPUs, so it cuts that many slices."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def test_slice_count_follows_cpus_and_grid_size(monkeypatch):
+    use_cpus(monkeypatch, 4)
+    assert evolution._slice_count(20, 2000) == 1
+    assert evolution._slice_count(5000, 2000) == 4
+    assert evolution._slice_count(2**17, 3) == 1
+    assert evolution._slice_count(2**18, 1) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert evolution._slice_count(5000, 2000) == 1
+
+
+@pytest.mark.parametrize("slices", [1, 2, 3, 5])
+def test_split_grid_keeps_every_bit(monkeypatch, rng, slices):
+    use_cpus(monkeypatch, slices)
+    monkeypatch.setattr(evolution, "_SPLIT_CELLS", 0)
+    m = bounded_model(40, rng, phases=True)
+    for points in range(2 * slices, 17 * slices + 1):
+        assert evolution._slice_count(40, points) == slices
+        times = np.linspace(-3.0, 7.0, points)
+        r = sample_series(m, -3.0, 7.0, points).r_values
+        reference = per_spin_loop(m, times)
+        assert np.array_equal(r.view(np.float64), reference.view(np.float64)), points
+
+
+def test_split_grid_longer_than_a_block_keeps_every_bit(monkeypatch, rng):
+    use_cpus(monkeypatch, 2)
+    m = bounded_model(20, rng, phases=True)
+    steps = 2 * evolution._BLOCK_CELLS + 3
+    assert evolution._slice_count(20, steps) == 2
+    r = sample_series(m, 0.0, 30.0, steps).r_values
+    reference = per_spin_loop(m, np.linspace(0.0, 30.0, steps))
+    assert np.array_equal(r.view(np.float64), reference.view(np.float64))
+
+
+@pytest.mark.parametrize("slices", [2, 5])
+def test_split_grid_with_one_live_point_in_a_slice(monkeypatch, slices):
+    use_cpus(monkeypatch, slices)
+    monkeypatch.setattr(evolution, "_SPLIT_CELLS", 0)
+    m = generate_random(3000, 1)
+    _, t_end, _ = random_grid(3000, 1)
+    r = sample_series(m, 0.05, t_end, 20).r_values
+    assert np.count_nonzero(r) == 1
+    assert_same_nonzero_bits(r, per_spin_loop(m, np.linspace(0.05, t_end, 20)))
+
+
+def test_many_slices_under_fast_thread_switching(monkeypatch):
+    m = generate_random(3000, 9)
+    t_start, t_end, steps = random_grid(3000, 9, steps=400)
+    use_cpus(monkeypatch, 1)
+    whole = sample_series(m, t_start, t_end, steps).r_values
+    use_cpus(monkeypatch, 8)
+    kernel = evolution._r_slice
+    workers = []
+
+    def recording(*args):
+        workers.append(threading.current_thread())
+        kernel(*args)
+
+    monkeypatch.setattr(evolution, "_r_slice", recording)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = sample_series(m, t_start, t_end, steps).r_values
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert len(set(workers)) == 8
+    assert np.array_equal(split.view(np.float64), whole.view(np.float64))
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_an_exception_in_a_slice_reaches_the_caller(monkeypatch, rng, failing):
+    use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(evolution, "_SPLIT_CELLS", 0)
+    times = np.linspace(0.0, 1.0, 30)
+    kernel = evolution._r_slice
+
+    def failing_slice(a2, b2, g, t, out):
+        if t[0] == times[10 * failing]:
+            raise RuntimeError(f"slice {failing}")
+        kernel(a2, b2, g, t, out)
+
+    monkeypatch.setattr(evolution, "_r_slice", failing_slice)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match=f"slice {failing}"):
+        sample_series(bounded_model(10, rng), 0.0, 1.0, 30)
+    for thread in set(threading.enumerate()) - before:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert set(threading.enumerate()) == before
+
+
+def test_import_starts_no_thread_and_no_executor():
+    code = ("import sys, threading; n = threading.active_count(); import spinbath.cli; "
+            "print(threading.active_count() - n, 'concurrent.futures' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(evolution.__file__))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True, timeout=60)
+    assert result.stdout.split() == ["0", "False"]
 
 
 @pytest.mark.parametrize("seed", [1, 9])
