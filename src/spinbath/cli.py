@@ -13,13 +13,15 @@ import argparse
 import functools
 import json
 import sys
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import ConfigError, SpinBathError
 from .harness import (
     FLOAT_FORMAT,
+    GRID_FIELDS,
     OUTPUT_FORMATS,
     VERDICT_FIELDS,
+    Field,
     parse_config,
     run_compare,
     run_oracle_check,
@@ -39,29 +41,34 @@ def _load_json_file(path: str, what: str) -> Any:
         raise ConfigError(what, f"invalid JSON in {path}: {exc}") from None
 
 
+# The flags of a random model, in the order their conflicts are reported;
+# --model-file conflicts with each of them.
+_RANDOM_MODEL_FLAGS = (
+    ("--n", dict(type=int, help="number of bath spins (random model)")),
+    ("--seed", dict(type=int, help="random model seed")),
+    ("--g-max", dict(
+        type=float,
+        help="uniform coupling upper bound, couplings in (0, g_max] (default 1.0)",
+    )),
+    ("--equal-coupling", dict(
+        type=float, metavar="G",
+        help="give every spin the same coupling G instead of random couplings",
+    )),
+    ("--phases", dict(choices=["zero", "uniform"], help="bath amplitude phases (default zero)")),
+)
+
+
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="FILE", help="JSON config document")
     sub.add_argument("--model-file", metavar="FILE", help="inline model JSON file")
-    sub.add_argument("--n", type=int, help="number of bath spins (random model)")
-    sub.add_argument("--seed", type=int, help="random model seed")
-    sub.add_argument(
-        "--g-max", type=float, default=None,
-        help="uniform coupling upper bound, couplings in (0, g_max] (default 1.0)",
-    )
-    sub.add_argument(
-        "--equal-coupling", type=float, metavar="G", default=None,
-        help="give every spin the same coupling G instead of random couplings",
-    )
-    sub.add_argument(
-        "--phases", choices=["zero", "uniform"], default=None,
-        help="bath amplitude phases (default zero)",
-    )
+    for flag, options in _RANDOM_MODEL_FLAGS:
+        sub.add_argument(flag, **options)
 
 
-def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--t-start", type=float, default=None)
-    sub.add_argument("--t-end", type=float, default=None)
-    sub.add_argument("--steps", type=int, default=None)
+def _add_setting_flags(sub: argparse.ArgumentParser, fields: Iterable[Field]) -> None:
+    """One flag per row of a config field table: ``--`` plus the key with dashes."""
+    for f in fields:
+        sub.add_argument("--" + f.key.replace("_", "-"), type=f.kind, default=None, help=f.help)
 
 
 def _add_output_flags(sub: argparse.ArgumentParser, command: str) -> None:
@@ -71,13 +78,6 @@ def _add_output_flags(sub: argparse.ArgumentParser, command: str) -> None:
         "--format", choices=formats, default=None,
         help=f"output format (default {formats[0]})",
     )
-
-
-def _add_verdict_flags(sub: argparse.ArgumentParser, enumeration_only: bool = False) -> None:
-    for f in VERDICT_FIELDS:
-        if f.enumeration or not enumeration_only:
-            flag = "--" + f.key.replace("_", "-")
-            sub.add_argument(flag, type=f.kind, default=None, help=f.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,18 +93,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="sample r(t) and |r(t)|^2 on a grid")
     _add_model_flags(simulate)
-    _add_grid_flags(simulate)
+    _add_setting_flags(simulate, GRID_FIELDS)
     _add_output_flags(simulate, "simulate")
 
     predict = sub.add_parser("predict", help="analytical decoherence verdict")
     _add_model_flags(predict)
-    _add_verdict_flags(predict)
+    _add_setting_flags(predict, VERDICT_FIELDS)
     _add_output_flags(predict, "predict")
 
     compare = sub.add_parser("compare", help="run both pipelines and reconcile")
     _add_model_flags(compare)
-    _add_grid_flags(compare)
-    _add_verdict_flags(compare)
+    _add_setting_flags(compare, GRID_FIELDS)
+    _add_setting_flags(compare, VERDICT_FIELDS)
     _add_output_flags(compare, "compare")
 
     oracle = sub.add_parser(
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     spectrum = sub.add_parser("spectrum", help="dump the exact frequency spectrum")
     _add_model_flags(spectrum)
-    _add_verdict_flags(spectrum, enumeration_only=True)
+    _add_setting_flags(spectrum, [f for f in VERDICT_FIELDS if f.enumeration])
     spectrum.add_argument("--output", metavar="FILE", help="write CSV to this path")
     return parser
 
@@ -134,15 +134,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def _model_dict_from_flags(args: argparse.Namespace) -> dict[str, Any] | None:
     """Translate model flags into a config model section, or None."""
+    given = [flag for flag, _ in _RANDOM_MODEL_FLAGS
+             if getattr(args, flag[2:].replace("-", "_")) is not None]
     if args.model_file is not None:
-        for flag, name in ((args.n, "--n"), (args.seed, "--seed"),
-                           (args.g_max, "--g-max"),
-                           (args.equal_coupling, "--equal-coupling")):
-            if flag is not None:
-                raise ConfigError("model", f"--model-file conflicts with {name}")
+        if given:
+            raise ConfigError("model", f"--model-file conflicts with {given[0]}")
         return {"inline": _load_json_file(args.model_file, "model")}
-    random_flags = (args.n, args.seed, args.g_max, args.equal_coupling, args.phases)
-    if all(v is None for v in random_flags):
+    if not given:
         return None
     if args.n is None or args.seed is None:
         raise ConfigError("model", "a random model needs both --n and --seed")
@@ -179,21 +177,10 @@ def _assemble(args: argparse.Namespace) -> dict[str, Any]:
     if model is not None:
         data["model"] = model
 
-    if hasattr(args, "t_start"):
-        grid = dict(_section(data, "grid"))
-        for key, value in (("t_start", args.t_start), ("t_end", args.t_end),
-                           ("steps", args.steps)):
-            if value is not None:
-                grid[key] = value
-        if grid:
-            data["grid"] = grid
-
-    verdict = {
-        f.key: getattr(args, f.key) for f in VERDICT_FIELDS
-        if getattr(args, f.key, None) is not None
-    }
-    if verdict:
-        data["verdict"] = {**_section(data, "verdict"), **verdict}
+    for key, fields in (("grid", GRID_FIELDS), ("verdict", VERDICT_FIELDS)):
+        flags = {f.key: v for f in fields if (v := getattr(args, f.key, None)) is not None}
+        if flags:
+            data[key] = {**_section(data, key), **flags}
 
     if getattr(args, "output", None) is not None:
         # a format left out here is the command's default, filled in by parse_config

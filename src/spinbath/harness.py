@@ -7,7 +7,9 @@ functions returning value objects; files are written atomically, one chunk
 of rows of text at a time, and every number carries 17 significant digits,
 so artifacts are byte-identical across runs with the same config.
 
-Config schema (all sections optional unless a runner needs them):
+Config schema (all sections optional unless a runner needs them); each
+section's keys, kinds and defaults are written once, in its field table
+(``*_FIELDS``, and per coupling law COUPLING_LAWS):
 
     {
       "model": {"random": {"n": int, "seed": int,
@@ -23,10 +25,12 @@ Config schema (all sections optional unless a runner needs them):
       "output": {"path": str, "format": str}  one of the command's OUTPUT_FORMATS
     }
 
-Defaults: grid [t_start, t_start + 20 / mean|g|] with 2000 steps; verdict
-thresholds as in :mod:`spinbath.lemma`; the output format first in the
-command's OUTPUT_FORMATS. The inline model schema is the one
-:func:`model_to_dict` writes and :func:`model_from_dict` reads.
+A key that no row of its table names is refused, so a coupling takes only
+its own law's keys. Defaults: grid [t_start, t_start + 20 / mean|g|] with
+2000 steps; verdict thresholds as in :mod:`spinbath.lemma`; the output
+format first in the command's OUTPUT_FORMATS; the rest as in the tables.
+The inline model schema is the one :func:`model_to_dict` writes and
+:func:`model_from_dict` reads.
 """
 
 from __future__ import annotations
@@ -114,22 +118,27 @@ class ExperimentConfig:
 # Config parsing (dict -> ExperimentConfig, errors carry field paths)
 # ---------------------------------------------------------------------------
 
+REQUIRED = object()  # a Field default: the key must be given
+OMIT = object()  # a Field default: a key left out stays out, so the value object's default holds
+
+
+@dataclass(frozen=True)
+class Field:
+    """One key of a config section: its kind (a key of _PARSERS), its default,
+    and for a grid or verdict key the help of its CLI flag."""
+
+    key: str
+    kind: type
+    default: Any = REQUIRED
+    help: str | None = None
+    null_is_default: bool = False  # a JSON null stands for the default
+    enumeration: bool = False  # also a setting of the spectrum subcommand
+
+
 def _expect_dict(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(path, "expected an object")
     return value
-
-
-def _require(data: dict, keys: tuple[str, ...], path: str) -> None:
-    for key in keys:
-        if key not in data:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-
-
-def _reject_unknown(data: dict, allowed: set[str], path: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown field")
 
 
 def _parse_int(value: Any, path: str) -> int:
@@ -150,8 +159,107 @@ def _parse_complex(value: Any, path: str) -> complex:
     return complex(_parse_real(value[0], f"{path}[0]"), _parse_real(value[1], f"{path}[1]"))
 
 
+def _parse_str(value: Any, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(path, "expected a non-empty string")
+    return value
+
+
+def _parse_list(value: Any, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(path, "expected a non-empty array")
+    return value
+
+
+def _one_of(names: Iterable[str]) -> str:
+    return "expected " + " or ".join(f'"{name}"' for name in names)
+
+
+def _parse_phases(value: Any, path: str) -> PhaseLaw:
+    try:
+        return PhaseLaw(value)
+    except ValueError:
+        raise ConfigError(path, _one_of(law.value for law in PhaseLaw)) from None
+
+
+_PARSERS: dict[type, Callable[[Any, str], Any]] = {
+    int: _parse_int, float: _parse_real, complex: _parse_complex, str: _parse_str,
+    dict: _expect_dict, list: _parse_list, PhaseLaw: _parse_phases,
+}
+
+
+def _fields(data: Any, path: str, fields: Sequence[Field]) -> dict[str, Any]:
+    """The section at ``path`` as {key: value}, one entry per row of ``fields``.
+
+    Refuses a non-object, then an unknown key (the first in sorted order),
+    then row by row a missing required key or a value not of the row's kind.
+    A key left out (or null, where that means the default) takes its default.
+    """
+    data = _expect_dict(data, path)
+    unknown = data.keys() - {f.key for f in fields}
+    if unknown:
+        raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown field")
+    values = {}
+    for f in fields:
+        if f.key in data and not (f.null_is_default and data[f.key] is None):
+            values[f.key] = _PARSERS[f.kind](data[f.key], f"{path}.{f.key}")
+        elif f.default is REQUIRED:
+            raise ConfigError(f"{path}.{f.key}", "missing required field")
+        elif f.default is not OMIT:
+            values[f.key] = f.default
+    return values
+
+
 def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
+
+
+# The keys of each config section, written once. A table holds no spinbath
+# function; the parsers call each by its module name, which a tracer or a
+# test may rebind.
+CONFIG_FIELDS = (
+    Field("model", dict),
+    Field("grid", dict, {}),
+    Field("observable", dict, None, null_is_default=True),
+    Field("verdict", dict, {}),
+    Field("output", dict, None),
+)
+MODEL_FIELDS = (Field("random", dict, None), Field("inline", dict, None))
+INLINE_FIELDS = (Field("a", complex), Field("b", complex), Field("spins", list))
+SPIN_FIELDS = (Field("alpha", complex), Field("beta", complex), Field("g", float))
+RANDOM_FIELDS = (
+    Field("n", int),
+    Field("seed", int),
+    Field("coupling", dict, {"law": "uniform_positive"}),
+    Field("phases", PhaseLaw, PhaseLaw.ZERO),
+)
+# Each law's class and keys; a coupling takes only its own law's keys.
+_LAW = Field("law", str)
+COUPLING_LAWS = {
+    "uniform_positive": (UniformPositive, (_LAW, Field("g_max", float, 1.0))),
+    "equal": (Equal, (_LAW, Field("g", float))),
+}
+# t_end left out (or null) is the horizon t_start + 20 / mean|g|
+GRID_FIELDS = (
+    Field("t_start", float, 0.0),
+    Field("t_end", float, None, null_is_default=True),
+    Field("steps", int, DEFAULT_STEPS),
+)
+OBSERVABLE_FIELDS = (Field("s_uu", float), Field("s_dd", float), Field("s_du", complex, 0j))
+# VerdictConfig's fields, in its order; a key left out keeps its default there
+VERDICT_FIELDS = (
+    Field("n_min", int, OMIT, "minimum line count gate"),
+    Field("cv_max", float, OMIT, "gap spread gate"),
+    Field("ks_max", float, OMIT, "uniformity gate"),
+    Field("eps_global", float, OMIT, "max weight gate"),
+    Field("eps_group", float, OMIT, "per-group deviation gate"),
+    Field("g_groups", int, OMIT, "partition group count", null_is_default=True),
+    Field("q_max", int, OMIT, "rationalization denominator cap"),
+    Field("rel_tolerance", float, OMIT),
+    Field("omega_tolerance", float, OMIT, "line merge radius / max|g|", enumeration=True),
+    Field("enumeration_cap", int, OMIT, enumeration=True),
+)
+OUTPUT_FIELDS = (Field("path", str), Field("format", str, None))  # None: the command's default
 
 
 def model_to_dict(model: SpinBathModel) -> dict[str, Any]:
@@ -172,95 +280,56 @@ def model_from_dict(data: Any, path: str = "model") -> SpinBathModel:
     All failures, structural or semantic, surface as ConfigError carrying
     the dotted path of the offending field.
     """
-    data = _expect_dict(data, path)
-    _require(data, ("a", "b", "spins"), path)
-    _reject_unknown(data, {"a", "b", "spins"}, path)
-    a = _parse_complex(data["a"], f"{path}.a")
-    b = _parse_complex(data["b"], f"{path}.b")
-    raw_spins = data["spins"]
-    if not isinstance(raw_spins, list) or not raw_spins:
-        raise ConfigError(f"{path}.spins", "expected a non-empty array")
+    values = _fields(data, path, INLINE_FIELDS)
     spins = []
-    for i, entry in enumerate(raw_spins):
+    for i, entry in enumerate(values["spins"]):
         spin_path = f"{path}.spins[{i}]"
-        entry = _expect_dict(entry, spin_path)
-        _require(entry, ("alpha", "beta", "g"), spin_path)
-        _reject_unknown(entry, {"alpha", "beta", "g"}, spin_path)
-        alpha = _parse_complex(entry["alpha"], f"{spin_path}.alpha")
-        beta = _parse_complex(entry["beta"], f"{spin_path}.beta")
-        g = _parse_real(entry["g"], f"{spin_path}.g")
+        spin = _fields(entry, spin_path, SPIN_FIELDS)
         try:
-            spins.append(EnvironmentSpin(alpha, beta, g))
+            spins.append(EnvironmentSpin(**spin))
         except (NormalizationError, InvalidParameterError) as exc:
             raise ConfigError(spin_path, str(exc)) from None
     try:
-        return SpinBathModel(a, b, tuple(spins))
+        return SpinBathModel(values["a"], values["b"], tuple(spins))
     except (NormalizationError, InvalidParameterError) as exc:
         raise ConfigError(path, str(exc)) from None
 
 
+def _parse_coupling(data: dict, path: str) -> UniformPositive | Equal:
+    law = data.get("law")
+    if not isinstance(law, str) or law not in COUPLING_LAWS:
+        raise ConfigError(f"{path}.law", _one_of(COUPLING_LAWS))
+    cls, fields = COUPLING_LAWS[law]
+    values = _fields(data, path, fields)
+    del values["law"]
+    return cls(**values)
+
+
 def _parse_random_model(data: dict, path: str) -> SpinBathModel:
-    _reject_unknown(data, {"n", "seed", "coupling", "phases"}, path)
-    _require(data, ("n", "seed"), path)
-    n = _parse_int(data["n"], f"{path}.n")
-    seed = _parse_int(data["seed"], f"{path}.seed")
-
-    coupling: UniformPositive | Equal = UniformPositive(1.0)
-    if "coupling" in data:
-        cdata = _expect_dict(data["coupling"], f"{path}.coupling")
-        _reject_unknown(cdata, {"law", "g_max", "g"}, f"{path}.coupling")
-        law = cdata.get("law")
-        if law == "uniform_positive":
-            g_max = _parse_real(cdata.get("g_max", 1.0), f"{path}.coupling.g_max")
-            coupling = UniformPositive(g_max)
-        elif law == "equal":
-            _require(cdata, ("g",), f"{path}.coupling")
-            coupling = Equal(_parse_real(cdata["g"], f"{path}.coupling.g"))
-        else:
-            raise ConfigError(
-                f"{path}.coupling.law", 'expected "uniform_positive" or "equal"'
-            )
-
-    phases = PhaseLaw.ZERO
-    if "phases" in data:
-        raw = data["phases"]
-        try:
-            phases = PhaseLaw(raw)
-        except ValueError:
-            raise ConfigError(f"{path}.phases", 'expected "zero" or "uniform"') from None
+    values = _fields(data, path, RANDOM_FIELDS)
+    coupling = _parse_coupling(values["coupling"], f"{path}.coupling")
     try:
-        return generate_random(n, seed, coupling, phases)
+        return generate_random(values["n"], values["seed"], coupling, values["phases"])
     except (InvalidParameterError, ValueError) as exc:  # numpy refuses a negative seed
         raise ConfigError(path, str(exc)) from None
 
 
 def _parse_model(data: Any, path: str) -> SpinBathModel:
-    data = _expect_dict(data, path)
-    _reject_unknown(data, {"random", "inline"}, path)
-    if ("random" in data) == ("inline" in data):
+    values = _fields(data, path, MODEL_FIELDS)
+    if (values["random"] is None) == (values["inline"] is None):
         raise ConfigError(path, 'expected exactly one of "random" or "inline"')
-    if "random" in data:
-        return _parse_random_model(
-            _expect_dict(data["random"], f"{path}.random"), f"{path}.random"
-        )
-    return model_from_dict(data["inline"], f"{path}.inline")
+    if values["random"] is not None:
+        return _parse_random_model(values["random"], f"{path}.random")
+    return model_from_dict(values["inline"], f"{path}.inline")
 
 
 def _parse_grid(data: Any, path: str, model: SpinBathModel) -> TimeGrid:
     """The grid, its horizon 20 / mean|g| past t_start where t_end is absent or null."""
-    data = _expect_dict(data, path)
-    _reject_unknown(data, {"t_start", "t_end", "steps"}, path)
-    t_start = _parse_real(data.get("t_start", 0.0), f"{path}.t_start")
-    if not math.isfinite(t_start):
-        raise ConfigError(f"{path}.t_start", f"must be finite, got {t_start!r}")
-    t_end = None
-    if data.get("t_end") is not None:
-        t_end = _parse_real(data["t_end"], f"{path}.t_end")
-        if not math.isfinite(t_end):
-            raise ConfigError(f"{path}.t_end", f"must be finite, got {t_end!r}")
-    steps = DEFAULT_STEPS
-    if "steps" in data:
-        steps = _parse_int(data["steps"], f"{path}.steps")
+    values = _fields(data, path, GRID_FIELDS)
+    t_start, t_end, steps = values["t_start"], values["t_end"], values["steps"]
+    for key in ("t_start", "t_end"):
+        if values[key] is not None and not math.isfinite(values[key]):
+            raise ConfigError(f"{path}.{key}", f"must be finite, got {values[key]!r}")
     if steps < 2:
         raise ConfigError(f"{path}.steps", f"must be >= 2, got {steps}")
     if t_end is None:
@@ -272,103 +341,46 @@ def _parse_grid(data: Any, path: str, model: SpinBathModel) -> TimeGrid:
 
 
 def _parse_observable(data: Any, path: str) -> RelevantObservable:
-    data = _expect_dict(data, path)
-    _reject_unknown(data, {"s_uu", "s_dd", "s_du"}, path)
-    _require(data, ("s_uu", "s_dd"), path)
-    s_uu = _parse_real(data["s_uu"], f"{path}.s_uu")
-    s_dd = _parse_real(data["s_dd"], f"{path}.s_dd")
-    s_du = 0j
-    if "s_du" in data:
-        s_du = _parse_complex(data["s_du"], f"{path}.s_du")
+    values = _fields(data, path, OBSERVABLE_FIELDS)
     try:
-        return RelevantObservable(s_uu, s_dd, s_du)
+        return RelevantObservable(**values)
     except InvalidParameterError as exc:
         raise ConfigError(path, str(exc)) from None
 
 
-@dataclass(frozen=True)
-class VerdictField:
-    """One verdict setting, as config key, CLI flag and VerdictConfig field.
-
-    The CLI flag is ``--`` plus the key with dashes for underscores.
-    """
-
-    key: str
-    kind: type  # int or float
-    help: str | None = None
-    null_is_default: bool = False  # a JSON null stands for the default
-    enumeration: bool = False  # also a setting of the spectrum subcommand
-
-
-VERDICT_FIELDS = (
-    VerdictField("n_min", int, "minimum line count gate"),
-    VerdictField("cv_max", float, "gap spread gate"),
-    VerdictField("ks_max", float, "uniformity gate"),
-    VerdictField("eps_global", float, "max weight gate"),
-    VerdictField("eps_group", float, "per-group deviation gate"),
-    VerdictField("g_groups", int, "partition group count", null_is_default=True),
-    VerdictField("q_max", int, "rationalization denominator cap"),
-    VerdictField("rel_tolerance", float),
-    VerdictField("omega_tolerance", float, "line merge radius / max|g|", enumeration=True),
-    VerdictField("enumeration_cap", int, enumeration=True),
-)
-
-
 def _parse_verdict(data: Any, path: str) -> VerdictConfig:
-    """Fields left out (or null where that means the default) keep their
-    defaults. NaN is refused: it fails every comparison, so its gate would
-    fail silently. Infinities are kept; +inf switches a max gate off."""
-    data = _expect_dict(data, path)
-    _reject_unknown(data, {f.key for f in VERDICT_FIELDS}, path)
-    values: dict[str, Any] = {}
-    for f in VERDICT_FIELDS:
-        if f.key not in data or (f.null_is_default and data[f.key] is None):
-            continue
-        where = f"{path}.{f.key}"
-        if f.kind is int:
-            value = _parse_int(data[f.key], where)
-        else:
-            value = _parse_real(data[f.key], where)
-            if math.isnan(value):
-                raise ConfigError(where, "expected a number, got NaN")
-        values[f.key] = value
+    """NaN is refused: it fails every comparison, so its gate would fail
+    silently. Infinities are kept; +inf switches a max gate off."""
+    values = _fields(data, path, VERDICT_FIELDS)
+    for key, value in values.items():
+        if isinstance(value, float) and math.isnan(value):
+            raise ConfigError(f"{path}.{key}", "expected a number, got NaN")
     return VerdictConfig(**values)
 
 
 def _parse_output(data: Any, path: str, formats: tuple[str, ...]) -> OutputSpec:
-    data = _expect_dict(data, path)
-    _reject_unknown(data, {"path", "format"}, path)
-    _require(data, ("path",), path)
-    raw_path = data["path"]
-    if not isinstance(raw_path, str) or not raw_path:
-        raise ConfigError(f"{path}.path", "expected a non-empty string")
-    fmt = data.get("format", formats[0])
+    values = _fields(data, path, OUTPUT_FIELDS)
+    fmt = formats[0] if values["format"] is None else values["format"]
     if fmt not in formats:
-        raise ConfigError(f"{path}.format", "expected " + " or ".join(f'"{f}"' for f in formats))
-    return OutputSpec(raw_path, fmt)
+        raise ConfigError(f"{path}.format", _one_of(formats))
+    return OutputSpec(values["path"], fmt)
 
 
 def parse_config(data: Any, formats: tuple[str, ...], path: str = "config") -> ExperimentConfig:
     """Validate a config dict and build its model and grid; every failure
     names its field path. ``formats`` are the output formats the command
     writes, its default first."""
-    data = _expect_dict(data, path)
-    _reject_unknown(data, {"model", "grid", "observable", "verdict", "output"}, path)
-    _require(data, ("model",), path)
-    model = _parse_model(data["model"], f"{path}.model")
-    grid = _parse_grid(data.get("grid", {}), f"{path}.grid", model)
-    observable = (
-        _parse_observable(data["observable"], f"{path}.observable")
-        if data.get("observable") is not None else None
+    values = _fields(data, path, CONFIG_FIELDS)
+    model = _parse_model(values["model"], f"{path}.model")
+    grid = _parse_grid(values["grid"], f"{path}.grid", model)
+    observable, output = values["observable"], values["output"]
+    return ExperimentConfig(
+        model,
+        grid,
+        None if observable is None else _parse_observable(observable, f"{path}.observable"),
+        _parse_verdict(values["verdict"], f"{path}.verdict"),
+        None if output is None else _parse_output(output, f"{path}.output", formats),
     )
-    verdict = (
-        _parse_verdict(data["verdict"], f"{path}.verdict")
-        if "verdict" in data else VerdictConfig()
-    )
-    output = (
-        _parse_output(data["output"], f"{path}.output", formats) if "output" in data else None
-    )
-    return ExperimentConfig(model, grid, observable, verdict, output)
 
 
 # ---------------------------------------------------------------------------

@@ -157,12 +157,10 @@ class L1Diagnostics:
 class PartitionScheme:
     """Contiguous grouping of the sorted points into G near-equal groups.
 
-    group_boundaries holds half-open index ranges; p_per_group is the
-    per-group capacity minus one (so G * (P + 1) >= n always holds).
+    group_boundaries holds half-open index ranges.
     """
 
     g_groups: int
-    p_per_group: int
     group_boundaries: tuple[tuple[int, int], ...]
 
 
@@ -220,8 +218,7 @@ def make_partition(point_set: WeightedPointSet, g_groups: int) -> PartitionSchem
         stop = start + base + (1 if k < extra else 0)
         boundaries.append((start, stop))
         start = stop
-    p_per_group = -(-n // g_groups) - 1
-    return PartitionScheme(g_groups, p_per_group, tuple(boundaries))
+    return PartitionScheme(g_groups, tuple(boundaries))
 
 
 def check_l1(

@@ -453,6 +453,17 @@ def test_model_file_conflicts_with_random_flags(tmp_path, capsys):
     assert "conflicts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--n", "4"), ("--seed", "1"), ("--g-max", "2"), ("--equal-coupling", "0.5"),
+    ("--phases", "uniform"),
+])
+def test_model_file_conflicts_with_every_random_model_flag(tmp_path, capsys, flag, value):
+    model = write_json(tmp_path / "model.json", TENSION_MODEL)
+    assert main(["simulate", "--model-file", model, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: model: --model-file conflicts with {flag}\n"
+
+
 def test_equal_coupling_conflicts_with_g_max(capsys):
     code = main(["simulate", "--n", "4", "--seed", "1",
                  "--equal-coupling", "0.5", "--g-max", "2.0",

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ SPECTRUM = OUTPUT_FORMATS["spectrum"]
 
 
 def sha256(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,13 @@ def test_parse_config_inline_model():
           "grid": {"t_end": math.inf}}, "config.grid.t_end"),
         ({"model": {"random": {"n": 2, "seed": 1}},
           "grid": {"t_end": math.nan}}, "config.grid.t_end"),
+        # a coupling takes only its own law's keys
+        ({"model": {"random": {"n": 2, "seed": 1,
+                               "coupling": {"law": "equal", "g": 0.5, "g_max": 7}}}},
+         "config.model.random.coupling.g_max"),
+        ({"model": {"random": {"n": 2, "seed": 1,
+                               "coupling": {"law": "uniform_positive", "g": 0.5}}}},
+         "config.model.random.coupling.g"),
     ],
 )
 def test_parse_config_reports_field_paths(doc, path):
@@ -188,6 +196,19 @@ def test_parse_config_output_format_defaults_per_command(command):
     config = parse_config({"model": {"random": {"n": 2, "seed": 1}},
                            "output": {"path": "x"}}, formats)
     assert config.output == OutputSpec("x", formats[0])
+
+
+def test_an_unknown_key_is_reported_before_a_missing_one():
+    doc = {"model": {"inline": {"a": [1.0, 0.0], "spam": 1}}}
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc, SIMULATE)
+    assert info.value.field_path == "config.model.inline.spam"
+
+
+def test_a_uniform_coupling_without_g_max_takes_g_max_one():
+    coupling = {"law": "uniform_positive"}
+    doc = {"model": {"random": {"n": 3, "seed": 2, "coupling": coupling}}}
+    assert parse_config(doc, SIMULATE).model == generate_random(3, 2, UniformPositive(1.0))
 
 
 def test_verdict_fields_are_the_verdict_config_fields_in_order():

@@ -176,7 +176,6 @@ def test_subset_sum_set_fails_uniformity_golden():
 def test_partition_even_split():
     p = make_partition(uniform_set(100), 10)
     assert p.g_groups == 10
-    assert p.p_per_group == 9
     assert all(stop - start == 10 for start, stop in p.group_boundaries)
 
 
@@ -184,15 +183,15 @@ def test_partition_uneven_split():
     p = make_partition(uniform_set(101), 10)
     sizes = [stop - start for start, stop in p.group_boundaries]
     assert sizes == [11] + [10] * 9
-    assert p.p_per_group == 10
 
 
 def test_partition_extremes():
     n = 64
-    assert make_partition(uniform_set(n), n).p_per_group == 0
+    assert make_partition(uniform_set(n), n).group_boundaries == tuple(
+        (i, i + 1) for i in range(n)
+    )
     single = make_partition(uniform_set(n), 1)
     assert single.group_boundaries == ((0, n),)
-    assert single.p_per_group == n - 1
 
 
 def test_partition_rejects_bad_group_count():
@@ -244,7 +243,7 @@ def test_l1_rejects_foreign_partition():
     s = uniform_set(50)
     with pytest.raises(InvalidParameterError):
         check_l1(s, make_partition(uniform_set(49), 7))
-    broken = PartitionScheme(2, 24, ((0, 25), (26, 50)))
+    broken = PartitionScheme(2, ((0, 25), (26, 50)))
     with pytest.raises(InvalidParameterError):
         check_l1(s, broken)
 
