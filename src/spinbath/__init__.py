@@ -25,6 +25,7 @@ from .evolution import (
     ReducedState,
     TimeSeries,
     expectation_full,
+    expectation_full_stack,
     expectation_relevant,
     r_bounds,
     r_of_t,
@@ -59,12 +60,14 @@ from .model import (
     UniformPositive,
     generate_random,
     new_model,
+    random_spin_arrays,
 )
 from .spectrum import (
     ENUMERATION_CAP,
     ORACLE_CAP,
     SpectralDecomposition,
     brute_force_expectation,
+    brute_force_stack,
     degeneracy_count,
     hamiltonian_spectrum,
     omega_of_index,
@@ -87,6 +90,7 @@ __all__ = [
     "ReducedState",
     "TimeSeries",
     "expectation_full",
+    "expectation_full_stack",
     "expectation_relevant",
     "r_bounds",
     "r_of_t",
@@ -118,10 +122,12 @@ __all__ = [
     "model_from_dict",
     "model_to_dict",
     "new_model",
+    "random_spin_arrays",
     "ENUMERATION_CAP",
     "ORACLE_CAP",
     "SpectralDecomposition",
     "brute_force_expectation",
+    "brute_force_stack",
     "degeneracy_count",
     "hamiltonian_spectrum",
     "omega_of_index",

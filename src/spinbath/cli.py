@@ -156,16 +156,12 @@ def _model_dict_from_flags(args: argparse.Namespace) -> dict[str, Any] | None:
     return {"random": section}
 
 
-def _section(data: dict[str, Any], key: str) -> dict[str, Any]:
-    """The config's object at ``key`` (empty where absent), before flags merge into it."""
-    section = data.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config.{key}", "expected an object")
-    return section
-
-
 def _assemble(args: argparse.Namespace) -> dict[str, Any]:
-    """Merge the config file (if any) with flag overrides into one dict."""
+    """Merge the config file (if any) with flag overrides into one dict.
+
+    Flags merge into a section that is absent or an object; any other value
+    is left as it is, for parse_config to refuse with its field path.
+    """
     data: dict[str, Any] = {}
     if args.config is not None:
         loaded = _load_json_file(args.config, "config")
@@ -179,15 +175,19 @@ def _assemble(args: argparse.Namespace) -> dict[str, Any]:
 
     for key, fields in (("grid", GRID_FIELDS), ("verdict", VERDICT_FIELDS)):
         flags = {f.key: v for f in fields if (v := getattr(args, f.key, None)) is not None}
-        if flags:
-            data[key] = {**_section(data, key), **flags}
+        section = data.get(key, {})
+        if flags and isinstance(section, dict):
+            data[key] = {**section, **flags}
 
-    if getattr(args, "output", None) is not None:
-        # a format left out here is the command's default, filled in by parse_config
-        fmt = getattr(args, "format", None) or _section(data, "output").get("format")
-        data["output"] = {"path": args.output, **({"format": fmt} if fmt else {})}
-    elif getattr(args, "format", None) is not None and "output" in data:
-        data["output"] = {**_section(data, "output"), "format": args.format}
+    output = data.get("output", {})
+    path, fmt = getattr(args, "output", None), getattr(args, "format", None)
+    if isinstance(output, dict):
+        if path is not None:
+            # a format left out here is the command's default, filled in by parse_config
+            fmt = fmt or output.get("format")
+            data["output"] = {"path": path, **({"format": fmt} if fmt else {})}
+        elif fmt is not None and "output" in data:
+            data["output"] = {**output, "format": fmt}
     return data
 
 

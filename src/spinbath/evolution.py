@@ -39,7 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
-from .model import FullObservable, RelevantObservable, SpinBathModel
+from .model import (
+    FullObservable,
+    RelevantObservable,
+    SpinBathModel,
+    observable_entries,
+    spin_arrays,
+)
 
 _R_MODULUS_TOLERANCE = 1e-12
 
@@ -127,12 +133,8 @@ def _check_time(t: float) -> None:
 
 def _moduli(model: SpinBathModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-spin (|alpha|^2, |beta|^2, g) arrays."""
-    alpha = np.array([s.alpha for s in model.spins], dtype=np.complex128)
-    beta = np.array([s.beta for s in model.spins], dtype=np.complex128)
-    g = np.array([s.g for s in model.spins], dtype=np.float64)
-    a2 = alpha.real**2 + alpha.imag**2
-    b2 = beta.real**2 + beta.imag**2
-    return a2, b2, g
+    alpha, beta, g = spin_arrays(model)
+    return alpha.real**2 + alpha.imag**2, beta.real**2 + beta.imag**2, g
 
 
 def _populations(model: SpinBathModel) -> tuple[float, float]:
@@ -307,20 +309,51 @@ def expectation_full(model: SpinBathModel, obs: FullObservable, t: float) -> flo
     and the coherence product to r(t), recovering expectation_relevant.
     The three products are kept separate because the diagonal ones differ
     whenever Im(alpha conj(beta) e_du) != 0; collapsing them to a single
-    factor is only exact for real cross terms.
+    factor is only exact for real cross terms. This is
+    expectation_full_stack on a stack of one case.
     """
-    n = model.n_spins
-    if len(obs.env_parts) != n:
+    system, env = observable_entries(obs)
+    alpha, beta, g = spin_arrays(model)
+    return float(expectation_full_stack(
+        model.a, model.b, alpha[None], beta[None], g[None], system[None], env[None], t
+    )[0])
+
+
+def expectation_full_stack(a, b, alpha, beta, g, system, env, t) -> np.ndarray:
+    """expectation_full for a stack of k cases of one bath size n, in one
+    array pass; returns the k values.
+
+    ``alpha``, ``beta`` and ``g`` hold one row of n spins per case, shape
+    (k, n). The observables are given by their entries, in the layout of
+    :func:`spinbath.model.observable_entries`: ``system`` of shape (k, 4)
+    and ``env`` of shape (k, n, 4). ``a``, ``b`` and ``t`` hold one value
+    per case, or one value for all. On a stack of one the values are
+    expectation_full's. A row of a larger stack can differ from the single
+    call in the last bit: on arrays of 256 KB and more numpy may reuse a
+    temporary for a complex product, with the operands swapped.
+    """
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    beta = np.asarray(beta, dtype=np.complex128)
+    g = np.asarray(g, dtype=np.float64)
+    system = np.asarray(system, dtype=np.float64)
+    env = np.asarray(env, dtype=np.float64)
+    if env.shape[:2] != alpha.shape:
         raise DimensionMismatchError(
-            f"observable has {len(obs.env_parts)} environment parts, model has {n} spins"
+            f"observable has {env.shape[1]} environment parts, model has "
+            f"{alpha.shape[-1]} spins"
         )
-    _check_time(t)
-    a2, b2, g = _moduli(model)
-    alpha = np.array([s.alpha for s in model.spins], dtype=np.complex128)
-    beta = np.array([s.beta for s in model.spins], dtype=np.complex128)
-    e_uu = np.array([p.e_uu for p in obs.env_parts], dtype=np.float64)
-    e_dd = np.array([p.e_dd for p in obs.env_parts], dtype=np.float64)
-    e_du = np.array([p.e_du for p in obs.env_parts], dtype=np.complex128)
+    t = np.asarray(t, dtype=np.float64)
+    for value in t[~np.isfinite(t)].flat:
+        _check_time(float(value))
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    t = t[..., None]
+
+    a2 = alpha.real**2 + alpha.imag**2
+    b2 = beta.real**2 + beta.imag**2
+    e_uu, e_dd = env[..., 0], env[..., 1]
+    e_du = np.empty(e_uu.shape, dtype=np.complex128)
+    e_du.real, e_du.imag = env[..., 2], env[..., 3]
 
     phase = np.exp(1j * g * t)
     cross = alpha * np.conj(beta) * e_du
@@ -328,14 +361,24 @@ def expectation_full(model: SpinBathModel, obs: FullObservable, t: float) -> flo
     diag_down = a2 * e_uu + b2 * e_dd + 2.0 * (cross * phase).real
     coherent = a2 * e_uu * np.conj(phase) + b2 * e_dd * phase + 2.0 * cross.real
 
-    sys_a2, sys_b2 = _populations(model)
-    s = obs.system_part
-    value = (
-        sys_a2 * s.s_uu * float(np.prod(diag_up))
-        + sys_b2 * s.s_dd * float(np.prod(diag_down))
-        + 2.0 * (model.a * model.b.conjugate() * s.s_du * complex(np.prod(coherent))).real
+    sys_a2 = a.real * a.real + a.imag * a.imag
+    sys_b2 = b.real * b.real + b.imag * b.imag
+    # a conj(b) s_du, in real parts (see _product)
+    c_re, c_im = _product(a.real, a.imag, b.real, -b.imag)
+    c_re, c_im = _product(c_re, c_im, system[..., 2], system[..., 3])
+    r = np.prod(coherent, axis=-1)
+    return (
+        sys_a2 * system[..., 0] * np.prod(diag_up, axis=-1)
+        + sys_b2 * system[..., 1] * np.prod(diag_down, axis=-1)
+        + 2.0 * (c_re * r.real - c_im * r.imag)
     )
-    return float(value)
+
+
+def _product(x_re, x_im, y_re, y_im):
+    """The parts of the complex product x * y, rounded as Python's complex
+    type rounds them: numpy's complex multiply may fuse a multiply and an
+    add, which moves the last bit."""
+    return x_re * y_re - x_im * y_im, x_re * y_im + x_im * y_re
 
 
 def reduced_state(model: SpinBathModel, t: float) -> ReducedState:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .errors import (
 )
 
 NORMALIZATION_TOLERANCE = 1e-12
+
+# The system amplitudes a = b of every random model: a balanced qubit.
+BALANCED_AMPLITUDE = complex(math.sqrt(0.5))
 
 
 def _abs2(z: complex) -> float:
@@ -179,6 +182,28 @@ class FullObservable:
         return cls(system_part, tuple(LocalObservable.identity() for _ in range(n)))
 
 
+def spin_arrays(model: SpinBathModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bath as ``(alpha, beta, g)`` arrays, one entry per spin in order."""
+    alpha = np.array([s.alpha for s in model.spins], dtype=np.complex128)
+    beta = np.array([s.beta for s in model.spins], dtype=np.complex128)
+    g = np.array([s.g for s in model.spins], dtype=np.float64)
+    return alpha, beta, g
+
+
+def observable_entries(obs: FullObservable) -> tuple[np.ndarray, np.ndarray]:
+    """A product observable's entries as float arrays, the layout that the
+    stacked evaluators take: ``(s_uu, s_dd, Re s_du, Im s_du)`` of the system
+    part, shape (4,), and ``(e_uu, e_dd, Re e_du, Im e_du)`` of each local
+    part, shape (n, 4)."""
+    s = obs.system_part
+    system = np.array([s.s_uu, s.s_dd, s.s_du.real, s.s_du.imag])
+    env = np.array(
+        [[p.e_uu, p.e_dd, p.e_du.real, p.e_du.imag] for p in obs.env_parts],
+        dtype=np.float64,
+    ).reshape(len(obs.env_parts), 4)
+    return system, env
+
+
 # ---------------------------------------------------------------------------
 # Random generation
 # ---------------------------------------------------------------------------
@@ -212,6 +237,80 @@ class PhaseLaw(Enum):
     UNIFORM = "uniform"
 
 
+def _spin_checks(alpha: np.ndarray, beta: np.ndarray, g: np.ndarray) -> None:
+    """EnvironmentSpin's checks over arrays of spins, in one pass.
+
+    The first spin (in row-major order) that any check refuses is built as
+    an EnvironmentSpin, which raises that check's own error.
+    """
+    # a non-finite amplitude makes the residual non-finite, so it fails too
+    ok = np.abs(_abs2(alpha) + _abs2(beta) - 1.0) <= NORMALIZATION_TOLERANCE
+    ok &= np.isfinite(g) & (g != 0.0)
+    if not ok.all():
+        first = np.unravel_index(np.argmin(ok), ok.shape)
+        EnvironmentSpin(alpha[first], beta[first], g[first])
+
+
+def random_spin_arrays(
+    n: int,
+    seeds: Sequence[int],
+    coupling_law: CouplingLaw = UniformPositive(1.0),
+    phase_law: PhaseLaw = PhaseLaw.ZERO,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The baths that generate_random draws, for a stack of seeds at once.
+
+    Returns ``(alpha, beta, g)``, each of shape ``(len(seeds), n)``: row j
+    is the bath of ``generate_random(n, seeds[j], coupling_law,
+    phase_law)``, bit for bit. Each seed's generator makes its whole draw
+    in one call (``random(n * k)``, k draws per spin, in the per-spin order
+    that generate_random documents; numpy fills an array with the same
+    doubles that k * n scalar calls return), and the square roots, phases,
+    couplings and EnvironmentSpin's checks then run once over the stack.
+    np.cos and np.sin give the bits of math.cos and math.sin on these
+    phases; tests/test_model.py pins the whole draw against a per-spin
+    scalar transcription.
+    """
+    if n < 1:
+        raise InvalidParameterError(f"n must be >= 1, got {n}")
+    if isinstance(coupling_law, UniformPositive):
+        if not (math.isfinite(coupling_law.g_max) and coupling_law.g_max > 0):
+            raise InvalidParameterError(
+                f"g_max must be positive, got {coupling_law.g_max!r}"
+            )
+    elif isinstance(coupling_law, Equal):
+        if not math.isfinite(coupling_law.g) or coupling_law.g == 0.0:
+            raise InvalidParameterError(
+                f"equal coupling g must be finite and nonzero, got {coupling_law.g!r}"
+            )
+    else:
+        raise InvalidParameterError(f"unknown coupling law {coupling_law!r}")
+
+    phased = phase_law is PhaseLaw.UNIFORM
+    drawn = isinstance(coupling_law, UniformPositive)
+    per_spin = 1 + 2 * phased + drawn
+    draws = np.array(
+        [np.random.default_rng(seed).random(n * per_spin) for seed in seeds]
+    ).reshape(len(seeds), n, per_spin)
+    u = draws[..., 0]
+    amp_a = np.sqrt(u)
+    amp_b = np.sqrt(1.0 - u)
+    if phased:
+        pa = 2.0 * math.pi * draws[..., 1]
+        pb = 2.0 * math.pi * draws[..., 2]
+        alpha = np.empty(u.shape, dtype=np.complex128)
+        beta = np.empty(u.shape, dtype=np.complex128)
+        alpha.real, alpha.imag = amp_a * np.cos(pa), amp_a * np.sin(pa)
+        beta.real, beta.imag = amp_b * np.cos(pb), amp_b * np.sin(pb)
+    else:
+        alpha, beta = amp_a.astype(np.complex128), amp_b.astype(np.complex128)
+    if drawn:
+        g = coupling_law.g_max * (1.0 - draws[..., -1])
+    else:
+        g = np.full(u.shape, float(coupling_law.g))
+    _spin_checks(alpha, beta, g)
+    return alpha, beta, g
+
+
 def generate_random(
     n: int,
     seed: int,
@@ -231,40 +330,9 @@ def generate_random(
     2. two phase draws (only when phase_law is UNIFORM)
     3. one coupling draw (only when coupling_law is UniformPositive),
        mapped as ``g = g_max * (1 - v)`` so g lies in (0, g_max].
-    """
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if isinstance(coupling_law, UniformPositive):
-        if not (math.isfinite(coupling_law.g_max) and coupling_law.g_max > 0):
-            raise InvalidParameterError(
-                f"g_max must be positive, got {coupling_law.g_max!r}"
-            )
-    elif isinstance(coupling_law, Equal):
-        if not math.isfinite(coupling_law.g) or coupling_law.g == 0.0:
-            raise InvalidParameterError(
-                f"equal coupling g must be finite and nonzero, got {coupling_law.g!r}"
-            )
-    else:
-        raise InvalidParameterError(f"unknown coupling law {coupling_law!r}")
 
-    rng = np.random.default_rng(seed)
-    root_half = math.sqrt(0.5)
-    spins = []
-    for _ in range(n):
-        u = rng.random()
-        amp_a = math.sqrt(u)
-        amp_b = math.sqrt(1.0 - u)
-        if phase_law is PhaseLaw.UNIFORM:
-            pa = 2.0 * math.pi * rng.random()
-            pb = 2.0 * math.pi * rng.random()
-            alpha = complex(amp_a * math.cos(pa), amp_a * math.sin(pa))
-            beta = complex(amp_b * math.cos(pb), amp_b * math.sin(pb))
-        else:
-            alpha = complex(amp_a, 0.0)
-            beta = complex(amp_b, 0.0)
-        if isinstance(coupling_law, UniformPositive):
-            g = coupling_law.g_max * (1.0 - rng.random())
-        else:
-            g = coupling_law.g
-        spins.append(EnvironmentSpin(alpha, beta, g))
-    return SpinBathModel(complex(root_half), complex(root_half), tuple(spins))
+    The draw itself is random_spin_arrays for a stack of one seed.
+    """
+    alpha, beta, g = random_spin_arrays(n, [seed], coupling_law, phase_law)
+    spins = map(EnvironmentSpin, alpha[0].tolist(), beta[0].tolist(), g[0].tolist())
+    return SpinBathModel(BALANCED_AMPLITUDE, BALANCED_AMPLITUDE, tuple(spins))

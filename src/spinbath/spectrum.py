@@ -51,7 +51,7 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidParameterError,
 )
-from .model import FullObservable, SpinBathModel
+from .model import FullObservable, SpinBathModel, observable_entries, spin_arrays
 
 ENUMERATION_CAP = 26
 ORACLE_CAP = 12
@@ -72,13 +72,15 @@ _WEIGHT_SUM_TOLERANCE = 1e-12
 # _fits_int64.
 # hamiltonian_spectrum peaks at about 30 B per value at N = 20 and 22
 # (under 1 B with equal couplings, 42 B where the sums need Python ints),
-# so it has its own bound. brute_force_expectation peaks at about 76 B per
-# state under tracemalloc at N = 10, 11 and 12 (the state, its phases and
-# the evolved copy in complex128, the energies in float64).
+# so it has its own bound. brute_force_stack peaks at about 53 B per state
+# under tracemalloc at N = 10, 11 and 12 (the phased state, the energies
+# times t at half length, and two copies of the evolved state while a factor
+# is applied), and raises a fresh process's peak RSS by about 57 B per state
+# on stacks of 2^19 states at N = 8, 10 and 12.
 _INT64_ENUMERATION_BYTES_PER_VALUE = 64
 _PYINT_ENUMERATION_BYTES_PER_VALUE = 100
 _LEVEL_BYTES_PER_VALUE = 48
-_ORACLE_BYTES_PER_STATE = 80
+_ORACLE_BYTES_PER_STATE = 64
 
 # _exact_sum bins this many values per np.bincount call, and folds its
 # per-exponent sums into one Python int after at most _EXACT_SUM_BLOCK.
@@ -543,15 +545,18 @@ def require_memory(estimate: int, needs: str, remedy: str) -> None:
         )
 
 
-def _require_cap(n: int, cap: int, exponent: int, bytes_per_value: int, what: str) -> None:
-    """Refuse an enumeration of 2^exponent values over n spins up front.
+def _require_cap(
+    n: int, cap: int, exponent: int, bytes_per_value: int, what: str, copies: int = 1
+) -> None:
+    """Refuse ``copies`` enumerations of 2^exponent values over n spins up front.
 
-    It is refused when n exceeds the cap, or when its memory estimate
+    They are refused when n exceeds the cap, or when their memory estimate
     exceeds the memory available to this process now.
     """
-    estimate = (1 << exponent) * bytes_per_value
+    estimate = copies * (1 << exponent) * bytes_per_value
+    held = f"{copies} x 2^{exponent}" if copies != 1 else f"2^{exponent}"
     needs = (
-        f"{what} over {n} spins holds 2^{exponent} values and needs roughly "
+        f"{what} over {n} spins holds {held} values and needs roughly "
         f"{estimate / 1e6:.3g} MB"
     )
     if n > cap:
@@ -706,40 +711,100 @@ def brute_force_expectation(
 ) -> float:
     """Full state-vector expectation, independent of every closed form.
 
-    Builds |psi(0)> as a chain of outer products (system first, then
+    This is brute_force_stack on a stack of one case.
+    """
+    system, env = observable_entries(obs)
+    alpha, beta, g = spin_arrays(model)
+    return float(brute_force_stack(
+        model.a, model.b, alpha[None], beta[None], g[None], system[None], env[None], t,
+        max_spins=max_spins,
+    )[0])
+
+
+def _branch_phases(angle: np.ndarray) -> np.ndarray:
+    """e^{-i E t} per case (row) and basis state, from ``angle`` = bath
+    energy times t, shape (k, 2^n): E is the bath energy on the system's up
+    branch (the first 2^n states) and its negation on the down branch.
+
+    One cos and one sin of ``angle`` serve both branches. On these purely
+    imaginary arguments they give the bits of ``np.exp(-1j * E * t)`` at
+    half its work; tests pin the oracle's values to those bits.
+    """
+    k, half = angle.shape
+    cos, sin = np.cos(angle), np.sin(angle)
+    phase = np.empty((k, 2, half), dtype=np.complex128)
+    phase.real[:, 0] = phase.real[:, 1] = cos
+    phase.imag[:, 0] = -sin
+    phase.imag[:, 1] = sin
+    return phase.reshape(k, -1)
+
+
+def brute_force_stack(
+    a, b, alpha, beta, g, system, env, t, *, max_spins: int = ORACLE_CAP
+) -> np.ndarray:
+    """State-vector expectations of a stack of k cases of one bath size n.
+
+    Takes the arrays that :func:`spinbath.evolution.expectation_full_stack`
+    takes: ``alpha``, ``beta`` and ``g`` of shape (k, n), the observable
+    entries ``system`` (k, 4) and ``env`` (k, n, 4), and ``a``, ``b`` and
+    ``t`` with one value per case or one for all; returns the k values.
+
+    Builds each |psi(0)> as a chain of outer products (system first, then
     spins in order, the last spin at the least significant index), and
     the bath energies sum_i (+-g_i/2) the same way, spin 1 added first.
     Each basis state is phased by e^{-i E t}, with E the bath energy on
     the system's up branch and its negation on the down branch. The
     observable is applied one 2x2 factor at a time and contracted with
-    the evolved state. Cost and memory are exponential; guarded by the
-    oracle cap.
+    the evolved state. Every step runs on the whole stack at once, one
+    row per case. Cost and memory are exponential: the stack holds
+    k * 2^(n+1) states, and is refused up front beyond the oracle cap or
+    the memory available.
     """
-    n = model.n_spins
-    if len(obs.env_parts) != n:
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    beta = np.asarray(beta, dtype=np.complex128)
+    g = np.asarray(g, dtype=np.float64)
+    env = np.asarray(env, dtype=np.float64)
+    k, n = alpha.shape
+    if env.shape[:2] != (k, n):
         raise DimensionMismatchError(
-            f"observable has {len(obs.env_parts)} environment parts, model has {n} spins"
+            f"observable has {env.shape[1]} environment parts, model has {n} spins"
         )
-    _require_cap(n, max_spins, n + 1, _ORACLE_BYTES_PER_STATE, "state-vector oracle")
+    _require_cap(n, max_spins, n + 1, _ORACLE_BYTES_PER_STATE, "state-vector oracle", k)
 
-    psi = np.array([model.a, model.b], dtype=np.complex128)
-    env_energy = np.zeros(1)
-    for spin in model.spins:
-        psi = np.multiply.outer(psi, (spin.alpha, spin.beta)).ravel()
-        env_energy = np.add.outer(env_energy, (spin.g / 2, -spin.g / 2)).ravel()
-    energy = np.concatenate([env_energy, -env_energy])
-    psi_t = psi * np.exp(-1j * energy * t)
+    system = np.asarray(system, dtype=np.float64)
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (k,))[:, None]
+    psi = np.empty((k, 2), dtype=np.complex128)
+    psi[:, 0], psi[:, 1] = a, b
+    env_energy = np.zeros((k, 1))
+    for i in range(n):
+        # outer products with (alpha_i, beta_i) and (+g_i/2, -g_i/2), per case
+        grown = np.empty((k, psi.shape[1], 2), dtype=np.complex128)
+        np.multiply(psi, alpha[:, i, None], out=grown[..., 0])
+        np.multiply(psi, beta[:, i, None], out=grown[..., 1])
+        psi = grown.reshape(k, -1)
+        half = g[:, i, None] / 2
+        levels = np.empty((k, env_energy.shape[1], 2))
+        np.add(env_energy, half, out=levels[..., 0])
+        np.add(env_energy, -half, out=levels[..., 1])
+        env_energy = levels.reshape(k, -1)
+    # psi times the phases in place, psi first: a complex product with its
+    # operands swapped can differ in the last bit. The angles go before the
+    # factors are applied, which hold two more states at once.
+    psi_t = np.multiply(psi, _branch_phases(np.multiply(env_energy, t, out=env_energy)), out=psi)
+    del env_energy
 
-    s = obs.system_part
-    matrices = np.array(
-        [[[s.s_uu, s.s_du.conjugate()], [s.s_du, s.s_dd]]]
-        + [[[p.e_uu, p.e_du.conjugate()], [p.e_du, p.e_dd]] for p in obs.env_parts],
-        dtype=np.complex128,
-    )
+    # One Hermitian 2x2 matrix per tensor factor and case, system first.
+    entries = np.concatenate([system[:, None, :], env], axis=1)
+    matrices = np.empty((k, n + 1, 2, 2), dtype=np.complex128)
+    matrices[..., 0, 0] = entries[..., 0]
+    matrices[..., 1, 1] = entries[..., 1]
+    matrices[..., 1, 0].real = matrices[..., 0, 1].real = entries[..., 2]
+    matrices[..., 1, 0].imag = entries[..., 3]
+    matrices[..., 0, 1].imag = -entries[..., 3]
     # Each step applies the matrix of the last tensor factor and moves
     # that factor to the front; after all n + 1 steps the order is back.
     acted = psi_t
-    for matrix in matrices[::-1]:
-        acted = (matrix @ acted.reshape(-1, 2).T).ravel()
-    value = np.vdot(psi_t, acted)
-    return float(value.real)
+    for factor in range(n, -1, -1):
+        pairs = acted.reshape(k, -1, 2).transpose(0, 2, 1)
+        acted = (matrices[:, factor] @ pairs).reshape(k, -1)
+    return np.array([np.vdot(row, evolved).real for row, evolved in zip(psi_t, acted)])

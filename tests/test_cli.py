@@ -496,6 +496,17 @@ def test_config_section_that_is_not_an_object_exits_two(
     assert f"config.{section}" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--steps", "5"]], ids=["no-flag", "steps"])
+def test_grid_that_is_a_number_is_refused_by_the_parser(tmp_path, capsys, flags):
+    """A flag merges only into a section that is an object; parse_config
+    alone refuses any other value, with or without a flag for it."""
+    config = write_json(tmp_path / "config.json", {
+        "model": {"random": {"n": 3, "seed": 1}}, "grid": 5,
+    })
+    assert main(["simulate", "--config", config, *flags]) == 2
+    assert capsys.readouterr().err == "config error: config.grid: expected an object\n"
+
+
 def test_unreadable_config_exits_two(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "absent.json")])
     assert code == 2

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,9 +35,19 @@ from spinbath import (
     reduced_state,
     sample_series,
 )
-from spinbath import evolution
+from spinbath import evolution, spectrum
+from spinbath.errors import CapExceededError
+from spinbath.evolution import expectation_full_stack
 from spinbath.harness import OUTPUT_FORMATS, parse_config
-from spinbath.model import Equal, PhaseLaw
+from spinbath.model import (
+    Equal,
+    PhaseLaw,
+    UniformPositive,
+    observable_entries,
+    random_spin_arrays,
+    spin_arrays,
+)
+from spinbath.spectrum import ORACLE_CAP, brute_force_stack
 
 from conftest import ROOT_HALF, bounded_model, random_full_observable, random_system_observable
 
@@ -230,6 +241,118 @@ def test_expectation_is_real_for_hermitian_input(rng):
     obs = random_full_observable(rng, 5)
     value = expectation_full(m, obs, 2.4)
     assert isinstance(value, float)
+
+
+# ---------------------------------------------------------------------------
+# Stacked evaluation: one array pass over many cases of one bath size
+# ---------------------------------------------------------------------------
+
+def drawn_case(n, seed):
+    """An observable with entries in [-0.5, 0.5] and a time in [0, 50]."""
+    r = np.random.default_rng(seed)
+    c = r.uniform(-0.5, 0.5, size=4)
+    parts = tuple(LocalObservable(e[0], e[1], complex(e[2], e[3]))
+                  for e in r.uniform(-0.5, 0.5, size=(n, 4)))
+    return FullObservable(RelevantObservable(c[0], c[1], complex(c[2], c[3])), parts), 50.0 * r.random()
+
+
+def stack_of(models, observables):
+    """The arrays the stacked evaluators take, one row per case."""
+    a = np.array([m.a for m in models])
+    b = np.array([m.b for m in models])
+    alpha, beta, g = (np.array(column) for column in zip(*map(spin_arrays, models)))
+    system, env = (np.array(column) for column in zip(*map(observable_entries, observables)))
+    return a, b, alpha, beta, g, system, env
+
+
+@pytest.mark.parametrize("n", range(1, ORACLE_CAP + 1))
+def test_stacked_evaluators_agree_with_single_calls(n):
+    """Cases with their own system amplitudes, baths, observables and times:
+    each row of a stack is the single call's value to within 1e-15."""
+    r = np.random.default_rng(1000 + n)
+    models, observables, times = [], [], []
+    for seed in range(4):
+        theta, phi = r.uniform(0.0, math.pi / 2), r.uniform(0.0, 2 * math.pi)
+        bath = generate_random(n, 10 * n + seed, UniformPositive(1.0), PhaseLaw.UNIFORM)
+        models.append(new_model(math.cos(theta) * cmath.exp(1j * phi), math.sin(theta),
+                                [(s.alpha, s.beta, s.g) for s in bath.spins]))
+        obs, t = drawn_case(n, seed)
+        observables.append(obs)
+        times.append(t)
+    arrays = stack_of(models, observables)
+    closed = expectation_full_stack(*arrays, times)
+    brute = brute_force_stack(*arrays, times)
+    assert closed.shape == brute.shape == (4,)
+    for j, (m, obs, t) in enumerate(zip(models, observables, times)):
+        assert abs(closed[j] - expectation_full(m, obs, t)) <= 1e-15
+        assert abs(brute[j] - brute_force_expectation(m, obs, t)) <= 1e-15
+        assert abs(closed[j] - brute[j]) < 1e-10
+
+
+def off_balance_model():
+    """Unbalanced, complex system amplitudes and a negative coupling."""
+    return new_model(0.6, 0.8j, [(complex(math.sqrt(0.3), 0.0), complex(0.0, math.sqrt(0.7)), 0.5),
+                                 (0.6, -0.8, -1.25),
+                                 (1j, 0j, 2.0)])
+
+
+# expectation_full and brute_force_expectation on a model (generate_random(n,
+# seed, UniformPositive(1.0), law), or the off-balance one) with
+# drawn_case(n, case seed), as the per-case evaluators returned them before
+# the stacked ones took over (numpy 2.4 with its bundled OpenBLAS, x86-64).
+@pytest.mark.parametrize("n, seed, law, case_seed, closed, brute", [
+    (1, 11, PhaseLaw.UNIFORM, 11, "0x1.c3a229e2e9b68p-6", "0x1.c3a229e2e9b59p-6"),
+    (3, 12, PhaseLaw.UNIFORM, 12, "0x1.50fd11651030cp-6", "0x1.50fd116510316p-6"),
+    (7, 13, PhaseLaw.UNIFORM, 13, "0x1.873e3f8dc3aaap-11", "0x1.873e3f8dc3a7fp-11"),
+    (9, 14, PhaseLaw.ZERO, 14, "0x1.cf2db6994bfbap-15", "0x1.cf2db6994bfb3p-15"),
+    (12, 15, PhaseLaw.UNIFORM, 15, "0x1.91d6bf830c85bp-21", "0x1.91d6bf830c85ap-21"),
+    (3, None, None, 16, "-0x1.ab229096947a8p-6", "-0x1.ab229096947a8p-6"),
+])
+def test_single_calls_keep_their_recorded_bits(n, seed, law, case_seed, closed, brute):
+    if seed is None:
+        m = off_balance_model()
+    else:
+        m = generate_random(n, seed, UniformPositive(1.0), law)
+    obs, t = drawn_case(n, case_seed)
+    assert expectation_full(m, obs, t).hex() == closed
+    assert brute_force_expectation(m, obs, t).hex() == brute
+
+
+def test_stacked_oracle_over_the_cap_allocates_nothing():
+    n = ORACLE_CAP + 1
+    alpha, beta, g = random_spin_arrays(n, [1], UniformPositive(1.0), PhaseLaw.UNIFORM)
+    system, env = np.zeros((1, 4)), np.zeros((1, n, 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match=f"the cap is {ORACLE_CAP} spins"):
+            brute_force_stack(ROOT_HALF, ROOT_HALF, alpha, beta, g, system, env, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** (n + 1)  # under 1/16 of one state vector's bytes
+
+
+def test_stacked_oracle_charges_the_whole_stack(monkeypatch):
+    """Room for one case at N = 8 is not room for a stack of four."""
+    n = 8
+    alpha, beta, g = random_spin_arrays(n, [1, 2, 3, 4], UniformPositive(1.0), PhaseLaw.UNIFORM)
+    system, env = np.zeros((4, 4)), np.zeros((4, n, 4))
+    one = 2 ** (n + 1) * spectrum._ORACLE_BYTES_PER_STATE
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: 2 * one)
+    brute_force_stack(ROOT_HALF, ROOT_HALF, alpha[:1], beta[:1], g[:1], system[:1], env[:1], 1.0)
+    with pytest.raises(CapExceededError, match=r"4 x 2\^9 values"):
+        brute_force_stack(ROOT_HALF, ROOT_HALF, alpha, beta, g, system, env, 1.0)
+
+
+def test_stacked_evaluators_check_their_inputs():
+    alpha, beta, g = random_spin_arrays(3, [1, 2], UniformPositive(1.0), PhaseLaw.UNIFORM)
+    system, env = np.zeros((2, 4)), np.zeros((2, 4, 4))
+    for evaluate in (expectation_full_stack, brute_force_stack):
+        with pytest.raises(DimensionMismatchError, match="4 environment parts, model has 3"):
+            evaluate(ROOT_HALF, ROOT_HALF, alpha, beta, g, system, env, 1.0)
+    with pytest.raises(InvalidParameterError, match="t must be finite, got nan"):
+        expectation_full_stack(ROOT_HALF, ROOT_HALF, alpha, beta, g, system,
+                               np.zeros((2, 3, 4)), [1.0, math.nan])
 
 
 # ---------------------------------------------------------------------------

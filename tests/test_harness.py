@@ -21,6 +21,7 @@ from spinbath import (
     spectral_decomposition,
 )
 from spinbath import harness, spectrum
+from spinbath.cli import main
 from spinbath.evolution import sample_series
 from spinbath.harness import (
     Agreement,
@@ -35,6 +36,7 @@ from spinbath.harness import (
     _dump_json,
     assess_agreement,
     decomposition_to_csv,
+    model_from_dict,
     model_to_dict,
     parse_config,
     run_compare,
@@ -122,58 +124,68 @@ def test_parse_config_inline_model():
     assert config.model.spins[0].g == 2.0
 
 
-@pytest.mark.parametrize(
-    "doc, path",
-    [
-        ({}, "config.model"),
-        ({"model": {}}, "config.model"),
-        ({"model": {"random": {"n": 2, "seed": 1}, "inline": {}}}, "config.model"),
-        ({"model": {"random": {"seed": 1}}}, "config.model.random.n"),
-        ({"model": {"random": {"n": 2, "seed": 1, "spam": 0}}},
-         "config.model.random.spam"),
-        ({"model": {"random": {"n": True, "seed": 1}}}, "config.model.random.n"),
-        ({"model": {"random": {"n": 2, "seed": 1,
-                               "coupling": {"law": "harmonic"}}}},
-         "config.model.random.coupling.law"),
-        ({"model": {"random": {"n": 2, "seed": 1, "phases": "none"}}},
-         "config.model.random.phases"),
-        ({"model": {"random": {"n": 2, "seed": 1}}, "grid": {"steps": 1}},
-         "config.grid.steps"),
-        ({"model": {"random": {"n": 2, "seed": 1}},
-          "grid": {"t_start": 2.0, "t_end": 1.0}}, "config.grid.t_end"),
-        ({"model": {"random": {"n": 2, "seed": 1}},
-          "observable": {"s_uu": 0.0}}, "config.observable.s_dd"),
-        ({"model": {"random": {"n": 2, "seed": 1}},
-          "verdict": {"n_max": 5}}, "config.verdict.n_max"),
-        ({"model": {"random": {"n": 2, "seed": 1}},
-          "output": {"format": "csv"}}, "config.output.path"),
-        ({"model": {"random": {"n": 2, "seed": 1}},
-          "output": {"path": "x", "format": "xml"}}, "config.output.format"),
-        ({"model": {"random": {"n": 2, "seed": 1}}, "extra": 1}, "config.extra"),
-        # generate_random refuses these; numpy refuses the negative seed
-        ({"model": {"random": {"n": 0, "seed": 1}}}, "config.model.random"),
-        ({"model": {"random": {"n": 2, "seed": -1}}}, "config.model.random"),
-        ({"model": {"random": {"n": 2, "seed": 1,
-                               "coupling": {"law": "uniform_positive", "g_max": -1.0}}}},
-         "config.model.random"),
-        # non-finite grid bounds
-        ({"model": {"random": {"n": 2, "seed": 1}},
-          "grid": {"t_start": math.nan}}, "config.grid.t_start"),
-        ({"model": {"random": {"n": 2, "seed": 1}},
-          "grid": {"t_start": -math.inf, "t_end": 1.0}}, "config.grid.t_start"),
-        ({"model": {"random": {"n": 2, "seed": 1}},
-          "grid": {"t_end": math.inf}}, "config.grid.t_end"),
-        ({"model": {"random": {"n": 2, "seed": 1}},
-          "grid": {"t_end": math.nan}}, "config.grid.t_end"),
-        # a coupling takes only its own law's keys
-        ({"model": {"random": {"n": 2, "seed": 1,
-                               "coupling": {"law": "equal", "g": 0.5, "g_max": 7}}}},
-         "config.model.random.coupling.g_max"),
-        ({"model": {"random": {"n": 2, "seed": 1,
-                               "coupling": {"law": "uniform_positive", "g": 0.5}}}},
-         "config.model.random.coupling.g"),
-    ],
-)
+def with_random_2(**sections):
+    return {"model": {"random": {"n": 2, "seed": 1}}, **sections}
+
+
+def random_2(**keys):
+    return {"model": {"random": {"n": 2, "seed": 1, **keys}}}
+
+
+# Each row names its id, so a row may go anywhere in the list without
+# renaming the others; the ids are the ones the rows had when pytest
+# numbered them by position.
+@pytest.mark.parametrize("doc, path", [
+    pytest.param({}, "config.model", id="doc0-config.model"),
+    pytest.param({"model": {}}, "config.model", id="doc1-config.model"),
+    pytest.param({"model": {"random": {"n": 2, "seed": 1}, "inline": {}}}, "config.model",
+                 id="doc2-config.model"),
+    pytest.param({"model": {"random": {"seed": 1}}}, "config.model.random.n",
+                 id="doc3-config.model.random.n"),
+    pytest.param(random_2(spam=0), "config.model.random.spam",
+                 id="doc4-config.model.random.spam"),
+    pytest.param({"model": {"random": {"n": True, "seed": 1}}}, "config.model.random.n",
+                 id="doc5-config.model.random.n"),
+    pytest.param(random_2(coupling={"law": "harmonic"}), "config.model.random.coupling.law",
+                 id="doc6-config.model.random.coupling.law"),
+    pytest.param(random_2(phases="none"), "config.model.random.phases",
+                 id="doc7-config.model.random.phases"),
+    pytest.param(with_random_2(grid={"steps": 1}), "config.grid.steps",
+                 id="doc8-config.grid.steps"),
+    pytest.param(with_random_2(grid={"t_start": 2.0, "t_end": 1.0}), "config.grid.t_end",
+                 id="doc9-config.grid.t_end"),
+    pytest.param(with_random_2(observable={"s_uu": 0.0}), "config.observable.s_dd",
+                 id="doc10-config.observable.s_dd"),
+    pytest.param(with_random_2(verdict={"n_max": 5}), "config.verdict.n_max",
+                 id="doc11-config.verdict.n_max"),
+    pytest.param(with_random_2(output={"format": "csv"}), "config.output.path",
+                 id="doc12-config.output.path"),
+    pytest.param(with_random_2(output={"path": "x", "format": "xml"}), "config.output.format",
+                 id="doc13-config.output.format"),
+    pytest.param(with_random_2(extra=1), "config.extra", id="doc14-config.extra"),
+    # generate_random refuses these; numpy refuses the negative seed
+    pytest.param({"model": {"random": {"n": 0, "seed": 1}}}, "config.model.random",
+                 id="doc15-config.model.random"),
+    pytest.param({"model": {"random": {"n": 2, "seed": -1}}}, "config.model.random",
+                 id="doc16-config.model.random"),
+    pytest.param(random_2(coupling={"law": "uniform_positive", "g_max": -1.0}),
+                 "config.model.random", id="doc17-config.model.random"),
+    # non-finite grid bounds
+    pytest.param(with_random_2(grid={"t_start": math.nan}), "config.grid.t_start",
+                 id="doc18-config.grid.t_start"),
+    pytest.param(with_random_2(grid={"t_start": -math.inf, "t_end": 1.0}),
+                 "config.grid.t_start", id="doc19-config.grid.t_start"),
+    pytest.param(with_random_2(grid={"t_end": math.inf}), "config.grid.t_end",
+                 id="doc20-config.grid.t_end"),
+    pytest.param(with_random_2(grid={"t_end": math.nan}), "config.grid.t_end",
+                 id="doc21-config.grid.t_end"),
+    # a coupling takes only its own law's keys
+    pytest.param(random_2(coupling={"law": "equal", "g": 0.5, "g_max": 7}),
+                 "config.model.random.coupling.g_max",
+                 id="doc22-config.model.random.coupling.g_max"),
+    pytest.param(random_2(coupling={"law": "uniform_positive", "g": 0.5}),
+                 "config.model.random.coupling.g", id="doc23-config.model.random.coupling.g"),
+])
 def test_parse_config_reports_field_paths(doc, path):
     with pytest.raises(ConfigError) as info:
         parse_config(doc, SIMULATE)
@@ -649,3 +661,71 @@ def test_run_oracle_check_rejects_negative_seed():
     with pytest.raises(ConfigError) as info:
         run_oracle_check(n_max=4, cases=2, seed=-1)
     assert info.value.field_path == "oracle_check.seed"
+
+
+def drawn_oracle_cases(n_max, cases, seed):
+    """(n, model seed, t) per case, drawn in the order run_oracle_check documents."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(cases):
+        n = int(rng.integers(1, n_max + 1))
+        model_seed = int(rng.integers(0, 2**63))
+        rng.uniform(-0.5, 0.5, size=4)
+        rng.uniform(-0.5, 0.5, size=(n, 4))
+        drawn.append((n, model_seed, 50.0 * rng.random()))
+    return drawn
+
+
+PERTURBED = (3, 11, 12, 29)
+
+
+def perturb_oracle(monkeypatch, times, offset=1e-6):
+    """Make the stacked oracle off by ``offset`` on the cases at ``times``."""
+    stacked = harness.brute_force_stack
+
+    def perturbed(a, b, alpha, beta, g, system, env, t, **kwargs):
+        values = stacked(a, b, alpha, beta, g, system, env, t, **kwargs)
+        return np.where(np.isin(np.asarray(t), times), values + offset, values)
+
+    monkeypatch.setattr(harness, "brute_force_stack", perturbed)
+
+
+def test_oracle_failures_replay_through_the_stacked_path(monkeypatch):
+    drawn = drawn_oracle_cases(6, 40, 5)
+    assert len({drawn[i][0] for i in PERTURBED}) > 1  # several stacks fail
+    perturb_oracle(monkeypatch, [drawn[i][2] for i in PERTURBED])
+    summary = run_oracle_check(6, 40, 5)
+    assert not summary.passed
+    assert [f.case_index for f in summary.failures] == list(PERTURBED)
+    for failure in summary.failures:
+        n, model_seed, t = drawn[failure.case_index]
+        assert (failure.n, failure.model_seed, failure.t) == (n, model_seed, t)
+        assert abs(failure.error - 1e-6) < 1e-12
+        assert model_from_dict(failure.model) == generate_random(
+            n, model_seed, UniformPositive(1.0), PhaseLaw.UNIFORM)
+    assert summary.max_abs_error == max(f.error for f in summary.failures)
+
+
+def test_oracle_check_cli_prints_the_first_failing_model(monkeypatch, capsys):
+    drawn = drawn_oracle_cases(6, 40, 5)
+    perturb_oracle(monkeypatch, [drawn[i][2] for i in PERTURBED])
+    assert main(["oracle-check", "--n-max", "6", "--cases", "40", "--seed", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("oracle check: 40 cases, max |closed - brute| = 1.000e-06")
+    index = PERTURBED[0]
+    n, model_seed, t = drawn[index]
+    head, replay_label, replay, *rest = err.splitlines()
+    assert head.startswith(f"FAILED case {index}: n={n}, model_seed={model_seed}, "
+                           f"t={t:{FLOAT_FORMAT}}, error=")
+    assert replay_label == "model for replay:" and rest == []
+    assert model_from_dict(json.loads(replay)) == generate_random(
+        n, model_seed, UniformPositive(1.0), PhaseLaw.UNIFORM)
+
+
+def test_an_oracle_value_that_is_not_a_number_fails_its_case(monkeypatch):
+    drawn = drawn_oracle_cases(4, 10, 2)
+    perturb_oracle(monkeypatch, [drawn[4][2]], math.nan)
+    summary = run_oracle_check(4, 10, 2)
+    assert not summary.passed
+    assert [f.case_index for f in summary.failures] == [4]
+    assert math.isnan(summary.failures[0].error)

@@ -20,6 +20,7 @@ from spinbath import (
     model_to_dict,
     new_model,
 )
+from spinbath.model import random_spin_arrays
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -157,6 +158,79 @@ def test_generate_random_rejects_bad_parameters():
         generate_random(3, 1, UniformPositive(0.0))
     with pytest.raises(InvalidParameterError):
         generate_random(3, 1, Equal(0.0))
+
+
+def transcribed_draw(n, seed, coupling_law, phase_law):
+    """generate_random's documented protocol, one scalar draw at a time."""
+    rng = np.random.default_rng(seed)
+    spins = []
+    for _ in range(n):
+        u = rng.random()
+        amp_a, amp_b = math.sqrt(u), math.sqrt(1.0 - u)
+        if phase_law is PhaseLaw.UNIFORM:
+            pa = 2.0 * math.pi * rng.random()
+            pb = 2.0 * math.pi * rng.random()
+            alpha = complex(amp_a * math.cos(pa), amp_a * math.sin(pa))
+            beta = complex(amp_b * math.cos(pb), amp_b * math.sin(pb))
+        else:
+            alpha, beta = complex(amp_a, 0.0), complex(amp_b, 0.0)
+        if isinstance(coupling_law, UniformPositive):
+            g = coupling_law.g_max * (1.0 - rng.random())
+        else:
+            g = coupling_law.g
+        spins.append((alpha, beta, g))
+    return spins
+
+
+def bits(values):
+    """Every real part as float.hex, so that -0.0 and 0.0 differ."""
+    out = []
+    for alpha, beta, g in values:
+        out.append((alpha.real.hex(), alpha.imag.hex(), beta.real.hex(),
+                    beta.imag.hex(), float(g).hex()))
+    return out
+
+
+PROTOCOL_SEEDS = (0, 1, 7, 2**63 - 1)
+
+
+@pytest.mark.parametrize("phase_law", list(PhaseLaw), ids=lambda p: p.value)
+@pytest.mark.parametrize("coupling_law", [UniformPositive(2.5), Equal(-0.7)],
+                         ids=["uniform_positive", "equal"])
+@pytest.mark.parametrize("n", [1, 2, 16, 257])
+def test_array_draw_equals_scalar_transcription(n, coupling_law, phase_law):
+    """random_spin_arrays and generate_random give, bit for bit, the baths
+    of the per-spin scalar loop, and a stack of seeds gives the rows that
+    one seed at a time gives."""
+    stacked = random_spin_arrays(n, PROTOCOL_SEEDS, coupling_law, phase_law)
+    for row, seed in enumerate(PROTOCOL_SEEDS):
+        want = bits(transcribed_draw(n, seed, coupling_law, phase_law))
+        model = generate_random(n, seed, coupling_law, phase_law)
+        assert bits((s.alpha, s.beta, s.g) for s in model.spins) == want
+        assert model.a == model.b == complex(ROOT_HALF)
+        single = random_spin_arrays(n, [seed], coupling_law, phase_law)
+        assert bits(zip(*(a[0].tolist() for a in single))) == want
+        assert bits(zip(*(a[row].tolist() for a in stacked))) == want
+
+
+def test_array_draw_shapes():
+    alpha, beta, g = random_spin_arrays(3, [1, 2], UniformPositive(1.0), PhaseLaw.UNIFORM)
+    assert alpha.shape == beta.shape == g.shape == (2, 3)
+    assert alpha.dtype == beta.dtype == np.complex128 and g.dtype == np.float64
+    empty = random_spin_arrays(3, [])
+    assert all(a.shape == (0, 3) for a in empty)
+
+
+def test_array_draw_raises_the_spin_error_of_the_first_bad_spin():
+    """A coupling that rounds to zero is refused with EnvironmentSpin's own
+    message, by the stacked draw as by generate_random."""
+    law = UniformPositive(5e-324)  # g_max * (1 - v) rounds to 0 for v > 1/2
+    with pytest.raises(InvalidParameterError) as stacked:
+        random_spin_arrays(8, [1, 2, 3], law)
+    with pytest.raises(InvalidParameterError) as single:
+        generate_random(8, 1, law)
+    want = "environment spin: coupling g must be finite and nonzero, got 0.0"
+    assert str(stacked.value) == str(single.value) == want
 
 
 # ---------------------------------------------------------------------------
