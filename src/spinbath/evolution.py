@@ -45,6 +45,7 @@ from .model import (
     SpinBathModel,
     observable_entries,
     spin_arrays,
+    spin_moduli,
 )
 
 _R_MODULUS_TOLERANCE = 1e-12
@@ -129,18 +130,6 @@ class ReducedState:
 def _check_time(t: float) -> None:
     if not math.isfinite(t):
         raise InvalidParameterError(f"t must be finite, got {t!r}")
-
-
-def _moduli(model: SpinBathModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-spin (|alpha|^2, |beta|^2, g) arrays."""
-    alpha, beta, g = spin_arrays(model)
-    return alpha.real**2 + alpha.imag**2, beta.real**2 + beta.imag**2, g
-
-
-def _populations(model: SpinBathModel) -> tuple[float, float]:
-    """System populations (|a|^2, |b|^2)."""
-    a, b = model.a, model.b
-    return a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag
 
 
 def _slice_count(n_spins: int, points: int) -> int:
@@ -254,7 +243,7 @@ def _r_slice(a2: np.ndarray, b2: np.ndarray, g: np.ndarray, t: np.ndarray, out: 
 def r_of_t(model: SpinBathModel, t: float) -> complex:
     """Dephasing factor r(t), the overlap of the two evolved bath branches."""
     _check_time(t)
-    return complex(_r_values(*_moduli(model), np.array([t]))[0])
+    return complex(_r_values(*spin_moduli(model), np.array([t]))[0])
 
 
 def r_squared(model: SpinBathModel, t: float) -> float:
@@ -264,7 +253,7 @@ def r_squared(model: SpinBathModel, t: float) -> float:
     so the result is manifestly real; it equals |r_of_t(t)|^2 within 1e-12.
     """
     _check_time(t)
-    a2, b2, g = _moduli(model)
+    a2, b2, g = spin_moduli(model)
     factors = a2 * a2 + b2 * b2 + 2.0 * a2 * b2 * np.cos(2.0 * g * t)
     return float(np.prod(factors))
 
@@ -276,7 +265,7 @@ def r_bounds(model: SpinBathModel) -> tuple[float, float]:
     simultaneously (exactly at half the recurrence time for equal
     couplings); the upper bound 1 is attained at t = 0.
     """
-    a2, _, _ = _moduli(model)
+    a2, _, _ = spin_moduli(model)
     lower = float(np.prod((2.0 * a2 - 1.0) ** 2))
     return lower, 1.0
 
@@ -286,10 +275,10 @@ def expectation_relevant(model: SpinBathModel, obs: RelevantObservable, t: float
 
     Equals |a|^2 s_uu + |b|^2 s_dd + 2 Re[a conj(b) s_du r(t)]: the
     populations are frozen and the interference term decays with r(t).
+    Bit for bit the entry of :func:`sample_series` at the same t.
     """
-    a2, b2 = _populations(model)
-    cross = model.a * model.b.conjugate() * obs.s_du * r_of_t(model, t)
-    return a2 * obs.s_uu + b2 * obs.s_dd + 2.0 * cross.real
+    system = (obs.s_uu, obs.s_dd, obs.s_du.real, obs.s_du.imag)
+    return _system_side(model.a, model.b, system, r_of_t(model, t))
 
 
 def expectation_full(model: SpinBathModel, obs: FullObservable, t: float) -> float:
@@ -360,16 +349,23 @@ def expectation_full_stack(a, b, alpha, beta, g, system, env, t) -> np.ndarray:
     diag_up = a2 * e_uu + b2 * e_dd + 2.0 * (cross * np.conj(phase)).real
     diag_down = a2 * e_uu + b2 * e_dd + 2.0 * (cross * phase).real
     coherent = a2 * e_uu * np.conj(phase) + b2 * e_dd * phase + 2.0 * cross.real
+    return _system_side(
+        a, b, system.T, np.prod(coherent, axis=-1),
+        np.prod(diag_up, axis=-1), np.prod(diag_down, axis=-1),
+    )
 
-    sys_a2 = a.real * a.real + a.imag * a.imag
-    sys_b2 = b.real * b.real + b.imag * b.imag
-    # a conj(b) s_du, in real parts (see _product)
+
+def _system_side(a, b, system, r, up=1.0, down=1.0):
+    """|a|^2 s_uu up + |b|^2 s_dd down + 2 Re(a conj(b) s_du r), on numbers
+    or arrays: ``system`` is (s_uu, s_dd, Re s_du, Im s_du), ``r`` the
+    coherence product and ``up`` and ``down`` the diagonal environment
+    products, 1 on the system alone. Complex products go by _product."""
+    s_uu, s_dd, s_re, s_im = system
     c_re, c_im = _product(a.real, a.imag, b.real, -b.imag)
-    c_re, c_im = _product(c_re, c_im, system[..., 2], system[..., 3])
-    r = np.prod(coherent, axis=-1)
+    c_re, c_im = _product(c_re, c_im, s_re, s_im)
     return (
-        sys_a2 * system[..., 0] * np.prod(diag_up, axis=-1)
-        + sys_b2 * system[..., 1] * np.prod(diag_down, axis=-1)
+        (a.real * a.real + a.imag * a.imag) * s_uu * up
+        + (b.real * b.real + b.imag * b.imag) * s_dd * down
         + 2.0 * (c_re * r.real - c_im * r.imag)
     )
 
@@ -386,10 +382,13 @@ def reduced_state(model: SpinBathModel, t: float) -> ReducedState:
 
     The defining contract is expectation_relevant(model, obs, t) ==
     trace(rho(t) obs) for every system observable, which pins the
-    coherence to a * conj(b) * r(t) with no free sign or conjugation.
+    coherence to a * conj(b) * r(t) with no free sign or conjugation, and
+    the populations to the expectations of the projectors on |up>, |down>.
     """
-    p_uu, p_dd = _populations(model)
-    return ReducedState(p_uu, p_dd, model.a * model.b.conjugate() * r_of_t(model, t))
+    a, b, r = model.a, model.b, r_of_t(model, t)
+    p_uu = _system_side(a, b, (1.0, 0.0, 0.0, 0.0), r)
+    p_dd = _system_side(a, b, (0.0, 1.0, 0.0, 0.0), r)
+    return ReducedState(p_uu, p_dd, a * b.conjugate() * r)
 
 
 def sample_series(
@@ -413,10 +412,9 @@ def sample_series(
             f"need finite t_start < t_end, got [{t_start!r}, {t_end!r}]"
         )
     times = np.linspace(t_start, t_end, steps)
-    r = _r_values(*_moduli(model), times)
+    r = _r_values(*spin_moduli(model), times)
     expectations = None
     if obs is not None:
-        sys_a2, sys_b2 = _populations(model)
-        base = sys_a2 * obs.s_uu + sys_b2 * obs.s_dd
-        expectations = base + 2.0 * (model.a * model.b.conjugate() * obs.s_du * r).real
+        system = (obs.s_uu, obs.s_dd, obs.s_du.real, obs.s_du.imag)
+        expectations = _system_side(model.a, model.b, system, r)
     return TimeSeries(times, r, expectations)

@@ -280,7 +280,9 @@ def _rationalize(x: float, q_max: int, rel_tolerance: float) -> tuple[int, int] 
     quotients, so its denominators grow past q_max and the walk refuses;
     accepting any convergent that merely lands within tolerance would
     wrongly rationalize irrationals, since sufficiently large denominators
-    approximate everything.
+    approximate everything. The convergent 0/1 of an x below 1 is never
+    accepted: a large next quotient there says only that x is small, so
+    the walk goes on to 1/floor(1/x) and beyond.
     """
     jump = max(16.0, 1.0 / math.sqrt(rel_tolerance))
     h1, h0 = 1, 0
@@ -293,12 +295,7 @@ def _rationalize(x: float, q_max: int, rel_tolerance: float) -> tuple[int, int] 
         if k1 > q_max:
             return None
         frac = value - a
-        accept = False
-        if frac <= 0.0:
-            accept = True
-        elif 1.0 / frac > jump:
-            accept = True
-        if accept:
+        if frac <= 0.0 or (h1 != 0 and 1.0 / frac > jump):
             if h1 < 1:
                 return None
             if abs(x - h1 / k1) > rel_tolerance * abs(x):

@@ -18,7 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -117,6 +117,17 @@ def new_model(
     return SpinBathModel(a, b, tuple(built))
 
 
+def _check_entries(obs, what: str) -> None:
+    """Coerce an observable's fields (diagonal, diagonal, off-diagonal) to
+    float, float and complex, then refuse the first that is not finite."""
+    names = [f.name for f in fields(obs)]
+    for name, kind in zip(names, (float, float, complex)):
+        object.__setattr__(obs, name, kind(getattr(obs, name)))
+    for name in names:
+        if not np.isfinite(getattr(obs, name)):
+            raise InvalidParameterError(f"{what} {name} must be finite")
+
+
 @dataclass(frozen=True)
 class RelevantObservable:
     """Hermitian observable on the system qubit alone (identity on the bath).
@@ -130,14 +141,7 @@ class RelevantObservable:
     s_du: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "s_uu", float(self.s_uu))
-        object.__setattr__(self, "s_dd", float(self.s_dd))
-        object.__setattr__(self, "s_du", complex(self.s_du))
-        for name in ("s_uu", "s_dd"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"observable {name} must be finite")
-        if not (math.isfinite(self.s_du.real) and math.isfinite(self.s_du.imag)):
-            raise InvalidParameterError("observable s_du must be finite")
+        _check_entries(self, "observable")
 
     @classmethod
     def identity(cls) -> "RelevantObservable":
@@ -153,14 +157,7 @@ class LocalObservable:
     e_du: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "e_uu", float(self.e_uu))
-        object.__setattr__(self, "e_dd", float(self.e_dd))
-        object.__setattr__(self, "e_du", complex(self.e_du))
-        for name in ("e_uu", "e_dd"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"local observable {name} must be finite")
-        if not (math.isfinite(self.e_du.real) and math.isfinite(self.e_du.imag)):
-            raise InvalidParameterError("local observable e_du must be finite")
+        _check_entries(self, "local observable")
 
     @classmethod
     def identity(cls) -> "LocalObservable":
@@ -188,6 +185,14 @@ def spin_arrays(model: SpinBathModel) -> tuple[np.ndarray, np.ndarray, np.ndarra
     beta = np.array([s.beta for s in model.spins], dtype=np.complex128)
     g = np.array([s.g for s in model.spins], dtype=np.float64)
     return alpha, beta, g
+
+
+def spin_moduli(model: SpinBathModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bath as ``(|alpha|^2, |beta|^2, g)`` arrays, each modulus x * x + y * y
+    correctly rounded: the one source of moduli for r(t) and the spectral
+    weights, so that both routes read the same bits."""
+    alpha, beta, g = spin_arrays(model)
+    return _abs2(alpha), _abs2(beta), g
 
 
 def observable_entries(obs: FullObservable) -> tuple[np.ndarray, np.ndarray]:

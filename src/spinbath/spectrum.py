@@ -51,7 +51,7 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidParameterError,
 )
-from .model import FullObservable, SpinBathModel, observable_entries, spin_arrays
+from .model import FullObservable, SpinBathModel, observable_entries, spin_arrays, spin_moduli
 
 ENUMERATION_CAP = 26
 ORACLE_CAP = 12
@@ -195,7 +195,8 @@ def _scaled_couplings(model: SpinBathModel, scale: int = 1) -> tuple[list[int], 
     signed sum, sum |g_i| / ``scale``, is beyond the float range is
     refused, since its extreme values would be infinite.
     """
-    ratios = [s.g.as_integer_ratio() for s in model.spins]
+    couplings = spin_arrays(model)[2].tolist()
+    ratios = [g.as_integer_ratio() for g in couplings]
     common = max(d for _, d in ratios)
     scaled = [num * (common // den) for num, den in ratios]
     try:
@@ -204,7 +205,7 @@ def _scaled_couplings(model: SpinBathModel, scale: int = 1) -> tuple[list[int], 
         over = f" / {scale}" if scale != 1 else ""
         raise InvalidParameterError(
             f"sum_i |g_i|{over} over {model.n_spins} spins (largest |g_i| = "
-            f"{max(abs(s.g) for s in model.spins)!r}) is beyond the float range"
+            f"{max(map(abs, couplings))!r}) is beyond the float range"
         ) from None
     return scaled, common
 
@@ -218,14 +219,6 @@ def _fits_int64(scaled: list[int], denominator: int) -> bool:
     subnormal.
     """
     return sum(abs(m) for m in scaled).bit_length() < 63 and denominator.bit_length() <= 1023
-
-
-def _weight_factors(model: SpinBathModel) -> list[tuple[float, float]]:
-    """(|beta_i|^2, |alpha_i|^2) per spin: the weight factors of bit 0 and bit 1."""
-    return [
-        (s.beta.real**2 + s.beta.imag**2, s.alpha.real**2 + s.alpha.imag**2)
-        for s in model.spins
-    ]
 
 
 # A doubling moves the weights of each source block with one np.multiply
@@ -385,7 +378,9 @@ def _sorted_terms(
     """
     scaled, common = _scaled_couplings(model, scale)
     denominator = common * scale
-    factors = _weight_factors(model) if weighted else None
+    a2, b2, _ = spin_moduli(model)
+    # (|beta_i|^2, |alpha_i|^2) per spin: the weight factors of bit 0 and bit 1
+    factors = list(zip(b2.tolist(), a2.tolist())) if weighted else None
     fits = _fits_int64(scaled, denominator)
     if fits:
         sums, counts, weights = _doubled_terms(scaled, factors, np.int64, sort=True)
@@ -433,17 +428,17 @@ def omega_of_index(model: SpinBathModel, nu: int) -> float:
 def weight_of_index(model: SpinBathModel, nu: int) -> float:
     """Weight of term nu: product of |alpha|^2 (bit 1) or |beta|^2 (bit 0).
 
-    Factors multiply last spin first, matching the enumeration order of
-    spectral_decomposition bit for bit.
+    Factors come from spin_moduli and multiply last spin first, as in
+    spectral_decomposition, so a line of this term alone has this weight
+    bit for bit.
     """
     _check_index(model, nu)
+    a2, b2, _ = spin_moduli(model)
     n = model.n_spins
     weight = 1.0
     for i in range(n - 1, -1, -1):
-        spin = model.spins[i]
         bit = (nu >> (n - 1 - i)) & 1
-        z = spin.alpha if bit else spin.beta
-        weight *= z.real * z.real + z.imag * z.imag
+        weight *= float((a2 if bit else b2)[i])
     return weight
 
 
@@ -640,7 +635,7 @@ def spectral_decomposition(
     _require_cap(n, max_spins, n, bytes_per_term, "spectral enumeration")
 
     omegas, counts, weights = _sorted_terms(model)
-    radius = omega_tolerance * max(abs(s.g) for s in model.spins)
+    radius = omega_tolerance * float(np.abs(spin_arrays(model)[2]).max())
     reps, merged, sizes = _merge_sorted(omegas, counts, weights, radius)
     del omegas, counts, weights
     return SpectralDecomposition(reps, merged, sizes, n)
@@ -679,7 +674,7 @@ def hamiltonian_spectrum(
         energies = energies[order]
         counts = np.concatenate([counts, counts[::-1]])[order]
         del order
-    radius = merge_tolerance * max(abs(s.g) for s in model.spins)
+    radius = merge_tolerance * float(np.abs(spin_arrays(model)[2]).max())
     reps, _, sizes = _merge_sorted(energies, counts, None, radius)
     total = int(np.sum(sizes))
     if total != 1 << (n + 1) or np.any(sizes < 1):

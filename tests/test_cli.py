@@ -163,6 +163,32 @@ def test_simulate_equal_coupling_flag(tmp_path):
     assert code == 0
 
 
+def test_g_max_flag_scales_the_couplings(tmp_path):
+    """--g-max alone sets a uniform coupling law: g_max = 2 doubles every
+    coupling of the same draw, so the default horizon 20 / mean|g| halves."""
+    ends = []
+    for flags in ([], ["--g-max", "2"]):
+        out = tmp_path / f"series{len(ends)}.json"
+        assert main(["simulate", "--n", "3", "--seed", "1", "--steps", "4",
+                     *flags, "--output", str(out), "--format", "json"]) == 0
+        ends.append(json.loads(out.read_text())["times"][-1])
+    assert ends[1] == ends[0] / 2
+
+
+def test_format_flag_applies_to_the_config_output(tmp_path, capsys):
+    """Without --output, --format changes the format of the config's own
+    output path."""
+    out = tmp_path / "series.out"
+    config = write_json(tmp_path / "config.json", {
+        "model": {"random": {"n": 2, "seed": 3}},
+        "grid": {"t_end": 2.0, "steps": 4},
+        "output": {"path": str(out), "format": "csv"},
+    })
+    assert main(["simulate", "--config", config, "--format", "json"]) == 0
+    assert f"wrote {out}" in capsys.readouterr().out
+    assert len(json.loads(out.read_text())["times"]) == 4
+
+
 def test_simulate_config_output_without_format_writes_csv(tmp_path):
     out = tmp_path / "series.csv"
     config = write_json(tmp_path / "config.json", {
@@ -519,6 +545,12 @@ def test_invalid_json_config_exits_two(tmp_path, capsys):
     code = main(["simulate", "--config", str(bad)])
     assert code == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_config_that_is_not_an_object_exits_two(tmp_path, capsys):
+    config = write_json(tmp_path / "config.json", [{"model": {"random": {"n": 2, "seed": 1}}}])
+    assert main(["simulate", "--config", config]) == 2
+    assert capsys.readouterr().err == "config error: config: expected a JSON object\n"
 
 
 def test_unwritable_output_exits_two(tmp_path, capsys):

@@ -391,6 +391,8 @@ def test_reduced_state_rejects_positivity_violation():
         ReducedState(0.5, 0.5, 0.9 + 0j)
     with pytest.raises(InvalidParameterError):
         ReducedState(0.7, 0.7, 0.0j)
+    with pytest.raises(InvalidParameterError, match="nonnegative"):
+        ReducedState(-0.25, 1.25, 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +418,20 @@ def test_r_of_t_matches_sample_series_bit_for_bit(rng):
         series = sample_series(m, -50.0, 50.0, 21)
         pointwise = np.array([r_of_t(m, t) for t in series.times.tolist()])
         assert np.array_equal(pointwise.view(np.float64), series.r_values.view(np.float64))
+
+
+@pytest.mark.parametrize("n", [3, 20, 300])
+def test_expectation_relevant_is_sample_series_bit_for_bit(n):
+    """Both evaluate the system side by one formula on the same r, so every
+    grid point carries the same bits. The grid spans the decay, which
+    takes a time of order 1 / sqrt(n), and phased baths give r an
+    imaginary part."""
+    obs = RelevantObservable(0.75, -1.25, complex(0.5, -0.375))
+    for seed in range(1, 6):
+        m = generate_random(n, seed, phase_law=PhaseLaw.UNIFORM)
+        series = sample_series(m, 0.0, 4.0 / math.sqrt(n), 29, obs)
+        pointwise = [expectation_relevant(m, obs, t) for t in series.times.tolist()]
+        assert series.expectation_values.tolist() == pointwise
 
 
 def test_sample_series_without_observable(rng):

@@ -185,6 +185,14 @@ def random_2(**keys):
                  id="doc22-config.model.random.coupling.g_max"),
     pytest.param(random_2(coupling={"law": "uniform_positive", "g": 0.5}),
                  "config.model.random.coupling.g", id="doc23-config.model.random.coupling.g"),
+    # the inline model's own checks: an unnormalized system pair
+    pytest.param({"model": {"inline": {
+        "a": [1.0, 0.0], "b": [1.0, 0.0],
+        "spins": [{"alpha": [1.0, 0.0], "beta": [0.0, 0.0], "g": 1.0}],
+    }}}, "config.model.inline", id="doc24-config.model.inline"),
+    # RelevantObservable's own check: a non-finite entry
+    pytest.param(with_random_2(observable={"s_uu": math.nan, "s_dd": 1.0}),
+                 "config.observable", id="doc25-config.observable"),
 ])
 def test_parse_config_reports_field_paths(doc, path):
     with pytest.raises(ConfigError) as info:

@@ -246,6 +246,9 @@ def test_l1_rejects_foreign_partition():
     broken = PartitionScheme(2, ((0, 25), (26, 50)))
     with pytest.raises(InvalidParameterError):
         check_l1(s, broken)
+    miscounted = PartitionScheme(3, ((0, 25), (25, 50)))
+    with pytest.raises(InvalidParameterError, match="disagrees with g_groups"):
+        check_l1(s, miscounted)
 
 
 def test_large_spin_bath_weights_satisfy_l1(rng):
@@ -301,6 +304,46 @@ def test_recurrence_rejects_incommensurate_sets():
 def test_recurrence_overflowing_to_infinity_is_effectively_infinite():
     s = WeightedPointSet([0.0, 1e-310, 2e-310], [0.25, 0.5, 0.25])
     assert estimate_recurrence_time(s) is EFFECTIVELY_INFINITE
+
+
+@pytest.mark.parametrize("points", [[0.0, 1.0, 1.0 + 2.0**-16], [0.0, 2.0**-16, 1.0 + 2.0**-16]])
+def test_recurrence_does_not_depend_on_the_order_of_the_gaps(points):
+    """The gaps 1 and 2^-16 share the divisor 2^-16 in either order: a gap
+    far below the running Delta rationalizes as 1/65536, not as 0/1."""
+    s = WeightedPointSet(points, [0.25, 0.5, 0.25])
+    assert estimate_recurrence_time(s) == 2.0 * math.pi * 2.0**16
+
+
+def test_two_spin_bath_with_nearby_couplings_recurs():
+    """Balanced spins at g = 1 and 1 + 2^-16 put their lines 2^-15 apart
+    in multiples, so |r| returns to 1 after pi 2^16. At 1 + 2^-20 the
+    divisor needs a denominator of 2^20, past the default q_max of 10^6."""
+    spins = [(ROOT_HALF, ROOT_HALF, 1.0), (ROOT_HALF, ROOT_HALF, 1.0 + 2.0**-16)]
+    m = new_model(ROOT_HALF, ROOT_HALF, spins)
+    report = decoherence_verdict(m)
+    assert report.recurrence_time == math.pi * 2.0**16
+    assert abs(abs(r_of_t(m, report.recurrence_time)) - 1.0) < 1e-9
+    spins[1] = (ROOT_HALF, ROOT_HALF, 1.0 + 2.0**-20)
+    far = decoherence_verdict(new_model(ROOT_HALF, ROOT_HALF, spins))
+    assert far.recurrence_time is EFFECTIVELY_INFINITE
+
+
+@pytest.mark.parametrize("points, q_max, rel_tolerance", [
+    # 1 + 1e-5 has the convergent 1/1 and a next quotient of 10^5, but
+    # 1/1 misses it by more than the tolerance
+    ([0.0, 1.0, 2.0 + 1e-5], 10**6, 1e-9),
+    # the gap ratio 5e-324 / 1e300 is 0: no numerator of 1 or more fits
+    ([-1e300, 0.0, 5e-324], 10**6, 1e-9),
+    # sqrt(2) keeps giving small quotients: the walk stops after its
+    # step limit before the denominators pass q_max
+    ([0.0, 1.0, 1.0 + math.sqrt(2.0)], 10**60, 1e-300),
+    # every gap passes against the running Delta, but the final Delta,
+    # 0.75 / 47 rounded, misses the second gap by just over the tolerance
+    ([-0.75, 0.0, 0.75000000075, 0.7659574475585106], 10**6, 1e-9),
+])
+def test_recurrence_refusals(points, q_max, rel_tolerance):
+    s = WeightedPointSet(points, np.full(len(points), 1.0 / len(points)))
+    assert estimate_recurrence_time(s, q_max, rel_tolerance) is EFFECTIVELY_INFINITE
 
 
 def test_lemma_sum_rejects_non_finite_time():

@@ -11,8 +11,10 @@ from spinbath import (
     EnvironmentSpin,
     Equal,
     InvalidParameterError,
+    LocalObservable,
     NormalizationError,
     PhaseLaw,
+    RelevantObservable,
     SpinBathModel,
     UniformPositive,
     generate_random,
@@ -20,7 +22,7 @@ from spinbath import (
     model_to_dict,
     new_model,
 )
-from spinbath.model import random_spin_arrays
+from spinbath.model import random_spin_arrays, spin_arrays, spin_moduli
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -65,6 +67,37 @@ def test_model_rejects_empty_bath():
 def test_model_rejects_unnormalized_system():
     with pytest.raises(NormalizationError):
         SpinBathModel(1.0, 0.1, (EnvironmentSpin(1.0, 0.0, 1.0),))
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), complex(-math.inf, 0.0)])
+def test_non_finite_amplitudes_are_refused(bad):
+    with pytest.raises(InvalidParameterError, match="environment spin: amplitudes must be finite"):
+        EnvironmentSpin(bad, ROOT_HALF, 1.0)
+    with pytest.raises(InvalidParameterError, match="system: amplitudes must be finite"):
+        SpinBathModel(ROOT_HALF, bad, (EnvironmentSpin(1.0, 0.0, 1.0),))
+
+
+@pytest.mark.parametrize("cls, what, names", [
+    (RelevantObservable, "observable", ("s_uu", "s_dd", "s_du")),
+    (LocalObservable, "local observable", ("e_uu", "e_dd", "e_du")),
+])
+@pytest.mark.parametrize("entry, value", [
+    (0, math.nan), (1, math.inf), (2, complex(math.nan, 0.0)), (2, complex(0.0, -math.inf)),
+])
+def test_observables_refuse_non_finite_entries(cls, what, names, entry, value):
+    """Both observable types run one check, each naming its own field."""
+    entries = [0.5, -0.5, 0.25j]
+    entries[entry] = value
+    with pytest.raises(InvalidParameterError) as info:
+        cls(*entries)
+    assert str(info.value) == f"{what} {names[entry]} must be finite"
+
+
+def test_observables_coerce_their_entries():
+    relevant, local = RelevantObservable(1, -2, 3), LocalObservable(1, -2, 3)
+    assert (relevant.s_uu, relevant.s_dd, relevant.s_du) == (local.e_uu, local.e_dd, local.e_du)
+    for value, kind in zip((relevant.s_uu, relevant.s_dd, relevant.s_du), (float, float, complex)):
+        assert type(value) is kind
 
 
 def test_new_model_names_offending_spin():
@@ -158,6 +191,8 @@ def test_generate_random_rejects_bad_parameters():
         generate_random(3, 1, UniformPositive(0.0))
     with pytest.raises(InvalidParameterError):
         generate_random(3, 1, Equal(0.0))
+    with pytest.raises(InvalidParameterError, match="unknown coupling law 'harmonic'"):
+        random_spin_arrays(3, [1], "harmonic")
 
 
 def transcribed_draw(n, seed, coupling_law, phase_law):
@@ -219,6 +254,19 @@ def test_array_draw_shapes():
     assert alpha.dtype == beta.dtype == np.complex128 and g.dtype == np.float64
     empty = random_spin_arrays(3, [])
     assert all(a.shape == (0, 3) for a in empty)
+
+
+def test_spin_moduli_are_correctly_rounded_squares():
+    """|alpha|^2 and |beta|^2 are x * x + y * y with each operation
+    correctly rounded, as the normalization check computes them. Python's
+    x ** 2 calls the C library's pow, which need not round correctly."""
+    m = generate_random(2000, 1, phase_law=PhaseLaw.UNIFORM)
+    a2, b2, g = spin_moduli(m)
+    alpha, beta, g_arrays = spin_arrays(m)
+    assert g.tolist() == g_arrays.tolist()
+    for moduli, amplitudes in ((a2, alpha), (b2, beta)):
+        want = [z.real * z.real + z.imag * z.imag for z in amplitudes.tolist()]
+        assert moduli.tolist() == want
 
 
 def test_array_draw_raises_the_spin_error_of_the_first_bad_spin():

@@ -112,6 +112,19 @@ def test_decomposition_agrees_with_per_index_enumeration(rng):
         assert abs(weight - mass) < 1e-15
 
 
+def test_weight_of_index_is_its_line_weight_bit_for_bit():
+    """Each of the 16 terms of this model is a line of its own, whose weight
+    is weight_of_index's bit for bit: both multiply the moduli of
+    spin_moduli in one order. On some of its spins the power x ** 2 rounds
+    differently from x * x, so moduli squared by ** would miss here."""
+    m = generate_random(4, 238)
+    dec = spectral_decomposition(m)
+    assert dec.n_lines == 16
+    weight_at = dict(zip(dec.omega.tolist(), dec.weight.tolist()))
+    for nu in range(16):
+        assert weight_of_index(m, nu) == weight_at[omega_of_index(m, nu)]
+
+
 # ---------------------------------------------------------------------------
 # Decomposition structure
 # ---------------------------------------------------------------------------
@@ -229,6 +242,10 @@ def test_spectral_line_and_decomposition_validation():
         SpectralDecomposition([-1.0, 1.0], [1.0], [1, 1], 1)
     with pytest.raises(InvalidParameterError, match="1-d"):
         SpectralDecomposition([[-1.0, 1.0]], [[0.5, 0.5]], [[1, 1]], 1)
+    with pytest.raises(InvalidParameterError, match="n_spins must be >= 1"):
+        SpectralDecomposition([0.0], [1.0], [1], 0)
+    with pytest.raises(InvalidParameterError, match="at least one line"):
+        SpectralDecomposition([], [], [], 1)
 
 
 def test_decomposition_arrays_are_read_only(rng):
