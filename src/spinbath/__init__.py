@@ -50,7 +50,6 @@ from .lemma import (
     make_partition,
 )
 from .model import (
-    EnvironmentSpin,
     Equal,
     FullObservable,
     LocalObservable,
@@ -110,7 +109,6 @@ __all__ = [
     "estimate_recurrence_time",
     "lemma_sum",
     "make_partition",
-    "EnvironmentSpin",
     "Equal",
     "FullObservable",
     "LocalObservable",

@@ -66,7 +66,7 @@ class ConfigError(SpinBathError):
     Attributes
     ----------
     field_path : str
-        Dotted path of the offending field, e.g. ``"model.spins[1].alpha"``.
+        Dotted path of the offending field, e.g. ``"config.model.inline.spins[1].alpha"``.
     """
 
     def __init__(self, field_path: str, message: str):

@@ -44,7 +44,6 @@ from .model import (
     RelevantObservable,
     SpinBathModel,
     observable_entries,
-    spin_arrays,
     spin_moduli,
 )
 
@@ -302,9 +301,9 @@ def expectation_full(model: SpinBathModel, obs: FullObservable, t: float) -> flo
     expectation_full_stack on a stack of one case.
     """
     system, env = observable_entries(obs)
-    alpha, beta, g = spin_arrays(model)
     return float(expectation_full_stack(
-        model.a, model.b, alpha[None], beta[None], g[None], system[None], env[None], t
+        model.a, model.b, model.alpha[None], model.beta[None], model.g[None],
+        system[None], env[None], t,
     )[0])
 
 

@@ -50,12 +50,12 @@ from .evolution import TimeSeries, expectation_full_stack, r_bounds, sample_seri
 from .lemma import LemmaReport, Verdict, VerdictConfig, decoherence_verdict
 from .model import (
     BALANCED_AMPLITUDE,
-    EnvironmentSpin,
     Equal,
     PhaseLaw,
     RelevantObservable,
     SpinBathModel,
     UniformPositive,
+    first_invalid_spin,
     generate_random,
     random_spin_arrays,
 )
@@ -274,8 +274,8 @@ def model_to_dict(model: SpinBathModel) -> dict[str, Any]:
         "a": _complex_pair(model.a),
         "b": _complex_pair(model.b),
         "spins": [
-            {"alpha": _complex_pair(s.alpha), "beta": _complex_pair(s.beta), "g": s.g}
-            for s in model.spins
+            {"alpha": _complex_pair(alpha), "beta": _complex_pair(beta), "g": g}
+            for alpha, beta, g in zip(model.alpha.tolist(), model.beta.tolist(), model.g.tolist())
         ],
     }
 
@@ -287,18 +287,17 @@ def model_from_dict(data: Any, path: str = "model") -> SpinBathModel:
     the dotted path of the offending field.
     """
     values = _fields(data, path, INLINE_FIELDS)
-    spins = []
-    for i, entry in enumerate(values["spins"]):
-        spin_path = f"{path}.spins[{i}]"
-        spin = _fields(entry, spin_path, SPIN_FIELDS)
-        try:
-            spins.append(EnvironmentSpin(**spin))
-        except (NormalizationError, InvalidParameterError) as exc:
-            raise ConfigError(spin_path, str(exc)) from None
+    spins = [
+        _fields(entry, f"{path}.spins[{i}]", SPIN_FIELDS).values()
+        for i, entry in enumerate(values["spins"])
+    ]
+    bath = [np.array(column) for column in zip(*spins)]
     try:
-        return SpinBathModel(values["a"], values["b"], tuple(spins))
+        return SpinBathModel(values["a"], values["b"], *bath)
     except (NormalizationError, InvalidParameterError) as exc:
-        raise ConfigError(path, str(exc)) from None
+        # the spins are checked before the system pair
+        first = first_invalid_spin(*bath)
+        raise ConfigError(path if first is None else f"{path}.spins[{first}]", str(exc)) from None
 
 
 def _parse_coupling(data: dict, path: str) -> UniformPositive | Equal:
@@ -311,11 +310,20 @@ def _parse_coupling(data: dict, path: str) -> UniformPositive | Equal:
     return cls(**values)
 
 
+# Peak-RSS rise per spin of a random model in parse_config (the draw, the
+# model's copies, the horizon's list of |g|): 137-139 B in fresh processes at
+# N = 2e5 and 1e6, either phase law; 104-128 B at N = 4e6.
+_BYTES_PER_SPIN = 160
+
+
 def _parse_random_model(data: dict, path: str) -> SpinBathModel:
     values = _fields(data, path, RANDOM_FIELDS)
     coupling = _parse_coupling(values["coupling"], f"{path}.coupling")
+    n, need = values["n"], values["n"] * _BYTES_PER_SPIN
+    needs = f"a random bath of {n} spins needs roughly {need / 1e6:.3g} MB"
+    require_memory(need, needs, "Reduce n.")
     try:
-        return generate_random(values["n"], values["seed"], coupling, values["phases"])
+        return generate_random(n, values["seed"], coupling, values["phases"])
     except (InvalidParameterError, ValueError) as exc:  # numpy refuses a negative seed
         raise ConfigError(path, str(exc)) from None
 
@@ -339,7 +347,7 @@ def _parse_grid(data: Any, path: str, model: SpinBathModel) -> TimeGrid:
     if steps < 2:
         raise ConfigError(f"{path}.steps", f"must be >= 2, got {steps}")
     if t_end is None:
-        mean_g = sum(abs(s.g) for s in model.spins) / model.n_spins
+        mean_g = sum(map(abs, model.g.tolist())) / model.n_spins
         t_end = t_start + DEFAULT_T_END_OVER_MEAN_G / mean_g
     elif t_end <= t_start:
         raise ConfigError(f"{path}.t_end", "must exceed t_start")

@@ -49,48 +49,71 @@ def _check_pair(x: complex, y: complex, which: str) -> None:
         raise NormalizationError(which, residual)
 
 
-@dataclass(frozen=True)
-class EnvironmentSpin:
-    """One bath spin: initial amplitudes and its coupling to the system.
-
-    ``alpha`` multiplies |up>, ``beta`` multiplies |down>, and ``g`` is the
-    coupling strength in radians per unit time (finite and nonzero).
-    """
-
-    alpha: complex
-    beta: complex
-    g: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "g", float(self.g))
-        _check_pair(self.alpha, self.beta, "environment spin")
-        if not math.isfinite(self.g) or self.g == 0.0:
-            raise InvalidParameterError(
-                f"environment spin: coupling g must be finite and nonzero, got {self.g!r}"
-            )
+def _spin_checks(alpha: np.ndarray, beta: np.ndarray, g: np.ndarray) -> None:
+    """Refuse the first invalid spin with its check's error, which names the
+    spin by its number in its bath."""
+    first = first_invalid_spin(alpha, beta, g)
+    if first is not None:
+        spin = np.unravel_index(first, np.shape(g))
+        which = f"spin {spin[-1] + 1}"
+        _check_pair(complex(alpha[spin]), complex(beta[spin]), which)
+        raise InvalidParameterError(
+            f"{which}: coupling g must be finite and nonzero, got {float(g[spin])!r}"
+        )
 
 
-@dataclass(frozen=True)
+def first_invalid_spin(alpha: np.ndarray, beta: np.ndarray, g: np.ndarray) -> int | None:
+    """The flat index of the first spin (in row-major order) whose pair is not
+    finite and normalized within tolerance, or whose coupling is not finite
+    and nonzero, in one array pass; None where every spin passes."""
+    # a non-finite amplitude makes the residual non-finite, so it fails too
+    ok = np.abs(_abs2(alpha) + _abs2(beta) - 1.0) <= NORMALIZATION_TOLERANCE
+    ok &= np.isfinite(g) & (g != 0.0)
+    return None if ok.all() else int(np.argmin(ok))
+
+
+@dataclass(frozen=True, eq=False)
 class SpinBathModel:
-    """The full system: central amplitudes (a, b) and an ordered spin bath."""
+    """The full system: central amplitudes (a, b) and an ordered spin bath.
+
+    Bath spin i starts in ``alpha[i]|up> + beta[i]|down>`` and couples with
+    strength ``g[i]`` (radians per unit time, finite and nonzero). The bath
+    is held as three read-only 1-d arrays of equal length (complex128,
+    complex128, float64), copied from the given sequences; models are
+    equal when a, b and every array entry are.
+    """
 
     a: complex
     b: complex
-    spins: tuple[EnvironmentSpin, ...]
+    alpha: np.ndarray
+    beta: np.ndarray
+    g: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "spins", tuple(self.spins))
-        if len(self.spins) == 0:
+        for name, dtype in (("alpha", np.complex128), ("beta", np.complex128), ("g", np.float64)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            if column.ndim != 1:
+                raise InvalidParameterError(f"{name} must be 1-d, got shape {column.shape}")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        lengths = (self.alpha.size, self.beta.size, self.g.size)
+        if len(set(lengths)) != 1:
+            raise InvalidParameterError(f"alpha, beta and g must be of one length, got {lengths}")
+        if self.g.size == 0:
             raise EmptyEnvironmentError("a model needs at least one environment spin")
+        _spin_checks(self.alpha, self.beta, self.g)
         _check_pair(self.a, self.b, "system")
+
+    def __eq__(self, other):
+        return isinstance(other, SpinBathModel) and (self.a, self.b) == (other.a, other.b) and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in ("alpha", "beta", "g")
+        )
 
     @property
     def n_spins(self) -> int:
-        return len(self.spins)
+        return self.g.size
 
 
 def new_model(
@@ -104,17 +127,9 @@ def new_model(
     EmptyEnvironmentError for an empty bath, and InvalidParameterError for
     non-finite entries or zero couplings.
     """
-    built = []
-    for i, (alpha, beta, g) in enumerate(spins):
-        try:
-            built.append(EnvironmentSpin(alpha, beta, g))
-        except NormalizationError as exc:
-            raise NormalizationError(f"spin {i + 1}", exc.residual) from None
-        except InvalidParameterError as exc:
-            raise InvalidParameterError(f"spin {i + 1}: {exc}") from None
-    if not built:
-        raise EmptyEnvironmentError("a model needs at least one environment spin")
-    return SpinBathModel(a, b, tuple(built))
+    triples = list(spins)
+    alpha, beta, g = zip(*triples, strict=True) if triples else ((), (), ())
+    return SpinBathModel(a, b, alpha, beta, g)
 
 
 def _check_entries(obs, what: str) -> None:
@@ -179,20 +194,11 @@ class FullObservable:
         return cls(system_part, tuple(LocalObservable.identity() for _ in range(n)))
 
 
-def spin_arrays(model: SpinBathModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bath as ``(alpha, beta, g)`` arrays, one entry per spin in order."""
-    alpha = np.array([s.alpha for s in model.spins], dtype=np.complex128)
-    beta = np.array([s.beta for s in model.spins], dtype=np.complex128)
-    g = np.array([s.g for s in model.spins], dtype=np.float64)
-    return alpha, beta, g
-
-
 def spin_moduli(model: SpinBathModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The bath as ``(|alpha|^2, |beta|^2, g)`` arrays, each modulus x * x + y * y
     correctly rounded: the one source of moduli for r(t) and the spectral
     weights, so that both routes read the same bits."""
-    alpha, beta, g = spin_arrays(model)
-    return _abs2(alpha), _abs2(beta), g
+    return _abs2(model.alpha), _abs2(model.beta), model.g
 
 
 def observable_entries(obs: FullObservable) -> tuple[np.ndarray, np.ndarray]:
@@ -242,20 +248,6 @@ class PhaseLaw(Enum):
     UNIFORM = "uniform"
 
 
-def _spin_checks(alpha: np.ndarray, beta: np.ndarray, g: np.ndarray) -> None:
-    """EnvironmentSpin's checks over arrays of spins, in one pass.
-
-    The first spin (in row-major order) that any check refuses is built as
-    an EnvironmentSpin, which raises that check's own error.
-    """
-    # a non-finite amplitude makes the residual non-finite, so it fails too
-    ok = np.abs(_abs2(alpha) + _abs2(beta) - 1.0) <= NORMALIZATION_TOLERANCE
-    ok &= np.isfinite(g) & (g != 0.0)
-    if not ok.all():
-        first = np.unravel_index(np.argmin(ok), ok.shape)
-        EnvironmentSpin(alpha[first], beta[first], g[first])
-
-
 def random_spin_arrays(
     n: int,
     seeds: Sequence[int],
@@ -270,7 +262,7 @@ def random_spin_arrays(
     in one call (``random(n * k)``, k draws per spin, in the per-spin order
     that generate_random documents; numpy fills an array with the same
     doubles that k * n scalar calls return), and the square roots, phases,
-    couplings and EnvironmentSpin's checks then run once over the stack.
+    couplings and the bath's checks then run once over the stack.
     np.cos and np.sin give the bits of math.cos and math.sin on these
     phases; tests/test_model.py pins the whole draw against a per-spin
     scalar transcription.
@@ -339,5 +331,4 @@ def generate_random(
     The draw itself is random_spin_arrays for a stack of one seed.
     """
     alpha, beta, g = random_spin_arrays(n, [seed], coupling_law, phase_law)
-    spins = map(EnvironmentSpin, alpha[0].tolist(), beta[0].tolist(), g[0].tolist())
-    return SpinBathModel(BALANCED_AMPLITUDE, BALANCED_AMPLITUDE, tuple(spins))
+    return SpinBathModel(BALANCED_AMPLITUDE, BALANCED_AMPLITUDE, alpha[0], beta[0], g[0])

@@ -51,7 +51,7 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidParameterError,
 )
-from .model import FullObservable, SpinBathModel, observable_entries, spin_arrays, spin_moduli
+from .model import FullObservable, SpinBathModel, observable_entries, spin_moduli
 
 ENUMERATION_CAP = 26
 ORACLE_CAP = 12
@@ -188,14 +188,15 @@ class SpectralDecomposition:
 # ---------------------------------------------------------------------------
 
 def _scaled_couplings(model: SpinBathModel, scale: int = 1) -> tuple[list[int], int]:
-    """Represent every g_i exactly as M_i / D with integer M_i and common D.
+    """Represent every g_i / ``scale`` exactly as M_i / D with integer M_i
+    and common D.
 
     Floats are dyadic rationals, so each as_integer_ratio denominator is a
-    power of two and D is simply their maximum. A model whose largest
-    signed sum, sum |g_i| / ``scale``, is beyond the float range is
-    refused, since its extreme values would be infinite.
+    power of two and D is their maximum times ``scale``, a power of two
+    too. A model whose largest signed sum, sum |g_i| / ``scale``, is beyond
+    the float range is refused, since its extreme values would be infinite.
     """
-    couplings = spin_arrays(model)[2].tolist()
+    couplings = model.g.tolist()
     ratios = [g.as_integer_ratio() for g in couplings]
     common = max(d for _, d in ratios)
     scaled = [num * (common // den) for num, den in ratios]
@@ -207,7 +208,7 @@ def _scaled_couplings(model: SpinBathModel, scale: int = 1) -> tuple[list[int], 
             f"sum_i |g_i|{over} over {model.n_spins} spins (largest |g_i| = "
             f"{max(map(abs, couplings))!r}) is beyond the float range"
         ) from None
-    return scaled, common
+    return scaled, common * scale
 
 
 def _fits_int64(scaled: list[int], denominator: int) -> bool:
@@ -356,17 +357,18 @@ def _doubled_terms(
 
 
 def _sorted_terms(
-    model: SpinBathModel,
-    scale: int = 1,
-    weighted: bool = True,
+    scaled: list[int],
+    denominator: int,
+    moduli: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The values sum_i (+-g_i) / scale in increasing order, with counts and weights.
+    """The values sum_i (+-M_i) / D in increasing order, with counts and weights.
 
-    ``scale`` is a power of two, so the common denominator stays one too,
-    and each value is correctly rounded. The value array holds the
-    distinct values of the int64 path, each standing for counts[j] terms
-    (counts is None where each value is one term), and the weights of each
-    value's terms come as one contiguous block. Equal values keep index
+    ``scaled`` and ``denominator`` are _scaled_couplings' M_i and D, so each
+    value is correctly rounded; the weights are products of the bath's
+    ``moduli`` (spin_moduli), and None without them. The value array holds
+    the distinct values of the int64 path, each standing for counts[j]
+    terms (counts is None where each value is one term), and the weights of
+    each value's terms come as one contiguous block. Equal values keep index
     order, exactly as a stable argsort of the index-order arrays leaves
     them, so merged weights keep their np.sum bits. Sorting the exact
     int64 sums orders their floats too, since rounding is monotone. Below
@@ -376,11 +378,8 @@ def _sorted_terms(
     Python ints, all 2^N index-order terms are sorted by one stable
     argsort of their floats instead, and counts is None.
     """
-    scaled, common = _scaled_couplings(model, scale)
-    denominator = common * scale
-    a2, b2, _ = spin_moduli(model)
     # (|beta_i|^2, |alpha_i|^2) per spin: the weight factors of bit 0 and bit 1
-    factors = list(zip(b2.tolist(), a2.tolist())) if weighted else None
+    factors = None if moduli is None else list(zip(moduli[1].tolist(), moduli[0].tolist()))
     fits = _fits_int64(scaled, denominator)
     if fits:
         sums, counts, weights = _doubled_terms(scaled, factors, np.int64, sort=True)
@@ -416,13 +415,13 @@ def _check_index(model: SpinBathModel, nu: int) -> None:
 def omega_of_index(model: SpinBathModel, nu: int) -> float:
     """Frequency of term nu: sum_i (-1)^{p_i} g_i, spin 1 at the MSB of nu."""
     _check_index(model, nu)
-    scaled, common = _scaled_couplings(model)
+    scaled, denominator = _scaled_couplings(model)
     n = model.n_spins
     total = 0
     for i, m in enumerate(scaled):
         bit = (nu >> (n - 1 - i)) & 1
         total += -m if bit else m
-    return total / common
+    return total / denominator
 
 
 def weight_of_index(model: SpinBathModel, nu: int) -> float:
@@ -628,14 +627,15 @@ def spectral_decomposition(
     if not omega_tolerance >= 0:
         raise InvalidParameterError(f"omega_tolerance must be >= 0, got {omega_tolerance!r}")
     n = model.n_spins
+    scaled, denominator = _scaled_couplings(model)
     bytes_per_term = (
-        _INT64_ENUMERATION_BYTES_PER_VALUE if _fits_int64(*_scaled_couplings(model))
+        _INT64_ENUMERATION_BYTES_PER_VALUE if _fits_int64(scaled, denominator)
         else _PYINT_ENUMERATION_BYTES_PER_VALUE
     )
     _require_cap(n, max_spins, n, bytes_per_term, "spectral enumeration")
 
-    omegas, counts, weights = _sorted_terms(model)
-    radius = omega_tolerance * float(np.abs(spin_arrays(model)[2]).max())
+    omegas, counts, weights = _sorted_terms(scaled, denominator, spin_moduli(model))
+    radius = omega_tolerance * float(np.abs(model.g).max())
     reps, merged, sizes = _merge_sorted(omegas, counts, weights, radius)
     del omegas, counts, weights
     return SpectralDecomposition(reps, merged, sizes, n)
@@ -664,7 +664,7 @@ def hamiltonian_spectrum(
     # Rounding is symmetric, so negating a rounded half-sum is exact. The
     # half-sums and their negations are two sorted runs, which a stable
     # sort merges in linear time.
-    half, counts, _ = _sorted_terms(model, scale=2, weighted=False)
+    half, counts, _ = _sorted_terms(*_scaled_couplings(model, scale=2))
     energies = np.concatenate([half, -half[::-1]])
     del half
     if counts is None:
@@ -674,7 +674,7 @@ def hamiltonian_spectrum(
         energies = energies[order]
         counts = np.concatenate([counts, counts[::-1]])[order]
         del order
-    radius = merge_tolerance * float(np.abs(spin_arrays(model)[2]).max())
+    radius = merge_tolerance * float(np.abs(model.g).max())
     reps, _, sizes = _merge_sorted(energies, counts, None, radius)
     total = int(np.sum(sizes))
     if total != 1 << (n + 1) or np.any(sizes < 1):
@@ -709,10 +709,9 @@ def brute_force_expectation(
     This is brute_force_stack on a stack of one case.
     """
     system, env = observable_entries(obs)
-    alpha, beta, g = spin_arrays(model)
     return float(brute_force_stack(
-        model.a, model.b, alpha[None], beta[None], g[None], system[None], env[None], t,
-        max_spins=max_spins,
+        model.a, model.b, model.alpha[None], model.beta[None], model.g[None],
+        system[None], env[None], t, max_spins=max_spins,
     )[0])
 
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from spinbath import (
-    EnvironmentSpin,
     FullObservable,
     LocalObservable,
     RelevantObservable,
@@ -36,8 +35,13 @@ def bounded_model(n, rng, a2_lo=0.0, a2_hi=1.0, phases=False, g_lo=0.0, g_hi=1.0
         g = rng.uniform(g_lo, g_hi)
         if g == 0.0:
             g = g_hi
-        spins.append(EnvironmentSpin(alpha, beta, g))
-    return SpinBathModel(complex(ROOT_HALF), complex(ROOT_HALF), tuple(spins))
+        spins.append((alpha, beta, g))
+    return SpinBathModel(complex(ROOT_HALF), complex(ROOT_HALF), *zip(*spins))
+
+
+def triples(model):
+    """The bath as (alpha, beta, g) Python triples, one per spin in order."""
+    return list(zip(model.alpha.tolist(), model.beta.tolist(), model.g.tolist()))
 
 
 def random_system_observable(rng):

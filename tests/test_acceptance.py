@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from spinbath import (
-    EnvironmentSpin,
     SpinBathModel,
     Verdict,
     brute_force_expectation,
@@ -37,7 +36,7 @@ from spinbath import (
 from spinbath.cli import main
 from spinbath.lemma import EFFECTIVELY_INFINITE, WeightedPointSet, lemma_sum
 
-from conftest import ROOT_HALF, bounded_model, random_full_observable
+from conftest import ROOT_HALF, bounded_model, random_full_observable, triples
 from test_harness import sha256
 
 
@@ -104,7 +103,7 @@ def test_criterion_03_weight_normalization():
     worst_tele = 0.0
     for n in (10, 1000, 10**4):
         m = bounded_model(n, rng)
-        per_spin = [abs(s.alpha) ** 2 + abs(s.beta) ** 2 for s in m.spins]
+        per_spin = [abs(alpha) ** 2 + abs(beta) ** 2 for alpha, beta, _ in triples(m)]
         worst_tele = max(worst_tele, abs(float(np.prod(per_spin)) - 1.0))
     ok = worst_enum <= 1e-12 and worst_tele <= 1e-12
     report(3, ok, f"weight normalization: enumerated dev = {worst_enum:.3e}, "
@@ -236,9 +235,8 @@ def test_criterion_07_small_baths_yield_no_verdict():
 def test_criterion_07_aligned_baths_yield_no_verdict():
     for seed in range(100, 120):
         rng = np.random.default_rng(seed)
-        spins = tuple(EnvironmentSpin(1.0, 0.0, float(g))
-                      for g in rng.uniform(0.2, 1.0, size=8))
-        m = SpinBathModel(complex(ROOT_HALF), complex(ROOT_HALF), spins)
+        g = rng.uniform(0.2, 1.0, size=8)
+        m = SpinBathModel(complex(ROOT_HALF), complex(ROOT_HALF), np.ones(8), np.zeros(8), g)
         rep = decoherence_verdict(m)
         assert rep.verdict is Verdict.NO_VERDICT
         assert rep.l1_max_weight == 1.0
@@ -258,8 +256,8 @@ def test_criterion_08_recurrence():
         pts = WeightedPointSet.from_decomposition(spectral_decomposition(m))
         tp = estimate_recurrence_time(pts)
         worst_tp = max(worst_tp, abs(tp - math.pi / g) / (math.pi / g))
-        target = float(np.prod([abs(2.0 * abs(s.alpha) ** 2 - 1.0)
-                                for s in m.spins]))
+        target = float(np.prod([abs(2.0 * abs(alpha) ** 2 - 1.0)
+                                for alpha, _, _ in triples(m)]))
         worst_mag = max(worst_mag, abs(abs(r_of_t(m, tp / 2.0)) - target))
     incomm = WeightedPointSet([0.0, 1.0, math.sqrt(2.0)], [0.3, 0.3, 0.4])
     refused = estimate_recurrence_time(incomm) is EFFECTIVELY_INFINITE

@@ -577,6 +577,20 @@ def test_grid_beyond_memory_exits_two(monkeypatch, command, capsys):
     assert err.startswith("error:") and "10000 steps" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "predict", "compare", "spectrum"])
+def test_random_bath_beyond_memory_exits_two(monkeypatch, command, capsys):
+    # a reading of 1 GB stands in for the machine; a billion spins would
+    # ask numpy for 16 GB of draws, but are refused before any is made
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: 10**9)
+    code = main([command, "--n", "1000000000", "--seed", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: a random bath of 1000000000 spins needs roughly 1.6e+05 MB; "
+        "only 1e+03 MB of memory is free. Reduce n.\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["predict", "compare", "spectrum"])
 def test_couplings_summing_beyond_the_float_range_exit_two(command, capsys):
     code = main([command, "--n", "5", "--seed", "1", "--equal-coupling", "1e308"])

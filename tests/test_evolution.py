@@ -45,11 +45,16 @@ from spinbath.model import (
     UniformPositive,
     observable_entries,
     random_spin_arrays,
-    spin_arrays,
 )
 from spinbath.spectrum import ORACLE_CAP, brute_force_stack
 
-from conftest import ROOT_HALF, bounded_model, random_full_observable, random_system_observable
+from conftest import (
+    ROOT_HALF,
+    bounded_model,
+    random_full_observable,
+    random_system_observable,
+    triples,
+)
 
 
 def random_grid(n, seed, **grid):
@@ -132,10 +137,10 @@ def test_r_squared_ignores_phases(rng):
     # in the stream, so rebuild the phased model with the plain couplings
     rebuilt = new_model(
         phased.a, phased.b,
-        [(s.alpha / abs(s.alpha) * abs(p.alpha) if abs(s.alpha) else 0.0,
-          s.beta / abs(s.beta) * abs(p.beta) if abs(s.beta) else 0.0,
-          p.g)
-         for s, p in zip(phased.spins, plain.spins)],
+        [(s_alpha / abs(s_alpha) * abs(p_alpha) if abs(s_alpha) else 0.0,
+          s_beta / abs(s_beta) * abs(p_beta) if abs(s_beta) else 0.0,
+          p_g)
+         for (s_alpha, s_beta, _), (p_alpha, p_beta, p_g) in zip(triples(phased), triples(plain))],
     )
     for t in (0.4, 2.2, 9.1):
         assert abs(r_squared(rebuilt, t) - r_squared(plain, t)) < 1e-12
@@ -260,7 +265,7 @@ def stack_of(models, observables):
     """The arrays the stacked evaluators take, one row per case."""
     a = np.array([m.a for m in models])
     b = np.array([m.b for m in models])
-    alpha, beta, g = (np.array(column) for column in zip(*map(spin_arrays, models)))
+    alpha, beta, g = (np.array([getattr(m, k) for m in models]) for k in ("alpha", "beta", "g"))
     system, env = (np.array(column) for column in zip(*map(observable_entries, observables)))
     return a, b, alpha, beta, g, system, env
 
@@ -275,7 +280,7 @@ def test_stacked_evaluators_agree_with_single_calls(n):
         theta, phi = r.uniform(0.0, math.pi / 2), r.uniform(0.0, 2 * math.pi)
         bath = generate_random(n, 10 * n + seed, UniformPositive(1.0), PhaseLaw.UNIFORM)
         models.append(new_model(math.cos(theta) * cmath.exp(1j * phi), math.sin(theta),
-                                [(s.alpha, s.beta, s.g) for s in bath.spins]))
+                                triples(bath)))
         obs, t = drawn_case(n, seed)
         observables.append(obs)
         times.append(t)
@@ -441,9 +446,7 @@ def test_sample_series_without_observable(rng):
 
 def per_spin_loop(model, times):
     """r on a grid as one full pass per spin, zeros included."""
-    alpha = np.array([s.alpha for s in model.spins])
-    beta = np.array([s.beta for s in model.spins])
-    g = np.array([s.g for s in model.spins])
+    alpha, beta, g = model.alpha, model.beta, model.g
     r = np.ones(len(times), dtype=np.complex128)
     for a2, b2, g_i in zip(alpha.real**2 + alpha.imag**2, beta.real**2 + beta.imag**2, g):
         phase = np.exp(-1j * g_i * times)
@@ -600,8 +603,8 @@ def test_large_bath_r_within_exact_log_bounds(seed):
     t_start, t_end, steps = random_grid(5000, seed)
     r = sample_series(m, t_start, t_end, steps).r_values
     times = np.linspace(t_start, t_end, steps)
-    g = np.array([s.g for s in m.spins])
-    ab = 4.0 * np.array([abs(s.alpha) ** 2 * abs(s.beta) ** 2 for s in m.spins])
+    g = m.g
+    ab = 4.0 * np.array([abs(alpha) ** 2 * abs(beta) ** 2 for alpha, beta, _ in triples(m)])
     lower = np.empty(steps)
     upper = np.empty(steps)
     exact = np.empty(steps)

@@ -108,7 +108,7 @@ def test_parse_config_minimal_defaults():
     config = parse_config({"model": {"random": {"n": 4, "seed": 1}}}, SIMULATE)
     model = generate_random(4, 1, UniformPositive(1.0), PhaseLaw.ZERO)
     assert config.model == model
-    mean_g = sum(abs(s.g) for s in model.spins) / 4
+    mean_g = sum(abs(g) for g in model.g.tolist()) / 4
     assert config.grid == TimeGrid(0.0, 20.0 / mean_g, 2000)
     assert config.observable is None
     assert config.verdict == VerdictConfig()
@@ -121,7 +121,7 @@ def test_parse_config_inline_model():
         "spins": [{"alpha": [0.6, 0.0], "beta": [0.8, 0.0], "g": 2.0}],
     }}}, SIMULATE)
     assert config.model.n_spins == 1
-    assert config.model.spins[0].g == 2.0
+    assert config.model.g.tolist() == [2.0]
 
 
 def with_random_2(**sections):
@@ -193,6 +193,20 @@ def random_2(**keys):
     # RelevantObservable's own check: a non-finite entry
     pytest.param(with_random_2(observable={"s_uu": math.nan, "s_dd": 1.0}),
                  "config.observable", id="doc25-config.observable"),
+    pytest.param(with_random_2(output={"path": ""}), "config.output.path",
+                 id="doc26-config.output.path"),
+    # the bath's checks name the first bad spin of an inline model
+    pytest.param({"model": {"inline": {
+        "a": [1.0, 0.0], "b": [0.0, 0.0],
+        "spins": [{"alpha": [1.0, 0.0], "beta": [0.0, 0.0], "g": 1.0},
+                  {"alpha": [1.0, 0.0], "beta": [0.0, 0.0], "g": 0.0}],
+    }}}, "config.model.inline.spins[1]", id="doc27-config.model.inline.spins[1]"),
+    # every spin's keys are parsed before any spin's values are checked
+    pytest.param({"model": {"inline": {
+        "a": [1.0, 0.0], "b": [0.0, 0.0],
+        "spins": [{"alpha": [0.9, 0.0], "beta": [0.9, 0.0], "g": 1.0},
+                  {"alpha": [1.0, 0.0], "beta": [0.0, 0.0], "g": "x"}],
+    }}}, "config.model.inline.spins[1].g", id="doc28-config.model.inline.spins[1].g"),
 ])
 def test_parse_config_reports_field_paths(doc, path):
     with pytest.raises(ConfigError) as info:
@@ -273,7 +287,7 @@ def inline_grid(model, grid):
 
 def test_parse_config_default_horizon(rng):
     m = bounded_model(5, rng)
-    mean_g = sum(abs(s.g) for s in m.spins) / 5
+    mean_g = sum(abs(g) for g in m.g.tolist()) / 5
     grid = inline_grid(m, {})
     assert grid.t_start == 0.0 and grid.steps == 2000
     assert abs(grid.t_end - 20.0 / mean_g) < 1e-12
@@ -308,6 +322,13 @@ def test_dump_json_fixed_point():
     assert '"b": [\n    true,\n    false,\n    null\n  ]' in text
     assert json.loads(text) == {"a": 0.1, "b": [True, False, None],
                                 "c": "text", "n": 42}
+
+
+def test_dump_json_writes_empty_containers_on_one_line():
+    assert "".join(_dump_json({"a": {}, "b": [], "c": np.array([])})) == (
+        '{\n  "a": {},\n  "b": [],\n  "c": []\n}'
+    )
+    assert "".join(_dump_json({})) == "{}" and "".join(_dump_json([])) == "[]"
 
 
 def test_dump_json_rejects_unknown_types():
@@ -484,6 +505,26 @@ def test_grid_beyond_memory_is_refused_up_front(monkeypatch, tmp_path, command, 
     assert not out.exists()
     monkeypatch.setattr(spectrum, "_available_memory", lambda: need)
     run(config)
+
+
+def test_random_bath_beyond_memory_is_refused_before_its_draw(monkeypatch):
+    """One estimate per spin, checked before generate_random runs."""
+    drawn = []
+    monkeypatch.setattr(harness, "generate_random",
+                        lambda *args: drawn.append(args) or generate_random(*args))
+    doc = {"model": {"random": {"n": 3, "seed": 1}}}
+    need = 3 * harness._BYTES_PER_SPIN
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: need - 1)
+    with pytest.raises(CapExceededError) as info:
+        parse_config(doc, SIMULATE)
+    assert str(info.value) == (
+        f"a random bath of 3 spins needs roughly {need / 1e6:.3g} MB; only "
+        f"{(need - 1) / 1e6:.3g} MB of memory is free. Reduce n."
+    )
+    assert not drawn
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: need)
+    assert parse_config(doc, SIMULATE).model == generate_random(3, 1)
+    assert len(drawn) == 1
 
 
 def test_atomic_write_fails_cleanly_on_missing_directory(tmp_path):

@@ -20,6 +20,14 @@ def private_imports(source):
                 yield node.module, alias.name
 
 
+def test_every_exported_name_resolves_once():
+    """`from spinbath import *` binds every name of __all__, and each once."""
+    namespace = {}
+    exec("from spinbath import *", namespace)
+    assert sorted(set(spinbath.__all__)) == sorted(spinbath.__all__)
+    assert all(name in namespace for name in spinbath.__all__)
+
+
 def test_no_module_imports_another_modules_private_name():
     found = {
         path.name: list(private_imports(path.read_text()))

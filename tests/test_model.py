@@ -8,7 +8,6 @@ import pytest
 from spinbath import (
     ConfigError,
     EmptyEnvironmentError,
-    EnvironmentSpin,
     Equal,
     InvalidParameterError,
     LocalObservable,
@@ -22,7 +21,9 @@ from spinbath import (
     model_to_dict,
     new_model,
 )
-from spinbath.model import random_spin_arrays, spin_arrays, spin_moduli
+from spinbath.model import random_spin_arrays, spin_moduli
+
+from conftest import triples
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -32,49 +33,100 @@ ROOT_HALF = math.sqrt(0.5)
 # ---------------------------------------------------------------------------
 
 def test_environment_spin_accepts_normalized_pair():
-    spin = EnvironmentSpin(0.6, 0.8, 1.5)
-    assert spin.alpha == 0.6 + 0j
-    assert spin.beta == 0.8 + 0j
-    assert spin.g == 1.5
+    m = new_model(1.0, 0.0, [(0.6, 0.8, 1.5)])
+    assert triples(m) == [(0.6 + 0j, 0.8 + 0j, 1.5)]
+    assert (m.alpha.dtype, m.beta.dtype, m.g.dtype) == (np.complex128, np.complex128, np.float64)
 
 
 def test_environment_spin_rejects_unnormalized_pair():
     with pytest.raises(NormalizationError) as info:
-        EnvironmentSpin(0.6, 0.81, 1.0)
+        new_model(1.0, 0.0, [(0.6, 0.81, 1.0)])
     assert info.value.residual > 1e-12
+    assert info.value.which == "spin 1"
     assert "deviates from 1" in str(info.value)
+    with pytest.raises(NormalizationError) as direct:
+        SpinBathModel(1.0, 0.0, [0.6], [0.81], [1.0])
+    assert str(direct.value) == str(info.value)
 
 
 def test_normalization_tolerance_is_not_overtight():
     # residual ~1e-16 from an exactly computed complement must pass
     a2 = 0.3141592653589793
-    EnvironmentSpin(math.sqrt(a2), math.sqrt(1.0 - a2), 0.5)
+    new_model(1.0, 0.0, [(math.sqrt(a2), math.sqrt(1.0 - a2), 0.5)])
 
 
 @pytest.mark.parametrize("g", [0.0, math.inf, -math.inf, math.nan])
 def test_environment_spin_rejects_bad_coupling(g):
-    with pytest.raises(InvalidParameterError):
-        EnvironmentSpin(ROOT_HALF, ROOT_HALF, g)
+    want = f"spin 1: coupling g must be finite and nonzero, got {g!r}"
+    with pytest.raises(InvalidParameterError) as info:
+        new_model(1.0, 0.0, [(ROOT_HALF, ROOT_HALF, g)])
+    assert str(info.value) == want
+    with pytest.raises(InvalidParameterError) as info:
+        SpinBathModel(1.0, 0.0, [ROOT_HALF], [ROOT_HALF], [g])
+    assert str(info.value) == want
 
 
 def test_model_rejects_empty_bath():
     with pytest.raises(EmptyEnvironmentError):
-        SpinBathModel(1.0, 0.0, ())
+        SpinBathModel(1.0, 0.0, (), (), ())
     with pytest.raises(EmptyEnvironmentError):
         new_model(1.0, 0.0, [])
 
 
 def test_model_rejects_unnormalized_system():
-    with pytest.raises(NormalizationError):
-        SpinBathModel(1.0, 0.1, (EnvironmentSpin(1.0, 0.0, 1.0),))
+    with pytest.raises(NormalizationError) as info:
+        SpinBathModel(1.0, 0.1, [1.0], [0.0], [1.0])
+    assert info.value.which == "system"
 
 
 @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), complex(-math.inf, 0.0)])
 def test_non_finite_amplitudes_are_refused(bad):
-    with pytest.raises(InvalidParameterError, match="environment spin: amplitudes must be finite"):
-        EnvironmentSpin(bad, ROOT_HALF, 1.0)
-    with pytest.raises(InvalidParameterError, match="system: amplitudes must be finite"):
-        SpinBathModel(ROOT_HALF, bad, (EnvironmentSpin(1.0, 0.0, 1.0),))
+    with pytest.raises(InvalidParameterError) as info:
+        new_model(1.0, 0.0, [(1.0, 0.0, 1.0), (bad, ROOT_HALF, 1.0)])
+    assert str(info.value) == "spin 2: amplitudes must be finite"
+    with pytest.raises(InvalidParameterError) as info:
+        SpinBathModel(ROOT_HALF, bad, [1.0], [0.0], [1.0])
+    assert str(info.value) == "system: amplitudes must be finite"
+
+
+def test_the_bath_is_read_only():
+    alpha = np.array([1.0, 0.0], dtype=np.complex128)
+    m = SpinBathModel(1.0, 0.0, alpha, [0.0, 1.0], [0.5, -0.5])
+    for column in (m.alpha, m.beta, m.g):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+    alpha[0] = 0.0  # the model holds its own copy
+    assert m.alpha.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("alpha, beta, g, message", [
+    ([[1.0]], [0.0], [1.0], "alpha must be 1-d, got shape (1, 1)"),
+    ([1.0], [0.0], [[1.0]], "g must be 1-d, got shape (1, 1)"),
+    (1.0, 0.0, 1.0, "alpha must be 1-d, got shape ()"),
+    ([1.0, 0.0], [0.0], [1.0], "alpha, beta and g must be of one length, got (2, 1, 1)"),
+    ([1.0], [0.0], [1.0, 2.0], "alpha, beta and g must be of one length, got (1, 1, 2)"),
+])
+def test_model_refuses_misshapen_baths(alpha, beta, g, message):
+    with pytest.raises(InvalidParameterError) as info:
+        SpinBathModel(1.0, 0.0, alpha, beta, g)
+    assert str(info.value) == message
+
+
+def test_new_model_refuses_a_triple_of_another_length():
+    with pytest.raises(ValueError):
+        new_model(1.0, 0.0, [(1.0, 0.0, 1.0), (1.0, 0.0, 1.0, 5.0)])
+    with pytest.raises(ValueError):
+        new_model(1.0, 0.0, [(1.0, 0.0)])
+
+
+def test_models_compare_by_value():
+    m = new_model(ROOT_HALF, ROOT_HALF, [(1.0, 0.0, 0.3), (0.0, 1.0, 0.4)])
+    assert m == new_model(ROOT_HALF, ROOT_HALF, [(1.0, 0.0, 0.3), (0.0, 1.0, 0.4)])
+    assert m != new_model(ROOT_HALF, ROOT_HALF, [(1.0, 0.0, 0.3), (0.0, 1.0, -0.4)])
+    assert m != new_model(ROOT_HALF, ROOT_HALF, [(1.0, 0.0, 0.3)])
+    assert m != new_model(ROOT_HALF, -ROOT_HALF, [(1.0, 0.0, 0.3), (0.0, 1.0, 0.4)])
+    assert m != "model"
 
 
 @pytest.mark.parametrize("cls, what, names", [
@@ -125,8 +177,8 @@ def test_model_is_immutable():
 def test_complex_amplitudes_accepted():
     # |0.6i|^2 + |0.8e^{i pi/4}|^2 = 1
     phase = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-    spin = EnvironmentSpin(0.6j, 0.8 * phase, -2.0)
-    assert abs(abs(spin.alpha) ** 2 + abs(spin.beta) ** 2 - 1.0) < 1e-15
+    [(alpha, beta, _)] = triples(new_model(1.0, 0.0, [(0.6j, 0.8 * phase, -2.0)]))
+    assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -138,27 +190,27 @@ def test_generate_random_matches_documented_draw_order():
     n, seed = 7, 1234
     model = generate_random(n, seed, UniformPositive(2.5), PhaseLaw.UNIFORM)
     rng = np.random.default_rng(seed)
-    for spin in model.spins:
+    for alpha, beta, g_i in triples(model):
         u = rng.random()
         pa = 2.0 * math.pi * rng.random()
         pb = 2.0 * math.pi * rng.random()
         g = 2.5 * (1.0 - rng.random())
-        assert spin.alpha == math.sqrt(u) * complex(math.cos(pa), math.sin(pa))
-        assert spin.beta == math.sqrt(1.0 - u) * complex(math.cos(pb), math.sin(pb))
-        assert spin.g == g
+        assert alpha == math.sqrt(u) * complex(math.cos(pa), math.sin(pa))
+        assert beta == math.sqrt(1.0 - u) * complex(math.cos(pb), math.sin(pb))
+        assert g_i == g
 
 
 def test_generate_random_zero_phases_skip_phase_draws():
     n, seed = 5, 99
     model = generate_random(n, seed)
     rng = np.random.default_rng(seed)
-    for spin in model.spins:
+    for alpha, beta, g_i in triples(model):
         u = rng.random()
         g = 1.0 - rng.random()
-        assert spin.alpha == complex(math.sqrt(u))
-        assert spin.beta == complex(math.sqrt(1.0 - u))
-        assert spin.g == g
-        assert spin.alpha.imag == 0.0 and spin.beta.imag == 0.0
+        assert alpha == complex(math.sqrt(u))
+        assert beta == complex(math.sqrt(1.0 - u))
+        assert g_i == g
+        assert alpha.imag == 0.0 and beta.imag == 0.0
 
 
 def test_generate_random_system_is_balanced():
@@ -169,13 +221,12 @@ def test_generate_random_system_is_balanced():
 
 def test_generate_random_couplings_positive_and_bounded():
     m = generate_random(200, 7, UniformPositive(0.25))
-    gs = [s.g for s in m.spins]
-    assert all(0.0 < g <= 0.25 for g in gs)
+    assert all(0.0 < g <= 0.25 for g in m.g.tolist())
 
 
 def test_generate_random_equal_coupling():
     m = generate_random(6, 3, Equal(-0.7))
-    assert all(s.g == -0.7 for s in m.spins)
+    assert all(g == -0.7 for g in m.g.tolist())
 
 
 def test_generate_random_is_reproducible():
@@ -241,7 +292,7 @@ def test_array_draw_equals_scalar_transcription(n, coupling_law, phase_law):
     for row, seed in enumerate(PROTOCOL_SEEDS):
         want = bits(transcribed_draw(n, seed, coupling_law, phase_law))
         model = generate_random(n, seed, coupling_law, phase_law)
-        assert bits((s.alpha, s.beta, s.g) for s in model.spins) == want
+        assert bits(triples(model)) == want
         assert model.a == model.b == complex(ROOT_HALF)
         single = random_spin_arrays(n, [seed], coupling_law, phase_law)
         assert bits(zip(*(a[0].tolist() for a in single))) == want
@@ -262,22 +313,21 @@ def test_spin_moduli_are_correctly_rounded_squares():
     x ** 2 calls the C library's pow, which need not round correctly."""
     m = generate_random(2000, 1, phase_law=PhaseLaw.UNIFORM)
     a2, b2, g = spin_moduli(m)
-    alpha, beta, g_arrays = spin_arrays(m)
-    assert g.tolist() == g_arrays.tolist()
-    for moduli, amplitudes in ((a2, alpha), (b2, beta)):
+    assert g.tolist() == m.g.tolist()
+    for moduli, amplitudes in ((a2, m.alpha), (b2, m.beta)):
         want = [z.real * z.real + z.imag * z.imag for z in amplitudes.tolist()]
         assert moduli.tolist() == want
 
 
 def test_array_draw_raises_the_spin_error_of_the_first_bad_spin():
-    """A coupling that rounds to zero is refused with EnvironmentSpin's own
-    message, by the stacked draw as by generate_random."""
+    """A coupling that rounds to zero is refused with the bath's own message,
+    naming the spin, by the stacked draw as by generate_random."""
     law = UniformPositive(5e-324)  # g_max * (1 - v) rounds to 0 for v > 1/2
     with pytest.raises(InvalidParameterError) as stacked:
         random_spin_arrays(8, [1, 2, 3], law)
     with pytest.raises(InvalidParameterError) as single:
         generate_random(8, 1, law)
-    want = "environment spin: coupling g must be finite and nonzero, got 0.0"
+    want = "spin 1: coupling g must be finite and nonzero, got 0.0"
     assert str(stacked.value) == str(single.value) == want
 
 

@@ -30,7 +30,7 @@ from spinbath.lemma import WeightedPointSet, lemma_sum
 from spinbath.model import Equal, PhaseLaw, UniformPositive
 from spinbath.spectrum import ENUMERATION_CAP, ORACLE_CAP
 
-from conftest import ROOT_HALF, bounded_model, random_full_observable
+from conftest import ROOT_HALF, bounded_model, random_full_observable, triples
 
 
 def lines(dec):
@@ -67,9 +67,9 @@ def test_omega_is_correctly_rounded_exact_sum(rng):
     m = bounded_model(9, rng)
     for nu in (0, 1, 137, 511):
         exact = Fraction(0)
-        for i, s in enumerate(m.spins):
+        for i, g in enumerate(m.g.tolist()):
             bit = (nu >> (m.n_spins - 1 - i)) & 1
-            exact += -Fraction(s.g) if bit else Fraction(s.g)
+            exact += -Fraction(g) if bit else Fraction(g)
         assert omega_of_index(m, nu) == float(exact)
 
 
@@ -449,7 +449,7 @@ def test_sorted_enumeration_matches_one_stable_argsort_when_merging_near_lines(k
     # the lattices of equal and mixed couplings (steps 0.6 and 0.5) merge
     # into one group, random ones into groups of nearby lines
     tolerance = {"equal": 2.5, "mixed": 0.6}.get(kind, 2e-3)
-    radius = tolerance * max(abs(s.g) for s in m.spins)
+    radius = tolerance * max(map(abs, m.g.tolist()))
     omegas, weights = _argsorted_terms(m)
     reps, mass, sizes = spectrum._merge_sorted(omegas, None, weights, radius)
     assert np.any(sizes > 1)
@@ -591,6 +591,40 @@ def test_available_memory_reads_meminfo_and_cgroup(monkeypatch, files, expected)
     assert spectrum._read_available_memory() == expected
 
 
+@pytest.mark.parametrize(
+    "files",
+    [
+        # no /proc/self/cgroup at all
+        {},
+        # cgroup v1 writes no limit as about 2^63
+        {"/proc/self/cgroup": "4:memory:/job\n",
+         "/sys/fs/cgroup/memory/job/memory.limit_in_bytes": "9223372036854771712\n",
+         "/sys/fs/cgroup/memory/job/memory.usage_in_bytes": "500000\n"},
+        # controllers without memory, whose files are never read
+        {"/proc/self/cgroup": "5:cpu,cpuacct:/job\n",
+         "/sys/fs/cgroup/memory/job/memory.limit_in_bytes": "1000\n",
+         "/sys/fs/cgroup/memory/job/memory.usage_in_bytes": "500\n"},
+        # a malformed line, and a v2 limit that cannot be read
+        {"/proc/self/cgroup": "garbage\n0::/job\n",
+         "/sys/fs/cgroup/job/memory.current": "500\n"},
+    ],
+    ids=["no-cgroup", "v1-no-limit", "no-memory-controller", "malformed"],
+)
+def test_cgroup_without_a_limit_leaves_memavailable(monkeypatch, files):
+    monkeypatch.setattr(spectrum, "_read_text", {"/proc/meminfo": MEMINFO, **files}.get)
+    assert spectrum._cgroup_headroom() is None
+    assert spectrum._read_available_memory() == 3000 * 1024
+
+
+def test_available_memory_unknown_without_meminfo_sysconf_or_cgroup(monkeypatch):
+    def no_sysconf(name):
+        raise ValueError(name)
+
+    monkeypatch.setattr(spectrum, "_read_text", {}.get)
+    monkeypatch.setattr(spectrum.os, "sysconf", no_sysconf)
+    assert spectrum._read_available_memory() is None
+
+
 def test_available_memory_reuses_a_reading_within_its_window(monkeypatch):
     readings = iter([111, 222])
     clock = [1000.0]
@@ -689,10 +723,10 @@ def test_brute_force_at_time_zero_matches_direct_average(rng):
     s = obs.system_part
     expected = (abs(m.a) ** 2 * s.s_uu + abs(m.b) ** 2 * s.s_dd
                 + 2.0 * (m.a * m.b.conjugate() * s.s_du).real)
-    for spin, part in zip(m.spins, obs.env_parts):
-        expected *= (abs(spin.alpha) ** 2 * part.e_uu
-                     + abs(spin.beta) ** 2 * part.e_dd
-                     + 2.0 * (spin.alpha * spin.beta.conjugate() * part.e_du).real)
+    for (alpha, beta, _), part in zip(triples(m), obs.env_parts):
+        expected *= (abs(alpha) ** 2 * part.e_uu
+                     + abs(beta) ** 2 * part.e_dd
+                     + 2.0 * (alpha * beta.conjugate() * part.e_du).real)
     assert abs(brute_force_expectation(m, obs, 0.0) - expected) < 1e-12
 
 
@@ -702,10 +736,10 @@ def test_brute_force_matches_dense_kronecker_reference(n, rng):
     explicit diagonal 1/2 sigma_z (x) sum_i g_i sigma_z^(i). Every factor is
     a different complex Hermitian matrix, so applying a factor at the
     wrong site, or its transpose, changes the value."""
-    spins = bounded_model(n, rng, phases=True).spins
+    bath = bounded_model(n, rng, phases=True)
     a = math.sqrt(0.3) * complex(math.cos(0.4), math.sin(0.4))
     b = math.sqrt(0.7) * complex(math.cos(-1.1), math.sin(-1.1))
-    m = SpinBathModel(a, b, spins)
+    m = SpinBathModel(a, b, bath.alpha, bath.beta, bath.g)
     obs = random_full_observable(rng, n)
 
     def dense(uu, dd, du):
@@ -716,11 +750,11 @@ def test_brute_force_matches_dense_kronecker_reference(n, rng):
     big_o = dense(s.s_uu, s.s_dd, s.s_du)
     sigma_z = np.diag([1.0, -1.0])
     bath_h = np.zeros((1 << n, 1 << n))
-    for i, (spin, part) in enumerate(zip(spins, obs.env_parts)):
-        psi0 = np.kron(psi0, np.array([spin.alpha, spin.beta], dtype=np.complex128))
+    for i, ((alpha, beta, g), part) in enumerate(zip(triples(bath), obs.env_parts)):
+        psi0 = np.kron(psi0, np.array([alpha, beta], dtype=np.complex128))
         big_o = np.kron(big_o, dense(part.e_uu, part.e_dd, part.e_du))
         ops = [np.eye(2)] * n
-        ops[i] = spin.g * sigma_z
+        ops[i] = g * sigma_z
         term = ops[0]
         for op in ops[1:]:
             term = np.kron(term, op)
