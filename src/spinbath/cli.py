@@ -29,6 +29,7 @@ from .harness import (
     run_simulate,
     run_spectrum,
 )
+from .lemma import LemmaReport
 
 
 def _load_json_file(path: str, what: str) -> Any:
@@ -132,6 +133,13 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _gate_outcome(report: LemmaReport) -> str:
+    """Each failed gate as its value against its threshold, or that all passed."""
+    failed = [f"{g.name} {g.value:g} {'<' if g.value < g.threshold else '>'} {g.threshold:g}"
+              for g in report.gates if not g.passed]
+    return "failed: " + ", ".join(failed) if failed else f"all {len(report.gates)} gates passed"
+
+
 def _model_dict_from_flags(args: argparse.Namespace) -> dict[str, Any] | None:
     """Translate model flags into a config model section, or None."""
     given = [flag for flag, _ in _RANDOM_MODEL_FLAGS
@@ -207,11 +215,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     config = parse_config(_assemble(args), OUTPUT_FORMATS["predict"])
     report = run_predict(config)
-    print(
-        f"verdict: {report.verdict.value} "
-        f"(n_points={report.n_points}, quasi_continuous={report.quasi_continuous}, "
-        f"in_l1={report.in_l1})"
-    )
+    print(f"verdict: {report.verdict.value} (n_points={report.n_points}; {_gate_outcome(report)})")
     if config.output is not None:
         print(f"wrote {config.output.path}")
     return 0
@@ -222,7 +226,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     result = run_compare(config)
     status = "consistent" if result.agreement.consistent else "tension"
     print(
-        f"verdict: {result.prediction.verdict.value}; "
+        f"verdict: {result.prediction.verdict.value} ({_gate_outcome(result.prediction)}); "
         f"late-time avg |r|^2 = {result.decay_stats.time_avg_r_sq_last_half:{FLOAT_FORMAT}}; "
         f"agreement: {status}"
     )

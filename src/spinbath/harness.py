@@ -131,7 +131,7 @@ OMIT = object()  # a Field default: a key left out stays out, so the value objec
 @dataclass(frozen=True)
 class Field:
     """One key of a config section: its kind (a key of _PARSERS), its default,
-    and for a grid or verdict key the help of its CLI flag."""
+    for a grid or verdict key the help of its CLI flag, and its rule."""
 
     key: str
     kind: type
@@ -139,6 +139,7 @@ class Field:
     help: str | None = None
     null_is_default: bool = False  # a JSON null stands for the default
     enumeration: bool = False  # also a setting of the spectrum subcommand
+    rule: tuple[Callable[[Any], bool], str] | None = None  # a given value's test, and what it says
 
 
 def _expect_dict(value: Any, path: str) -> dict:
@@ -198,8 +199,9 @@ def _fields(data: Any, path: str, fields: Sequence[Field]) -> dict[str, Any]:
     """The section at ``path`` as {key: value}, one entry per row of ``fields``.
 
     Refuses a non-object, then an unknown key (the first in sorted order),
-    then row by row a missing required key or a value not of the row's kind.
-    A key left out (or null, where that means the default) takes its default.
+    then row by row a missing required key, a value not of the row's kind, or
+    one its rule refuses. A key left out (or null, where that means the
+    default) takes its default.
     """
     data = _expect_dict(data, path)
     unknown = data.keys() - {f.key for f in fields}
@@ -208,7 +210,9 @@ def _fields(data: Any, path: str, fields: Sequence[Field]) -> dict[str, Any]:
     values = {}
     for f in fields:
         if f.key in data and not (f.null_is_default and data[f.key] is None):
-            values[f.key] = _PARSERS[f.kind](data[f.key], f"{path}.{f.key}")
+            value = values[f.key] = _PARSERS[f.kind](data[f.key], f"{path}.{f.key}")
+            if f.rule is not None and not f.rule[0](value):
+                raise ConfigError(f"{path}.{f.key}", f"must {f.rule[1]}, got {value!r}")
         elif f.default is REQUIRED:
             raise ConfigError(f"{path}.{f.key}", "missing required field")
         elif f.default is not OMIT:
@@ -245,24 +249,31 @@ COUPLING_LAWS = {
     "uniform_positive": (UniformPositive, (_LAW, Field("g_max", float, 1.0))),
     "equal": (Equal, (_LAW, Field("g", float))),
 }
+_FINITE = (math.isfinite, "be finite")
+_AT_LEAST_ONE = (lambda value: value >= 1, "be >= 1")
 # t_end left out (or null) is the horizon t_start + 20 / mean|g|
 GRID_FIELDS = (
-    Field("t_start", float, 0.0),
-    Field("t_end", float, None, null_is_default=True),
-    Field("steps", int, DEFAULT_STEPS),
+    Field("t_start", float, 0.0, rule=_FINITE),
+    Field("t_end", float, None, null_is_default=True, rule=_FINITE),
+    Field("steps", int, DEFAULT_STEPS, rule=(lambda steps: steps >= 2, "be >= 2")),
 )
 OBSERVABLE_FIELDS = (Field("s_uu", float), Field("s_dd", float), Field("s_du", complex, 0j))
-# VerdictConfig's fields, in its order; a key left out keeps its default there
+# VerdictConfig's fields, in its order; a key left out keeps its default there.
+# NaN is refused, as a NaN gate would fail silently; +inf switches a max gate
+# off. A bad group count or recurrence setting is refused before the enumeration.
+_NOT_NAN = (lambda value: not math.isnan(value), "not be NaN")
 VERDICT_FIELDS = (
     Field("n_min", int, OMIT, "minimum line count gate"),
-    Field("cv_max", float, OMIT, "gap spread gate"),
-    Field("ks_max", float, OMIT, "uniformity gate"),
-    Field("eps_global", float, OMIT, "max weight gate"),
-    Field("eps_group", float, OMIT, "per-group deviation gate"),
-    Field("g_groups", int, OMIT, "partition group count", null_is_default=True),
-    Field("q_max", int, OMIT, "rationalization denominator cap"),
-    Field("rel_tolerance", float, OMIT),
-    Field("omega_tolerance", float, OMIT, "line merge radius / max|g|", enumeration=True),
+    Field("cv_max", float, OMIT, "gap spread gate", rule=_NOT_NAN),
+    Field("ks_max", float, OMIT, "uniformity gate", rule=_NOT_NAN),
+    Field("eps_global", float, OMIT, "max weight gate", rule=_NOT_NAN),
+    Field("eps_group", float, OMIT, "per-group deviation gate", rule=_NOT_NAN),
+    Field("g_groups", int, OMIT, "partition group count", null_is_default=True,
+          rule=_AT_LEAST_ONE),
+    Field("q_max", int, OMIT, "rationalization denominator cap", rule=_AT_LEAST_ONE),
+    Field("rel_tolerance", float, OMIT, rule=(lambda tol: 0.0 < tol < 1.0, "lie in (0, 1)")),
+    Field("omega_tolerance", float, OMIT, "line merge radius / max|g|", enumeration=True,
+          rule=_NOT_NAN),
     Field("enumeration_cap", int, OMIT, enumeration=True),
 )
 OUTPUT_FIELDS = (Field("path", str), Field("format", str, None))  # None: the command's default
@@ -311,9 +322,9 @@ def _parse_coupling(data: dict, path: str) -> UniformPositive | Equal:
 
 
 # Peak-RSS rise per spin of a random model in parse_config (the draw, the
-# model's copies, the horizon's list of |g|): 137-139 B in fresh processes at
-# N = 2e5 and 1e6, either phase law; 104-128 B at N = 4e6.
-_BYTES_PER_SPIN = 160
+# model's copies, the horizon's running sums of |g|) in fresh processes at
+# N = 2e5 and 1e6: 104-105 B with zero phases, 128-130 B with uniform ones.
+_BYTES_PER_SPIN = 144
 
 
 def _parse_random_model(data: dict, path: str) -> SpinBathModel:
@@ -341,13 +352,9 @@ def _parse_grid(data: Any, path: str, model: SpinBathModel) -> TimeGrid:
     """The grid, its horizon 20 / mean|g| past t_start where t_end is absent or null."""
     values = _fields(data, path, GRID_FIELDS)
     t_start, t_end, steps = values["t_start"], values["t_end"], values["steps"]
-    for key in ("t_start", "t_end"):
-        if values[key] is not None and not math.isfinite(values[key]):
-            raise ConfigError(f"{path}.{key}", f"must be finite, got {values[key]!r}")
-    if steps < 2:
-        raise ConfigError(f"{path}.steps", f"must be >= 2, got {steps}")
     if t_end is None:
-        mean_g = sum(map(abs, model.g.tolist())) / model.n_spins
+        with np.errstate(over="ignore"):  # _require_horizon refuses an infinite sum
+            mean_g = float(np.cumsum(np.abs(model.g))[-1]) / model.n_spins
         t_end = t_start + DEFAULT_T_END_OVER_MEAN_G / mean_g
     elif t_end <= t_start:
         raise ConfigError(f"{path}.t_end", "must exceed t_start")
@@ -360,16 +367,6 @@ def _parse_observable(data: Any, path: str) -> RelevantObservable:
         return RelevantObservable(**values)
     except InvalidParameterError as exc:
         raise ConfigError(path, str(exc)) from None
-
-
-def _parse_verdict(data: Any, path: str) -> VerdictConfig:
-    """NaN is refused: it fails every comparison, so its gate would fail
-    silently. Infinities are kept; +inf switches a max gate off."""
-    values = _fields(data, path, VERDICT_FIELDS)
-    for key, value in values.items():
-        if isinstance(value, float) and math.isnan(value):
-            raise ConfigError(f"{path}.{key}", "expected a number, got NaN")
-    return VerdictConfig(**values)
 
 
 def _parse_output(data: Any, path: str, formats: tuple[str, ...]) -> OutputSpec:
@@ -392,7 +389,7 @@ def parse_config(data: Any, formats: tuple[str, ...], path: str = "config") -> E
         model,
         grid,
         None if observable is None else _parse_observable(observable, f"{path}.observable"),
-        _parse_verdict(values["verdict"], f"{path}.verdict"),
+        VerdictConfig(**_fields(values["verdict"], f"{path}.verdict", VERDICT_FIELDS)),
         None if output is None else _parse_output(output, f"{path}.output", formats),
     )
 

@@ -17,9 +17,9 @@ decision procedure here:
   returns t_P = 2*pi/Delta, or EffectivelyInfinite when the differences
   are incommensurate at working precision.
 * :func:`decoherence_verdict` runs the full pipeline on a model's exact
-  frequency spectrum. The verdict is Decoheres exactly when both
-  hypothesis checks pass; the sum's magnitude at t_P/2 is reported as a
-  diagnostic but never consulted.
+  frequency spectrum. The verdict is Decoheres exactly when every gate row
+  passes; the sum's magnitude at t_P/2 is reported as a diagnostic but
+  never consulted.
 
 All thresholds are explicit and overridable, and every diagnostic is
 reported regardless of the verdict, so callers can re-gate.
@@ -28,7 +28,8 @@ reported regardless of the verdict, so callers can re-gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -113,13 +114,10 @@ class WeightedPointSet:
 class VerdictConfig:
     """Everything the verdict pipeline can be tuned with.
 
-    The quasi-continuity gates: n_min encodes "many points"; cv_max caps
-    the spread of nearest-neighbor gaps relative to their mean; ks_max
-    caps the sup-distance between the empirical CDF and the uniform CDF on
-    the spanned interval. The weight gates: eps_global caps every weight;
-    eps_group caps max-minus-min within each partition group. g_groups
-    None means ceil(sqrt(n)) groups, so group count and group size both
-    grow with the spectrum.
+    n_min to eps_group are gate thresholds; the gate table GATES says which
+    gate each one bounds, and from which side. g_groups None means
+    ceil(sqrt(n)) groups, so group count and group size both grow with the
+    spectrum.
     """
 
     n_min: int = 64
@@ -135,22 +133,34 @@ class VerdictConfig:
 
 
 @dataclass(frozen=True)
-class QCDiagnostics:
-    n_points: int
-    gap_cv: float
-    ks_stat: float
-    size_ok: bool
-    cv_ok: bool
-    ks_ok: bool
+class Gate:
+    """One gate of the verdict: a measured ``value`` against its ``threshold``."""
+
+    name: str
+    value: float
+    threshold: float
+    passed: bool
 
 
-@dataclass(frozen=True)
-class L1Diagnostics:
-    max_weight: float
-    max_group_deviation: float
-    worst_group_index: int
-    global_ok: bool
-    group_ok: bool
+# The gate table: each gate's VerdictConfig threshold field and the test its
+# value must pass against it. ``count`` is a floor, the others are caps.
+GATES = {
+    "count": ("n_min", operator.ge),
+    "gap_cv": ("cv_max", operator.le),
+    "ks": ("ks_max", operator.le),
+    "max_weight": ("eps_global", operator.le),
+    "group_deviation": ("eps_group", operator.le),
+}
+
+
+def _gates(config: VerdictConfig, **values: float) -> tuple[Gate, ...]:
+    """One row per named value, in the order given, judged by the gate table."""
+    rows = []
+    for name, value in values.items():
+        key, passes = GATES[name]
+        threshold = getattr(config, key)
+        rows.append(Gate(name, value, threshold, passes(value, threshold)))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -167,12 +177,9 @@ class PartitionScheme:
 def check_quasi_continuous(
     point_set: WeightedPointSet,
     config: VerdictConfig = VerdictConfig(),
-) -> tuple[bool, QCDiagnostics]:
-    """Test whether the points are numerous and nearly uniformly spread.
-
-    Returns the boolean gate result together with diagnostics that are
-    always fully populated, whatever the outcome.
-    """
+) -> tuple[Gate, ...]:
+    """Test whether the points are numerous and nearly uniformly spread:
+    the ``count``, ``gap_cv`` and ``ks`` rows, filled in whatever the outcome."""
     pts = point_set.points
     n = pts.size
     if n < 2:
@@ -193,11 +200,7 @@ def check_quasi_continuous(
     u -= grid[:-1]
     ks_stat = float(max(above, np.max(u)))
 
-    size_ok = n >= config.n_min
-    cv_ok = gap_cv <= config.cv_max
-    ks_ok = ks_stat <= config.ks_max
-    diag = QCDiagnostics(n, gap_cv, ks_stat, size_ok, cv_ok, ks_ok)
-    return size_ok and cv_ok and ks_ok, diag
+    return _gates(config, count=n, gap_cv=gap_cv, ks=ks_stat)
 
 
 def make_partition(point_set: WeightedPointSet, g_groups: int) -> PartitionScheme:
@@ -225,8 +228,10 @@ def check_l1(
     point_set: WeightedPointSet,
     partition: PartitionScheme,
     config: VerdictConfig = VerdictConfig(),
-) -> tuple[bool, L1Diagnostics]:
-    """Test whether weights are globally small and locally near-constant."""
+) -> tuple[tuple[Gate, ...], int]:
+    """Test whether weights are globally small and locally near-constant:
+    the ``max_weight`` and ``group_deviation`` rows, and the index of the
+    group that deviates most (the first on a tie)."""
     n = point_set.n_points
     bounds = partition.group_boundaries
     if len(bounds) != partition.g_groups:
@@ -237,20 +242,14 @@ def check_l1(
             raise InvalidParameterError("partition must cover the set contiguously")
         cursor = stop
     if cursor != n:
-        raise InvalidParameterError(
-            f"partition covers {cursor} points, set has {n}"
-        )
+        raise InvalidParameterError(f"partition covers {cursor} points, set has {n}")
 
     weights = point_set.weights
     max_weight = float(np.max(weights))
     starts = np.array([start for start, _ in bounds], dtype=np.intp)
     deviations = np.maximum.reduceat(weights, starts) - np.minimum.reduceat(weights, starts)
     worst = int(np.argmax(deviations))  # the first group on a tie
-    max_dev = float(deviations[worst])
-    global_ok = max_weight <= config.eps_global
-    group_ok = max_dev <= config.eps_group
-    diag = L1Diagnostics(max_weight, max_dev, worst, global_ok, group_ok)
-    return global_ok and group_ok, diag
+    return _gates(config, max_weight=max_weight, group_deviation=float(deviations[worst])), worst
 
 
 def lemma_sum(point_set: WeightedPointSet, t: float) -> complex:
@@ -363,7 +362,9 @@ class LemmaReport:
     """Complete outcome of the verdict pipeline, diagnostics included.
 
     ``sum_of_weights`` is the spectrum's correctly rounded weight sum.
-    ``verdict`` is Decoheres exactly when both hypothesis booleans hold.
+    ``gates`` holds the five gate rows in the order of GATES; the fields
+    that are not arguments are read off them, each hypothesis boolean as the
+    AND of its rows and ``verdict`` as Decoheres exactly when all pass.
     ``lemma_sum_magnitude_at_half_tp`` is informational only, and
     ``has_degenerate_lines`` flags that distinct indices collided into
     shared frequencies (the checks run on the aggregated spectrum).
@@ -372,22 +373,36 @@ class LemmaReport:
 
     n_spins: int
     sum_of_weights: float
-    n_points: int
-    quasi_continuous: bool
-    qc_gap_cv: float
-    qc_ks_stat: float
-    in_l1: bool
-    l1_max_weight: float
-    l1_max_group_deviation: float
+    gates: tuple[Gate, ...]
+    n_points: int = field(init=False)
+    quasi_continuous: bool = field(init=False)
+    qc_gap_cv: float = field(init=False)
+    qc_ks_stat: float = field(init=False)
+    in_l1: bool = field(init=False)
+    l1_max_weight: float = field(init=False)
+    l1_max_group_deviation: float = field(init=False)
     recurrence_time: float | _Sentinel
     lemma_sum_magnitude_at_half_tp: float | _Sentinel
-    verdict: Verdict
+    verdict: Verdict = field(init=False)
     has_degenerate_lines: bool = False
 
+    def __post_init__(self):
+        count, gap_cv, ks, max_weight, group_deviation = self.gates
+        derived = dict(
+            n_points=count.value, qc_gap_cv=gap_cv.value, qc_ks_stat=ks.value,
+            l1_max_weight=max_weight.value, l1_max_group_deviation=group_deviation.value,
+            quasi_continuous=all(g.passed for g in (count, gap_cv, ks)),
+            in_l1=all(g.passed for g in (max_weight, group_deviation)),
+            verdict=Verdict.DECOHERES if all(g.passed for g in self.gates) else Verdict.NO_VERDICT,
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
     def to_dict(self) -> dict:
-        """JSON-compatible view in field order; sentinels and the verdict
-        become descriptive strings."""
-        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+        """JSON-compatible view in field order, without the gate rows;
+        sentinels and the verdict become descriptive strings."""
+        keys = [f.name for f in fields(self) if f.name != "gates"]
+        return {key: _json_value(getattr(self, key)) for key in keys}
 
 
 def _json_value(value):
@@ -412,9 +427,9 @@ def decoherence_verdict(
 
     The spectrum is enumerated exactly and aggregated (coincident
     frequencies merged, weights summed) before checking; the verdict is
-    Decoheres iff the aggregated set passes quasi-continuity and the
-    weight checks. The recurrence time and, when finite, the sum magnitude
-    at half of it are attached as diagnostics.
+    Decoheres iff the aggregated set passes every gate. The recurrence
+    time and, when finite, the sum magnitude at half of it are attached as
+    diagnostics.
     """
     dec = spectral_decomposition(
         model, config.omega_tolerance, max_spins=config.enumeration_cap
@@ -432,10 +447,9 @@ def verdict_from_decomposition(
     if n < 2:
         raise DegenerateSetError("spectrum collapsed to a single line")
 
-    ok_qc, qc_diag = check_quasi_continuous(points, config)
+    qc = check_quasi_continuous(points, config)
     g_groups = default_g_groups(n) if config.g_groups is None else config.g_groups
-    partition = make_partition(points, g_groups)
-    ok_l1, l1_diag = check_l1(points, partition, config)
+    l1, _ = check_l1(points, make_partition(points, g_groups), config)
     recurrence = estimate_recurrence_time(points, config.q_max, config.rel_tolerance)
     if isinstance(recurrence, float):
         magnitude = abs(lemma_sum(points, recurrence / 2.0))
@@ -445,15 +459,8 @@ def verdict_from_decomposition(
     return LemmaReport(
         n_spins=dec.n_spins,
         sum_of_weights=dec.weight_sum,
-        n_points=n,
-        quasi_continuous=ok_qc,
-        qc_gap_cv=qc_diag.gap_cv,
-        qc_ks_stat=qc_diag.ks_stat,
-        in_l1=ok_l1,
-        l1_max_weight=l1_diag.max_weight,
-        l1_max_group_deviation=l1_diag.max_group_deviation,
+        gates=qc + l1,
         recurrence_time=recurrence,
         lemma_sum_magnitude_at_half_tp=magnitude,
-        verdict=Verdict.DECOHERES if (ok_qc and ok_l1) else Verdict.NO_VERDICT,
         has_degenerate_lines=bool(np.any(dec.multiplicity > 1)),
     )

@@ -70,7 +70,7 @@ _WEIGHT_SUM_TOLERANCE = 1e-12
 # (couplings 1 and 2^-80, say) take about 89 B per term at N = 19 and
 # 76 B at N = 20, so spectral_decomposition picks its bound by
 # _fits_int64.
-# hamiltonian_spectrum peaks at about 30 B per value at N = 20 and 22
+# hamiltonian_spectrum peaks at about 30-32 B per value at N = 20 to 22
 # (under 1 B with equal couplings, 42 B where the sums need Python ints),
 # so it has its own bound. brute_force_stack peaks at about 53 B per state
 # under tracemalloc at N = 10, 11 and 12 (the phased state, the energies
@@ -652,30 +652,20 @@ def hamiltonian_spectrum(
     Returns ``(energies, degeneracies)``: float64 levels in increasing
     order and their int64 degeneracies, each >= 1 and totalling 2^(N+1).
     The system's up branch carries +half the signed coupling sum of the
-    bath pattern and the down branch the negation, so the level multiset
-    is negation symmetric. Levels within ``merge_tolerance * max|g|`` are
-    merged.
+    bath pattern and the down branch the negation. Each pattern's half-sum
+    is the negation of its complement's, and rounding is symmetric, so the
+    down branch's levels equal the up branch's: each half-sum is a level
+    twice. Levels within ``merge_tolerance * max|g|`` are merged.
     """
     if not merge_tolerance >= 0:
         raise InvalidParameterError(f"merge_tolerance must be >= 0, got {merge_tolerance!r}")
     n = model.n_spins
     _require_cap(n, max_spins, n + 1, _LEVEL_BYTES_PER_VALUE, "eigenvalue enumeration")
 
-    # Rounding is symmetric, so negating a rounded half-sum is exact. The
-    # half-sums and their negations are two sorted runs, which a stable
-    # sort merges in linear time.
     half, counts, _ = _sorted_terms(*_scaled_couplings(model, scale=2))
-    energies = np.concatenate([half, -half[::-1]])
-    del half
-    if counts is None:
-        energies.sort(kind="stable")
-    else:
-        order = np.argsort(energies, kind="stable")
-        energies = energies[order]
-        counts = np.concatenate([counts, counts[::-1]])[order]
-        del order
+    twice = np.full(half.size, 2, dtype=np.int64) if counts is None else 2 * counts
     radius = merge_tolerance * float(np.abs(model.g).max())
-    reps, _, sizes = _merge_sorted(energies, counts, None, radius)
+    reps, _, sizes = _merge_sorted(half, twice, None, radius)
     total = int(np.sum(sizes))
     if total != 1 << (n + 1) or np.any(sizes < 1):
         raise InvalidParameterError(

@@ -260,8 +260,25 @@ def test_predict_threshold_flags(tmp_path, capsys):
                  "--eps-global", "5e-3", "--eps-group", "5e-3",
                  "--output", str(out)])
     assert code == 0
-    assert "verdict: decoheres" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        f"verdict: decoheres (n_points=65536; all 5 gates passed)\nwrote {out}\n"
+    )
     assert json.loads(out.read_text())["verdict"] == "decoheres"
+
+
+def test_predict_and_compare_name_each_failed_gate(capsys):
+    """The summary names every failed gate with its value and threshold: a
+    cap's value lies above it, a floor's below."""
+    assert main(["predict", "--n", "16", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "verdict: no_verdict (n_points=65536; failed: gap_cv 5.64696 > 1, ks 0.208011 > 0.2, "
+        "max_weight 0.002899 > 0.001, group_deviation 0.002899 > 0.001)\n"
+    )
+    assert main(["compare", "--n", "20", "--seed", "3", "--equal-coupling", "0.5"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "verdict: no_verdict (failed: count 21 < 64, max_weight 0.203201 > 0.001, "
+        "group_deviation 0.101055 > 0.001); late-time avg |r|^2 = "
+    )
 
 
 def test_predict_rejects_nan_threshold_flags(capsys):
@@ -345,7 +362,9 @@ def test_compare_consistent_exit_zero(tmp_path, capsys):
     })
     code = main(["compare", "--config", config])
     assert code == 0
-    assert "agreement: consistent" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("verdict: decoheres (all 5 gates passed); late-time avg")
+    assert "agreement: consistent" in stdout
     assert json.loads(out.read_text())["agreement"]["status"] == "consistent"
 
 
@@ -567,6 +586,19 @@ def test_cap_violation_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--q-max", "0", "config.verdict.q_max"),
+    ("--rel-tolerance", "2", "config.verdict.rel_tolerance"),
+    ("--g-groups", "-3", "config.verdict.g_groups"),
+])
+def test_bad_verdict_setting_is_refused_before_the_enumeration(capsys, flag, value, field):
+    """At N = 30 the enumeration would be refused by its cap; the setting is
+    refused first, with its field path."""
+    assert main(["predict", "--n", "30", "--seed", "1", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: must ") and "cap" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_grid_beyond_memory_exits_two(monkeypatch, command, capsys):
     # a small reading stands in for a grid too large for the machine
@@ -586,7 +618,7 @@ def test_random_bath_beyond_memory_exits_two(monkeypatch, command, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == (
-        "error: a random bath of 1000000000 spins needs roughly 1.6e+05 MB; "
+        "error: a random bath of 1000000000 spins needs roughly 1.44e+05 MB; "
         "only 1e+03 MB of memory is free. Reduce n.\n"
     )
 

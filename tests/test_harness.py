@@ -207,6 +207,19 @@ def random_2(**keys):
         "spins": [{"alpha": [0.9, 0.0], "beta": [0.9, 0.0], "g": 1.0},
                   {"alpha": [1.0, 0.0], "beta": [0.0, 0.0], "g": "x"}],
     }}}, "config.model.inline.spins[1].g", id="doc28-config.model.inline.spins[1].g"),
+    # settings the verdict would refuse only after the enumeration
+    pytest.param(with_random_2(verdict={"q_max": 0}), "config.verdict.q_max",
+                 id="doc29-config.verdict.q_max"),
+    pytest.param(with_random_2(verdict={"rel_tolerance": 2.0}), "config.verdict.rel_tolerance",
+                 id="doc30-config.verdict.rel_tolerance"),
+    pytest.param(with_random_2(verdict={"rel_tolerance": 0.0}), "config.verdict.rel_tolerance",
+                 id="doc31-config.verdict.rel_tolerance"),
+    pytest.param(with_random_2(verdict={"rel_tolerance": math.inf}),
+                 "config.verdict.rel_tolerance", id="doc32-config.verdict.rel_tolerance"),
+    pytest.param(with_random_2(verdict={"g_groups": -3}), "config.verdict.g_groups",
+                 id="doc33-config.verdict.g_groups"),
+    pytest.param(with_random_2(verdict={"g_groups": 0}), "config.verdict.g_groups",
+                 id="doc34-config.verdict.g_groups"),
 ])
 def test_parse_config_reports_field_paths(doc, path):
     with pytest.raises(ConfigError) as info:
@@ -266,7 +279,11 @@ def test_verdict_rejects_nan(key):
     assert info.value.field_path == f"config.verdict.{key}"
 
 
-@pytest.mark.parametrize("key", REAL_KEYS)
+# rel_tolerance must lie in (0, 1); the other real keys take infinities
+INFINITE_KEYS = [key for key in REAL_KEYS if key != "rel_tolerance"]
+
+
+@pytest.mark.parametrize("key", INFINITE_KEYS)
 def test_verdict_accepts_infinities(key):
     for value in (math.inf, -math.inf):
         assert getattr(parse_verdict({key: value}), key) == value

@@ -19,6 +19,7 @@ from spinbath import (
 )
 from spinbath.lemma import (
     EFFECTIVELY_INFINITE,
+    GATES,
     NOT_EVALUATED,
     PartitionScheme,
     VerdictConfig,
@@ -42,6 +43,11 @@ def uniform_set(n, lo=0.0, hi=1.0, weight=None):
     pts = np.linspace(lo, hi, n)
     w = np.full(n, 1.0 / n if weight is None else weight)
     return WeightedPointSet(pts, w)
+
+
+def judged(rows):
+    """Whether every gate row passed, and the rows by gate name."""
+    return all(g.passed for g in rows), {g.name: g for g in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +98,17 @@ def test_point_set_copies_writable_input():
 # ---------------------------------------------------------------------------
 
 def test_uniform_grid_is_quasi_continuous():
-    ok, diag = check_quasi_continuous(uniform_set(100))
+    ok, gates = judged(check_quasi_continuous(uniform_set(100)))
     assert ok
-    assert diag.gap_cv < 1e-12  # linspace is uniform to the last ulp only
-    assert abs(diag.ks_stat - 0.01) < 1e-12
-    assert diag.size_ok and diag.cv_ok and diag.ks_ok
+    assert gates["gap_cv"].value < 1e-12  # linspace is uniform to the last ulp only
+    assert abs(gates["ks"].value - 0.01) < 1e-12
+    assert gates["count"].passed and gates["gap_cv"].passed and gates["ks"].passed
 
 
 def test_two_point_ks_by_hand():
     """For {0, 1}: D = max over steps of the CDF mismatch = 1/2."""
-    _, diag = check_quasi_continuous(WeightedPointSet([0.0, 1.0], [0.5, 0.5]))
-    assert abs(diag.ks_stat - 0.5) < 1e-15
+    _, gates = judged(check_quasi_continuous(WeightedPointSet([0.0, 1.0], [0.5, 0.5])))
+    assert abs(gates["ks"].value - 0.5) < 1e-15
 
 
 @pytest.mark.parametrize("points", [
@@ -112,31 +118,32 @@ def test_two_point_ks_by_hand():
 ])
 def test_ks_stat_matches_separate_upper_and_lower_steps(points):
     """One shared grid gives the bits of the two-arange formula."""
-    _, diag = check_quasi_continuous(WeightedPointSet(points, np.full(points.size, 0.5)))
+    _, gates = judged(check_quasi_continuous(WeightedPointSet(points, np.full(points.size, 0.5))))
     pts = np.sort(points)
     n = pts.size
     u = (pts - pts[0]) / (pts[-1] - pts[0])
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
     expected = float(max(np.max(upper - u), np.max(u - lower)))
-    assert np.float64(diag.ks_stat).tobytes() == np.float64(expected).tobytes()
+    assert np.float64(gates["ks"].value).tobytes() == np.float64(expected).tobytes()
 
 
 def test_size_gate():
-    ok, diag = check_quasi_continuous(uniform_set(63))
-    assert not ok and not diag.size_ok and diag.cv_ok and diag.ks_ok
-    ok, _ = check_quasi_continuous(uniform_set(64))
+    ok, gates = judged(check_quasi_continuous(uniform_set(63)))
+    assert not ok and not gates["count"].passed and gates["gap_cv"].passed and gates["ks"].passed
+    assert (gates["count"].value, gates["count"].threshold) == (63, 64)
+    ok, _ = judged(check_quasi_continuous(uniform_set(64)))
     assert ok
 
 
 def test_clustered_points_fail_spread_gates():
     pts = np.concatenate([np.linspace(0.0, 0.01, 50),
                           np.linspace(0.99, 1.0, 50)])
-    ok, diag = check_quasi_continuous(
-        WeightedPointSet(pts, np.full(100, 0.01)))
+    ok, gates = judged(check_quasi_continuous(
+        WeightedPointSet(pts, np.full(100, 0.01))))
     assert not ok
-    assert not diag.cv_ok
-    assert not diag.ks_ok
+    assert not gates["gap_cv"].passed
+    assert not gates["ks"].passed
 
 
 def test_quasi_continuity_edge_cases():
@@ -148,9 +155,10 @@ def test_quasi_continuity_edge_cases():
 
 def test_custom_thresholds_apply():
     s = uniform_set(40)
-    ok, _ = check_quasi_continuous(s, VerdictConfig(n_min=10, cv_max=0.5, ks_max=0.1))
+    ok, gates = judged(check_quasi_continuous(s, VerdictConfig(n_min=10, cv_max=0.5, ks_max=0.1)))
     assert ok
-    ok, _ = check_quasi_continuous(s, VerdictConfig(n_min=41, cv_max=0.5, ks_max=0.1))
+    assert [g.threshold for g in gates.values()] == [10, 0.5, 0.1]
+    ok, _ = judged(check_quasi_continuous(s, VerdictConfig(n_min=41, cv_max=0.5, ks_max=0.1)))
     assert not ok
 
 
@@ -161,12 +169,12 @@ def test_subset_sum_set_fails_uniformity_golden():
     golden = json.loads((GOLDEN / "qc_subset_sums_n14.json").read_text())
     m = generate_random(golden["n"], golden["seed"])
     dec = spectral_decomposition(m)
-    ok, diag = check_quasi_continuous(WeightedPointSet.from_decomposition(dec))
+    ok, gates = judged(check_quasi_continuous(WeightedPointSet.from_decomposition(dec)))
     assert ok == golden["quasi_continuous"]
-    assert diag.n_points == golden["n_points"]
-    assert abs(diag.gap_cv - golden["gap_cv"]) < 1e-12
-    assert abs(diag.ks_stat - golden["ks_stat"]) < 1e-12
-    assert diag.gap_cv > 1.0 and diag.ks_stat > 0.2
+    assert gates["count"].value == golden["n_points"]
+    assert abs(gates["gap_cv"].value - golden["gap_cv"]) < 1e-12
+    assert abs(gates["ks"].value - golden["ks_stat"]) < 1e-12
+    assert gates["gap_cv"].value > 1.0 and gates["ks"].value > 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -203,40 +211,58 @@ def test_partition_rejects_bad_group_count():
 
 def test_l1_passes_for_flat_small_weights():
     s = uniform_set(256, weight=1e-4)
-    ok, diag = check_l1(s, make_partition(s, 16))
+    rows, _ = check_l1(s, make_partition(s, 16))
+    ok, gates = judged(rows)
     assert ok
-    assert diag.max_weight == 1e-4
-    assert diag.max_group_deviation == 0.0
+    assert gates["max_weight"].value == 1e-4
+    assert gates["group_deviation"].value == 0.0
 
 
 def test_l1_global_gate():
     w = np.full(256, 1e-4)
     w[100] = 5e-3
     s = WeightedPointSet(np.linspace(0, 1, 256), w)
-    ok, diag = check_l1(s, make_partition(s, 16))
-    assert not ok and not diag.global_ok
-    assert diag.max_weight == 5e-3
+    ok, gates = judged(check_l1(s, make_partition(s, 16))[0])
+    assert not ok and not gates["max_weight"].passed
+    assert gates["max_weight"].value == 5e-3
 
 
 def test_l1_group_gate_and_worst_group():
     w = np.full(60, 5e-4)
     w[45] = 5e-4 + 2e-3  # inside group 7 of a 10-group split, still < eps_global? no: 2.5e-3 > 1e-3
     s = WeightedPointSet(np.linspace(0, 1, 60), w)
-    ok, diag = check_l1(s, make_partition(s, 10),
-                        VerdictConfig(eps_global=1e-2, eps_group=1e-3))
+    rows, worst = check_l1(s, make_partition(s, 10),
+                           VerdictConfig(eps_global=1e-2, eps_group=1e-3))
+    ok, gates = judged(rows)
     assert not ok
-    assert diag.global_ok and not diag.group_ok
-    assert diag.worst_group_index == 7
-    assert abs(diag.max_group_deviation - 2e-3) < 1e-18
+    assert gates["max_weight"].passed and not gates["group_deviation"].passed
+    assert worst == 7
+    assert abs(gates["group_deviation"].value - 2e-3) < 1e-18
 
 
 def test_l1_worst_group_is_the_first_on_a_tie():
     w = np.full(40, 5e-4)
     w[5] = w[25] = 9e-4  # groups 0 and 2 of a 4-group split deviate equally
     s = WeightedPointSet(np.linspace(0, 1, 40), w)
-    _, diag = check_l1(s, make_partition(s, 4))
-    assert diag.worst_group_index == 0
-    assert diag.max_group_deviation == 9e-4 - 5e-4
+    rows, worst = check_l1(s, make_partition(s, 4))
+    assert worst == 0
+    assert judged(rows)[1]["group_deviation"].value == 9e-4 - 5e-4
+
+
+def test_each_gate_passes_at_its_threshold_and_fails_one_step_past_it():
+    """count is a floor; gap_cv, ks, max_weight and group_deviation are caps."""
+    s = uniform_set(64, weight=1e-4)
+    partition = make_partition(s, 8)
+
+    def rows(config):
+        return check_quasi_continuous(s, config) + check_l1(s, partition, config)[0]
+
+    values = {g.name: g.value for g in rows(VerdictConfig())}
+    at = {key: values[name] for name, (key, _) in GATES.items()}
+    assert all(g.passed for g in rows(VerdictConfig(**at)))
+    for name, (key, _) in GATES.items():
+        past = at[key] + 1 if key == "n_min" else float(np.nextafter(at[key], -np.inf))
+        assert [g.name for g in rows(VerdictConfig(**{**at, key: past})) if not g.passed] == [name]
 
 
 def test_l1_rejects_foreign_partition():
@@ -257,9 +283,9 @@ def test_large_spin_bath_weights_satisfy_l1(rng):
     m = bounded_model(18, rng, a2_lo=0.4, a2_hi=0.6)
     dec = spectral_decomposition(m)
     s = WeightedPointSet.from_decomposition(dec)
-    ok, diag = check_l1(s, make_partition(s, default_g_groups(s.n_points)))
+    ok, gates = judged(check_l1(s, make_partition(s, default_g_groups(s.n_points)))[0])
     assert ok
-    assert diag.max_weight < 1e-3
+    assert gates["max_weight"].value < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +547,27 @@ def test_report_to_dict_maps_sentinels(rng):
     assert isinstance(d["recurrence_time"], float)
     assert isinstance(d["lemma_sum_magnitude_at_half_tp"], float)
     assert d["has_degenerate_lines"] is True
+
+
+@pytest.mark.parametrize("model, config", [
+    (generate_random(16, 105),
+     VerdictConfig(cv_max=30.0, ks_max=0.30, eps_global=5e-3, eps_group=5e-3)),
+    (generate_random(12, 1), VerdictConfig()),
+    (generate_random(8, 2, Equal(0.5)), VerdictConfig(n_min=9, eps_global=0.5, eps_group=0.5)),
+], ids=["decoheres", "random", "equal"])
+def test_report_reads_its_fields_off_the_gate_rows(model, config):
+    report = decoherence_verdict(model, config)
+    ok, gates = judged(report.gates)
+    assert list(gates) == list(GATES)
+    assert [g.threshold for g in report.gates] == [getattr(config, key) for key, _ in GATES.values()]
+    assert report.n_points == gates["count"].value
+    assert (report.qc_gap_cv, report.qc_ks_stat) == (gates["gap_cv"].value, gates["ks"].value)
+    assert report.l1_max_weight == gates["max_weight"].value
+    assert report.l1_max_group_deviation == gates["group_deviation"].value
+    assert report.quasi_continuous == all(gates[name].passed for name in ("count", "gap_cv", "ks"))
+    assert report.in_l1 == all(gates[name].passed for name in ("max_weight", "group_deviation"))
+    assert (report.verdict is Verdict.DECOHERES) == ok
+    assert "gates" not in report.to_dict()
 
 
 def test_aligned_bath_fails_weight_check(rng):

@@ -681,6 +681,40 @@ def test_hamiltonian_merge_tolerance():
     assert abs(energies[0] + 0.5) < 1e-12 and abs(energies[1] - 0.5) < 1e-12
 
 
+def _mirrored_levels(m, merge_tolerance):
+    """The levels as the half-sums and their mirrored negations, ordered by one
+    stable sort and merged: the reference for reading them off the half-sums."""
+    half, counts, _ = spectrum._sorted_terms(*spectrum._scaled_couplings(m, scale=2))
+    energies = np.concatenate([half, -half[::-1]])
+    if counts is None:
+        energies.sort(kind="stable")
+    else:
+        order = np.argsort(energies, kind="stable")
+        energies = energies[order]
+        counts = np.concatenate([counts, counts[::-1]])[order]
+    radius = merge_tolerance * float(np.abs(m.g).max())
+    reps, _, sizes = spectrum._merge_sorted(energies, counts, None, radius)
+    return reps.tobytes(), sizes.tobytes()
+
+
+def _level_corpus():
+    rng = np.random.default_rng(22)
+    models = [generate_random(n, seed) for n in (1, 5, 9) for seed in (1, 2)]
+    models += [generate_random(n, 3, Equal(g)) for n, g in ((6, 0.5), (9, 0.3))]
+    # mixed-sign partial ties, and a coupling that needs Python-int sums
+    for extra in ([0.375] * 3 + [0.5, -0.5, 0.125], [1.0, -1.0, 2.0**-70]):
+        g = np.concatenate([rng.uniform(-1.0, 1.0, 4), extra]).tolist()
+        models.append(new_model(ROOT_HALF, ROOT_HALF, [(ROOT_HALF, ROOT_HALF, x) for x in g]))
+    return models
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 1e-13, 1e-9, 0.01, 0.2])
+def test_hamiltonian_levels_match_the_mirrored_merge(tolerance):
+    for m in _level_corpus():
+        got = tuple(array.tobytes() for array in hamiltonian_spectrum(m, tolerance))
+        assert got == _mirrored_levels(m, tolerance)
+
+
 def test_energy_level_validation(monkeypatch):
     """A level of degeneracy 0 is refused, even when the total is right."""
     m = new_model(1.0, 0.0, [(ROOT_HALF, ROOT_HALF, 2.0)])
