@@ -41,7 +41,6 @@ from .lemma import (
     PartitionScheme,
     Verdict,
     VerdictConfig,
-    WeightedPointSet,
     check_l1,
     check_quasi_continuous,
     decoherence_verdict,
@@ -65,6 +64,7 @@ from .spectrum import (
     ENUMERATION_CAP,
     ORACLE_CAP,
     SpectralDecomposition,
+    WeightedPointSet,
     brute_force_expectation,
     brute_force_stack,
     degeneracy_count,

@@ -43,6 +43,7 @@ from .model import (
     FullObservable,
     RelevantObservable,
     SpinBathModel,
+    abs2,
     observable_entries,
     spin_moduli,
 )
@@ -337,8 +338,7 @@ def expectation_full_stack(a, b, alpha, beta, g, system, env, t) -> np.ndarray:
     b = np.asarray(b, dtype=np.complex128)
     t = t[..., None]
 
-    a2 = alpha.real**2 + alpha.imag**2
-    b2 = beta.real**2 + beta.imag**2
+    a2, b2 = abs2(alpha), abs2(beta)
     e_uu, e_dd = env[..., 0], env[..., 1]
     e_du = np.empty(e_uu.shape, dtype=np.complex128)
     e_du.real, e_du.imag = env[..., 2], env[..., 3]

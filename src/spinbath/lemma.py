@@ -36,7 +36,9 @@ import numpy as np
 
 from .errors import DegenerateSetError, InvalidParameterError
 from .model import SpinBathModel
-from .spectrum import ENUMERATION_CAP, SpectralDecomposition, spectral_decomposition
+from .spectrum import (
+    ENUMERATION_CAP, SpectralDecomposition, WeightedPointSet, spectral_decomposition,
+)
 
 
 class _Sentinel:
@@ -59,55 +61,6 @@ NOT_EVALUATED = _Sentinel("NotEvaluated", "not_evaluated")
 class Verdict(Enum):
     DECOHERES = "decoheres"
     NO_VERDICT = "no_verdict"
-
-
-def _frozen_float64(values) -> np.ndarray:
-    """``values`` itself if a read-only float64 array, else a float64 copy."""
-    array = np.asarray(values)
-    if array.dtype == np.float64 and not array.flags.writeable:
-        return array
-    return np.array(array, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class WeightedPointSet:
-    """Frequencies with nonnegative weights, stored sorted by frequency.
-
-    Read-only float64 input, such as a SpectralDecomposition's arrays, is
-    kept without a copy; any other input is copied, so that the set cannot
-    change after it is built.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        points = _frozen_float64(self.points)
-        weights = _frozen_float64(self.weights)
-        if points.ndim != 1 or weights.shape != points.shape:
-            raise InvalidParameterError("points and weights must be 1-d and equal length")
-        if points.size == 0:
-            raise InvalidParameterError("a point set needs at least one point")
-        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
-            raise InvalidParameterError("points and weights must be finite")
-        if np.any(weights < 0):
-            raise InvalidParameterError("weights must be nonnegative")
-        if np.any(points[1:] < points[:-1]):
-            order = np.argsort(points, kind="stable")
-            points = points[order]
-            weights = weights[order]
-        points.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def n_points(self) -> int:
-        return int(self.points.size)
-
-    @classmethod
-    def from_decomposition(cls, dec: SpectralDecomposition) -> "WeightedPointSet":
-        return cls(dec.omega, dec.weight)
 
 
 @dataclass(frozen=True)
@@ -163,15 +116,34 @@ def _gates(config: VerdictConfig, **values: float) -> tuple[Gate, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionScheme:
-    """Contiguous grouping of the sorted points into G near-equal groups.
+    """Contiguous grouping of n_points sorted points: group k runs from
+    starts[k] up to the next start, the last group up to n_points.
 
-    group_boundaries holds half-open index ranges.
+    The starts rise strictly from 0 and stay below n_points, so every group
+    holds at least one point and the groups cover the set.
     """
 
-    g_groups: int
-    group_boundaries: tuple[tuple[int, int], ...]
+    starts: np.ndarray
+    n_points: int
+
+    def __post_init__(self):
+        starts = np.array(self.starts, dtype=np.intp)
+        if not (
+            starts.ndim == 1 and starts.size >= 1 and starts[0] == 0
+            and np.all(starts[1:] > starts[:-1]) and starts[-1] < self.n_points
+        ):
+            raise InvalidParameterError(
+                f"partition starts must rise strictly from 0 and stay below "
+                f"{self.n_points}, got {starts.tolist()}"
+            )
+        starts.setflags(write=False)
+        object.__setattr__(self, "starts", starts)
+
+    @property
+    def g_groups(self) -> int:
+        return int(self.starts.size)
 
 
 def check_quasi_continuous(
@@ -214,14 +186,10 @@ def make_partition(point_set: WeightedPointSet, g_groups: int) -> PartitionSchem
         raise InvalidParameterError(
             f"g_groups must lie in [1, {n}], got {g_groups}"
         )
+    # group k starts after k groups of n // G points and min(k, n % G) extras
     base, extra = divmod(n, g_groups)
-    boundaries = []
-    start = 0
-    for k in range(g_groups):
-        stop = start + base + (1 if k < extra else 0)
-        boundaries.append((start, stop))
-        start = stop
-    return PartitionScheme(g_groups, tuple(boundaries))
+    k = np.arange(g_groups)
+    return PartitionScheme(k * base + np.minimum(k, extra), n)
 
 
 def check_l1(
@@ -233,23 +201,14 @@ def check_l1(
     the ``max_weight`` and ``group_deviation`` rows, and the index of the
     group that deviates most (the first on a tie)."""
     n = point_set.n_points
-    bounds = partition.group_boundaries
-    if len(bounds) != partition.g_groups:
-        raise InvalidParameterError("partition boundary count disagrees with g_groups")
-    cursor = 0
-    for start, stop in bounds:
-        if start != cursor or stop <= start:
-            raise InvalidParameterError("partition must cover the set contiguously")
-        cursor = stop
-    if cursor != n:
-        raise InvalidParameterError(f"partition covers {cursor} points, set has {n}")
-
-    weights = point_set.weights
-    max_weight = float(np.max(weights))
-    starts = np.array([start for start, _ in bounds], dtype=np.intp)
+    if partition.n_points != n:
+        raise InvalidParameterError(f"partition covers {partition.n_points} points, set has {n}")
+    weights, starts = point_set.weights, partition.starts
     deviations = np.maximum.reduceat(weights, starts) - np.minimum.reduceat(weights, starts)
     worst = int(np.argmax(deviations))  # the first group on a tie
-    return _gates(config, max_weight=max_weight, group_deviation=float(deviations[worst])), worst
+    rows = _gates(config, max_weight=float(np.max(weights)),
+                  group_deviation=float(deviations[worst]))
+    return rows, worst
 
 
 def lemma_sum(point_set: WeightedPointSet, t: float) -> complex:
@@ -320,11 +279,11 @@ def estimate_recurrence_time(
 ):
     """Period 2*pi/Delta of the sum, where Delta divides every frequency gap.
 
-    Delta is folded over consecutive differences of the distinct points by
-    continued-fraction rationalization with denominators capped at q_max,
-    then every difference is verified to be an integer multiple of Delta
-    within rel_tolerance. Any failure, including a single distinct point,
-    yields EFFECTIVELY_INFINITE: no recurrence structure at this precision.
+    Delta is folded over the nonzero gaps between consecutive points (the
+    gaps of the distinct points) by continued-fraction rationalization with
+    denominators capped at q_max, then every gap is verified to be an
+    integer multiple of Delta within rel_tolerance. Any failure, including a
+    single distinct point, yields EFFECTIVELY_INFINITE: no recurrence structure at this precision.
     So does a Delta so small that 2*pi/Delta overflows to infinity.
     """
     if q_max < 1:
@@ -333,11 +292,10 @@ def estimate_recurrence_time(
         raise InvalidParameterError(
             f"rel_tolerance must lie in (0, 1), got {rel_tolerance!r}"
         )
-    points = point_set.points
-    distinct = points[np.concatenate(([True], points[1:] != points[:-1]))]
-    if distinct.size < 2:
+    deltas = np.diff(point_set.points)
+    deltas = deltas[deltas != 0.0]
+    if deltas.size == 0:
         return EFFECTIVELY_INFINITE
-    deltas = np.diff(distinct)
     delta = float(deltas[0])
     for d in deltas[1:]:
         divisor = _common_divisor(float(d), delta, q_max, rel_tolerance)
@@ -442,17 +400,16 @@ def verdict_from_decomposition(
     config: VerdictConfig = VerdictConfig(),
 ) -> LemmaReport:
     """Verdict pipeline on an already-enumerated spectrum."""
-    points = WeightedPointSet.from_decomposition(dec)
-    n = points.n_points
+    n = dec.n_lines
     if n < 2:
         raise DegenerateSetError("spectrum collapsed to a single line")
 
-    qc = check_quasi_continuous(points, config)
+    qc = check_quasi_continuous(dec, config)
     g_groups = default_g_groups(n) if config.g_groups is None else config.g_groups
-    l1, _ = check_l1(points, make_partition(points, g_groups), config)
-    recurrence = estimate_recurrence_time(points, config.q_max, config.rel_tolerance)
+    l1, _ = check_l1(dec, make_partition(dec, g_groups), config)
+    recurrence = estimate_recurrence_time(dec, config.q_max, config.rel_tolerance)
     if isinstance(recurrence, float):
-        magnitude = abs(lemma_sum(points, recurrence / 2.0))
+        magnitude = abs(lemma_sum(dec, recurrence / 2.0))
     else:
         magnitude = NOT_EVALUATED
 
@@ -462,5 +419,5 @@ def verdict_from_decomposition(
         gates=qc + l1,
         recurrence_time=recurrence,
         lemma_sum_magnitude_at_half_tp=magnitude,
-        has_degenerate_lines=bool(np.any(dec.multiplicity > 1)),
+        has_degenerate_lines=n < 2**dec.n_spins,
     )

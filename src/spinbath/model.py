@@ -36,7 +36,8 @@ NORMALIZATION_TOLERANCE = 1e-12
 BALANCED_AMPLITUDE = complex(math.sqrt(0.5))
 
 
-def _abs2(z: complex) -> float:
+def abs2(z: complex) -> float:
+    """|z|^2 of a number or, elementwise, of an array: the one modulus formula."""
     return z.real * z.real + z.imag * z.imag
 
 
@@ -44,7 +45,7 @@ def _check_pair(x: complex, y: complex, which: str) -> None:
     if not (math.isfinite(x.real) and math.isfinite(x.imag)
             and math.isfinite(y.real) and math.isfinite(y.imag)):
         raise InvalidParameterError(f"{which}: amplitudes must be finite")
-    residual = abs(_abs2(x) + _abs2(y) - 1.0)
+    residual = abs(abs2(x) + abs2(y) - 1.0)
     if residual > NORMALIZATION_TOLERANCE:
         raise NormalizationError(which, residual)
 
@@ -67,7 +68,7 @@ def first_invalid_spin(alpha: np.ndarray, beta: np.ndarray, g: np.ndarray) -> in
     finite and normalized within tolerance, or whose coupling is not finite
     and nonzero, in one array pass; None where every spin passes."""
     # a non-finite amplitude makes the residual non-finite, so it fails too
-    ok = np.abs(_abs2(alpha) + _abs2(beta) - 1.0) <= NORMALIZATION_TOLERANCE
+    ok = np.abs(abs2(alpha) + abs2(beta) - 1.0) <= NORMALIZATION_TOLERANCE
     ok &= np.isfinite(g) & (g != 0.0)
     return None if ok.all() else int(np.argmin(ok))
 
@@ -198,7 +199,7 @@ def spin_moduli(model: SpinBathModel) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """The bath as ``(|alpha|^2, |beta|^2, g)`` arrays, each modulus x * x + y * y
     correctly rounded: the one source of moduli for r(t) and the spectral
     weights, so that both routes read the same bits."""
-    return _abs2(model.alpha), _abs2(model.beta), model.g
+    return abs2(model.alpha), abs2(model.beta), model.g
 
 
 def observable_entries(obs: FullObservable) -> tuple[np.ndarray, np.ndarray]:

@@ -42,6 +42,7 @@ import functools
 import math
 import os
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,7 +71,7 @@ _WEIGHT_SUM_TOLERANCE = 1e-12
 # (couplings 1 and 2^-80, say) take about 89 B per term at N = 19 and
 # 76 B at N = 20, so spectral_decomposition picks its bound by
 # _fits_int64.
-# hamiltonian_spectrum peaks at about 30-32 B per value at N = 20 to 22
+# hamiltonian_spectrum peaks at about 16-18 B per value at N = 20 to 22
 # (under 1 B with equal couplings, 42 B where the sums need Python ints),
 # so it has its own bound. brute_force_stack peaks at about 53 B per state
 # under tracemalloc at N = 10, 11 and 12 (the phased state, the energies
@@ -123,64 +124,102 @@ def _exact_sum(values: np.ndarray) -> float:
     return scaled / (1 << 1074)
 
 
-class SpectralDecomposition:
-    """All frequencies of r(t) for an N-spin model, merged and sorted.
+def _frozen_float64(values) -> np.ndarray:
+    """``values`` itself if a read-only float64 array, else a float64 copy."""
+    array = np.asarray(values)
+    if array.dtype == np.float64 and not array.flags.writeable:
+        return array
+    return np.array(array, dtype=np.float64)
 
-    Three 1-d arrays of equal length: ``omega`` (finite, strictly
-    increasing), ``weight`` (finite and nonnegative, summing to 1 within
-    1e-12; their correctly rounded sum (equal to ``math.fsum``) is kept as
-    ``weight_sum``) and ``multiplicity`` (each >= 1, summing to 2^N).
-    Arrays already of dtype float64, float64 and int64 are taken without a
-    copy and made read-only.
+
+@dataclass(frozen=True, eq=False)
+class WeightedPointSet:
+    """Frequencies with nonnegative weights, stored sorted by frequency.
+
+    Read-only float64 input is kept without a copy; any other input is
+    copied, so that the set cannot change after it is built.
     """
 
-    __slots__ = ("omega", "weight", "multiplicity", "n_spins", "weight_sum")
+    points: np.ndarray
+    weights: np.ndarray
 
-    def __init__(self, omega, weight, multiplicity, n_spins: int):
-        omega = np.asarray(omega, dtype=np.float64)
-        weight = np.asarray(weight, dtype=np.float64)
-        multiplicity = np.asarray(multiplicity, dtype=np.int64)
-        if omega.ndim != 1 or not omega.shape == weight.shape == multiplicity.shape:
+    def __post_init__(self):
+        points = _frozen_float64(self.points)
+        weights = _frozen_float64(self.weights)
+        if points.ndim != 1 or weights.shape != points.shape:
+            raise InvalidParameterError("points and weights must be 1-d and equal length")
+        if points.size == 0:
+            raise InvalidParameterError("a point set needs at least one line")
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
+            raise InvalidParameterError("points and weights must be finite")
+        if np.any(weights < 0):
+            raise InvalidParameterError("weights must be nonnegative")
+        if np.any(points[1:] < points[:-1]):
+            order = np.argsort(points, kind="stable")
+            points = points[order]
+            weights = weights[order]
+        points.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def n_points(self) -> int:
+        return int(self.points.size)
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralDecomposition(WeightedPointSet):
+    """All frequencies of r(t) for an N-spin model, merged: the point set
+    that the lemma judges, its ``points`` strictly increasing.
+
+    ``weights`` sum to 1 within 1e-12, and their correctly rounded sum
+    (equal to ``math.fsum``) is kept as ``weight_sum``. ``multiplicity``
+    (each >= 1, summing to 2^N) counts the terms behind each line.
+    ``omega``, ``weight`` and ``n_lines`` name ``points``, ``weights`` and
+    ``n_points`` too. Arrays already of dtype float64, float64 and int64
+    are taken without a copy and made read-only.
+    """
+
+    multiplicity: np.ndarray
+    n_spins: int
+    weight_sum: float = field(init=False)
+
+    def __post_init__(self):
+        for name, dtype in (("points", np.float64), ("weights", np.float64),
+                            ("multiplicity", np.int64)):
+            array = np.asarray(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        # checked before the point set's checks, which would sort the points
+        if self.points.ndim == 1 and np.any(self.points[1:] <= self.points[:-1]):
+            raise InvalidParameterError("line omegas must be strictly increasing")
+        super().__post_init__()
+        multiplicity = self.multiplicity
+        if multiplicity.shape != self.points.shape:
             raise InvalidParameterError("line arrays must be 1-d and of equal length")
-        if not np.all(np.isfinite(omega)):
-            raise InvalidParameterError("line omega must be finite")
-        if not np.all(np.isfinite(weight)):
-            raise InvalidParameterError("line weight must be finite")
-        if np.any(weight < 0):
-            raise InvalidParameterError("line weight must be nonnegative")
         if np.any(multiplicity < 1):
             raise InvalidParameterError("line multiplicity must be >= 1")
-        if n_spins < 1:
+        if self.n_spins < 1:
             raise InvalidParameterError("n_spins must be >= 1")
-        if omega.size == 0:
-            raise InvalidParameterError("a decomposition needs at least one line")
-        if np.any(omega[1:] <= omega[:-1]):
-            raise InvalidParameterError("line omegas must be strictly increasing")
         total_mult = int(np.sum(multiplicity))
-        if total_mult != 1 << n_spins:
+        if total_mult != 1 << self.n_spins:
             raise InvalidParameterError(
-                f"multiplicities sum to {total_mult}, expected 2^{n_spins}"
+                f"multiplicities sum to {total_mult}, expected 2^{self.n_spins}"
             )
         try:
-            total_weight = _exact_sum(weight)
+            total_weight = _exact_sum(self.weights)
         except OverflowError:
             total_weight = math.inf
         if abs(total_weight - 1.0) > _WEIGHT_SUM_TOLERANCE:
             raise InvalidParameterError(
                 f"weights sum to {total_weight!r}, expected 1 within 1e-12"
             )
-        for name, array in zip(("omega", "weight", "multiplicity"), (omega, weight, multiplicity)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
-        object.__setattr__(self, "n_spins", n_spins)
         object.__setattr__(self, "weight_sum", total_weight)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def n_lines(self) -> int:
-        return int(self.omega.size)
+    omega = property(lambda self: self.points)
+    weight = property(lambda self: self.weights)
+    n_lines = property(lambda self: self.n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +612,9 @@ def _merge_sorted(
     (representatives, merged weights or None, group sizes in terms). A
     group of identical values keeps that exact value; otherwise the
     representative is the weight-averaged position of its terms (plain
-    mean if the mass is zero). Where every group is a single term the
-    inputs are returned as they are. Of the groups of two or more terms
+    mean if the mass is zero). Where every group is a single value and no
+    weights need adding (one term per value, or no weights), the inputs are
+    returned as they are, ``counts`` as the sizes. Of the groups of two or more terms
     only those that need it take a Python iteration: each weight sum is
     np.sum over one slice of the weights, whose pairwise rounding
     np.add.reduceat does not reproduce, and only a group of differing
@@ -583,8 +623,8 @@ def _merge_sorted(
     starts = np.flatnonzero(np.diff(values) > radius)
     starts += 1
     starts = np.concatenate(([0], starts))
-    if counts is None and starts.size == values.size:
-        return values, weights, np.ones(values.size, dtype=np.int64)
+    if starts.size == values.size and (counts is None or weights is None):
+        return values, weights, np.ones(values.size, dtype=np.int64) if counts is None else counts
     widths = np.diff(starts, append=values.size)
     reps = values[starts]
     spread = reps != values[starts + widths - 1]

@@ -78,7 +78,7 @@ def test_criterion_02_spectral_identity():
     sizes = [2 + (k % 15) for k in range(20)]  # covers 2..16
     for n in sizes:
         m = bounded_model(n, rng, phases=True)
-        points = WeightedPointSet.from_decomposition(spectral_decomposition(m))
+        points = spectral_decomposition(m)
         for t in rng.uniform(0.0, 40.0, size=100):
             err = abs(r_of_t(m, float(t)) - lemma_sum(points, float(t)))
             worst = max(worst, err)
@@ -136,8 +136,7 @@ def test_criterion_04_bounds():
         # amplitudes kept off balance so the lower bound is strictly positive
         m = bounded_model(n, rng, a2_lo=0.55, a2_hi=0.95, g_lo=g, g_hi=g)
         lower, _ = r_bounds(m)
-        tp = estimate_recurrence_time(
-            WeightedPointSet.from_decomposition(spectral_decomposition(m)))
+        tp = estimate_recurrence_time(spectral_decomposition(m))
         r_sq = np.abs(sample_series(m, 0.0, tp, 10**4).r_values) ** 2
         worst_rel = max(worst_rel, float(np.min(r_sq)) / lower - 1.0)
         worst_eq = max(worst_eq, abs(r_squared(m, tp / 2.0) - lower))
@@ -253,7 +252,7 @@ def test_criterion_08_recurrence():
         n = int(rng.integers(2, 11))
         g = float(rng.uniform(0.2, 2.0))
         m = bounded_model(n, rng, g_lo=g, g_hi=g)
-        pts = WeightedPointSet.from_decomposition(spectral_decomposition(m))
+        pts = spectral_decomposition(m)
         tp = estimate_recurrence_time(pts)
         worst_tp = max(worst_tp, abs(tp - math.pi / g) / (math.pi / g))
         target = float(np.prod([abs(2.0 * abs(alpha) ** 2 - 1.0)

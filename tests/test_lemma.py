@@ -72,14 +72,16 @@ def test_point_set_validation():
         WeightedPointSet([1.0, 2.0], [0.1])
 
 
-def test_point_set_from_decomposition(rng):
-    m = bounded_model(5, rng)
-    dec = spectral_decomposition(m)
-    s = WeightedPointSet.from_decomposition(dec)
-    assert s.n_points == dec.n_lines
-    assert list(s.points) == dec.omega.tolist()
-    assert np.shares_memory(s.points, dec.omega)
-    assert np.shares_memory(s.weights, dec.weight)
+def test_decomposition_is_the_point_set(rng):
+    dec = spectral_decomposition(bounded_model(5, rng))
+    assert isinstance(dec, WeightedPointSet)
+    assert dec.n_points == dec.n_lines
+    assert dec.points is dec.omega and dec.weights is dec.weight
+
+
+def test_point_sets_compare_by_identity():
+    s = uniform_set(4)
+    assert s == s and s != uniform_set(4)
 
 
 def test_point_set_copies_writable_input():
@@ -169,7 +171,7 @@ def test_subset_sum_set_fails_uniformity_golden():
     golden = json.loads((GOLDEN / "qc_subset_sums_n14.json").read_text())
     m = generate_random(golden["n"], golden["seed"])
     dec = spectral_decomposition(m)
-    ok, gates = judged(check_quasi_continuous(WeightedPointSet.from_decomposition(dec)))
+    ok, gates = judged(check_quasi_continuous(dec))
     assert ok == golden["quasi_continuous"]
     assert gates["count"].value == golden["n_points"]
     assert abs(gates["gap_cv"].value - golden["gap_cv"]) < 1e-12
@@ -181,25 +183,26 @@ def test_subset_sum_set_fails_uniformity_golden():
 # Partition and L1
 # ---------------------------------------------------------------------------
 
+def group_sizes(partition):
+    return np.diff(partition.starts, append=partition.n_points).tolist()
+
+
 def test_partition_even_split():
     p = make_partition(uniform_set(100), 10)
     assert p.g_groups == 10
-    assert all(stop - start == 10 for start, stop in p.group_boundaries)
+    assert group_sizes(p) == [10] * 10
 
 
 def test_partition_uneven_split():
     p = make_partition(uniform_set(101), 10)
-    sizes = [stop - start for start, stop in p.group_boundaries]
-    assert sizes == [11] + [10] * 9
+    assert group_sizes(p) == [11] + [10] * 9
 
 
 def test_partition_extremes():
     n = 64
-    assert make_partition(uniform_set(n), n).group_boundaries == tuple(
-        (i, i + 1) for i in range(n)
-    )
+    assert make_partition(uniform_set(n), n).starts.tolist() == list(range(n))
     single = make_partition(uniform_set(n), 1)
-    assert single.group_boundaries == ((0, n),)
+    assert single.starts.tolist() == [0] and group_sizes(single) == [n]
 
 
 def test_partition_rejects_bad_group_count():
@@ -269,20 +272,26 @@ def test_l1_rejects_foreign_partition():
     s = uniform_set(50)
     with pytest.raises(InvalidParameterError):
         check_l1(s, make_partition(uniform_set(49), 7))
-    broken = PartitionScheme(2, ((0, 25), (26, 50)))
-    with pytest.raises(InvalidParameterError):
-        check_l1(s, broken)
-    miscounted = PartitionScheme(3, ((0, 25), (25, 50)))
-    with pytest.raises(InvalidParameterError, match="disagrees with g_groups"):
-        check_l1(s, miscounted)
+    # a partition that leaves a gap or repeats a group cannot be built
+    for starts in ([0, 26, 25], [5, 25]):
+        with pytest.raises(InvalidParameterError, match="rise strictly from 0"):
+            PartitionScheme(starts, 50)
+
+
+def test_partition_starts_are_refused_unless_they_split_the_points():
+    for starts, n in (([], 5), ([0, 0], 5), ([0, 5], 5), ([[0]], 5)):
+        with pytest.raises(InvalidParameterError):
+            PartitionScheme(starts, n)
+    p = PartitionScheme([0, 2, 4], 5)
+    assert p.g_groups == 3 and group_sizes(p) == [2, 2, 1]
+    assert not p.starts.flags.writeable
 
 
 def test_large_spin_bath_weights_satisfy_l1(rng):
     """Amplitudes held near balance keep every product weight tiny, the
     regime the weight hypothesis describes."""
     m = bounded_model(18, rng, a2_lo=0.4, a2_hi=0.6)
-    dec = spectral_decomposition(m)
-    s = WeightedPointSet.from_decomposition(dec)
+    s = spectral_decomposition(m)
     ok, gates = judged(check_l1(s, make_partition(s, default_g_groups(s.n_points)))[0])
     assert ok
     assert gates["max_weight"].value < 1e-3
@@ -294,7 +303,7 @@ def test_large_spin_bath_weights_satisfy_l1(rng):
 
 def test_lemma_sum_equals_r(rng):
     m = bounded_model(8, rng, phases=True)
-    s = WeightedPointSet.from_decomposition(spectral_decomposition(m))
+    s = spectral_decomposition(m)
     for t in (0.0, 1.3, 7.7):
         assert abs(lemma_sum(s, t) - r_of_t(m, t)) < 1e-10
 
@@ -407,7 +416,7 @@ def test_recurrence_dedupes_repeats_and_signed_zeros_like_unique(points):
 def test_recurrence_equal_coupling_spectrum():
     g = 0.7
     m = generate_random(10, 5, Equal(g))
-    s = WeightedPointSet.from_decomposition(spectral_decomposition(m))
+    s = spectral_decomposition(m)
     tp = estimate_recurrence_time(s)
     assert abs(tp - math.pi / g) <= 1e-12 * tp
 
@@ -436,7 +445,7 @@ def test_recurrence_parameter_validation():
 
 def test_random_spectrum_has_no_recurrence(rng):
     m = bounded_model(10, rng)
-    s = WeightedPointSet.from_decomposition(spectral_decomposition(m))
+    s = spectral_decomposition(m)
     assert estimate_recurrence_time(s) is EFFECTIVELY_INFINITE
 
 

@@ -26,7 +26,7 @@ from spinbath import (
     weight_of_index,
 )
 from spinbath import spectrum
-from spinbath.lemma import WeightedPointSet, lemma_sum
+from spinbath.lemma import lemma_sum
 from spinbath.model import Equal, PhaseLaw, UniformPositive
 from spinbath.spectrum import ENUMERATION_CAP, ORACLE_CAP
 
@@ -132,7 +132,7 @@ def test_weight_of_index_is_its_line_weight_bit_for_bit():
 def test_decomposition_identity_with_r(rng):
     for n in (1, 6, 12):
         m = bounded_model(n, rng, phases=True)
-        points = WeightedPointSet.from_decomposition(spectral_decomposition(m))
+        points = spectral_decomposition(m)
         for t in rng.uniform(0.0, 40.0, size=25):
             assert abs(lemma_sum(points, float(t)) - r_of_t(m, float(t))) < 1e-10
 
