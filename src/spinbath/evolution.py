@@ -45,6 +45,7 @@ from .model import (
     SpinBathModel,
     abs2,
     observable_entries,
+    read_only,
     spin_moduli,
 )
 
@@ -73,7 +74,9 @@ class TimeSeries:
     """Sampled evolution on a strictly increasing time grid.
 
     ``expectation_values`` is present only when an observable was sampled.
-    Arrays are read-only; lengths always match the grid.
+    Arrays are read-only; lengths always match the grid. Read-only input
+    of the right dtype is kept without a copy; any other input is copied,
+    so the caller's own arrays stay writable.
     """
 
     times: np.ndarray
@@ -81,8 +84,8 @@ class TimeSeries:
     expectation_values: np.ndarray | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        r_values = np.asarray(self.r_values, dtype=np.complex128)
+        times = read_only(self.times, np.float64)
+        r_values = read_only(self.r_values, np.complex128)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "r_values", r_values)
         if times.ndim != 1 or r_values.shape != times.shape:
@@ -92,13 +95,10 @@ class TimeSeries:
         if np.any(np.abs(r_values) > 1.0 + _R_MODULUS_TOLERANCE):
             raise InvalidParameterError("|r| exceeds 1 beyond tolerance")
         if self.expectation_values is not None:
-            exp = np.asarray(self.expectation_values, dtype=np.float64)
+            exp = read_only(self.expectation_values, np.float64)
             if exp.shape != times.shape:
                 raise InvalidParameterError("expectation_values length must match times")
             object.__setattr__(self, "expectation_values", exp)
-            exp.setflags(write=False)
-        times.setflags(write=False)
-        r_values.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -416,4 +416,7 @@ def sample_series(
     if obs is not None:
         system = (obs.s_uu, obs.s_dd, obs.s_du.real, obs.s_du.imag)
         expectations = _system_side(model.a, model.b, system, r)
+    for array in (times, r, expectations):
+        if array is not None:
+            array.setflags(write=False)  # handed over: TimeSeries keeps them
     return TimeSeries(times, r, expectations)

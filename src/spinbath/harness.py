@@ -702,11 +702,12 @@ class OracleCheckSummary:
 def run_oracle_check(n_max: int, cases: int, seed: int) -> OracleCheckSummary:
     """Pit the closed-form expectation against the state-vector oracle.
 
-    Each case draws a model size in [1, n_max], a fresh model seed, a
-    random Hermitian product observable with entries in [-0.5, 0.5]
-    (bounded so N-fold products cannot swamp the absolute tolerance), and
-    a time in [0, 50]. A case fails when the two values differ by more
-    than 1e-10; failures carry the full model for replay, in case order.
+    Each case draws a model size in [1, n_max], a fresh model seed, and
+    in one call a random Hermitian product observable with entries in
+    [-0.5, 0.5] (bounded so N-fold products cannot swamp the absolute
+    tolerance) and a time in [0, 50]. A case fails when the two values
+    differ by more than 1e-10; failures carry the full model for replay,
+    in case order.
 
     The cases are drawn in case order from one generator and queued by
     model size. A queue is evaluated as one stack (_oracle_stack) when it
@@ -731,10 +732,8 @@ def run_oracle_check(n_max: int, cases: int, seed: int) -> OracleCheckSummary:
     for index in range(cases):
         n = int(rng.integers(1, n_max + 1))
         model_seed = int(rng.integers(0, 2**63))
-        system = rng.uniform(-0.5, 0.5, size=4)
-        env = rng.uniform(-0.5, 0.5, size=(n, 4))
         queue = queues.setdefault(n, [])
-        queue.append((index, model_seed, system, env, 50.0 * rng.random()))
+        queue.append((index, model_seed, rng.random(4 * n + 5)))
         if len(queue) << (n + 1) >= _ORACLE_STACK_STATES:
             max_error = max(max_error, _oracle_stack(n, queues.pop(n), found))
     for n, queue in queues.items():
@@ -751,17 +750,23 @@ def run_oracle_check(n_max: int, cases: int, seed: int) -> OracleCheckSummary:
 def _oracle_stack(n: int, queue: list[tuple], found: list[tuple]) -> float:
     """Evaluate queued oracle-check cases of model size n in one stack.
 
-    ``queue`` holds (case index, model seed, system entries, local entries,
-    t) per case. One draw of the baths, one closed-form pass and one
+    ``queue`` holds (case index, model seed, draw) per case, where the
+    draw's 4n + 5 uniforms u in [0, 1) give the system entries, then the
+    local entries, as u - 0.5 (the bits of ``rng.uniform(-0.5, 0.5)``),
+    and last t = 50 u. One draw of the baths, one closed-form pass and one
     state-vector pass serve the whole stack; no model object is built.
     Appends (case index, n, model seed, t, error) of each failing case to
     ``found`` and returns the largest error.
     """
-    index, seeds, system, env, t = zip(*queue)
+    index, seeds, draws = zip(*queue)
+    draws = np.array(draws)
+    entries = draws[:, :-1] - 0.5
+    system, env = entries[:, :4], entries[:, 4:].reshape(-1, n, 4)
+    t = 50.0 * draws[:, -1]
     bath = random_spin_arrays(n, seeds, UniformPositive(1.0), PhaseLaw.UNIFORM)
     amp = BALANCED_AMPLITUDE
     closed = expectation_full_stack(amp, amp, *bath, system, env, t)
     errors = np.abs(closed - brute_force_stack(amp, amp, *bath, system, env, t))
     for row in np.flatnonzero(~(errors <= ORACLE_TOLERANCE)).tolist():
-        found.append((index[row], n, seeds[row], t[row], float(errors[row])))
+        found.append((index[row], n, seeds[row], float(t[row]), float(errors[row])))
     return float(errors.max())

@@ -41,6 +41,18 @@ def abs2(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
+def read_only(values, dtype) -> np.ndarray:
+    """``values`` itself if a read-only array of ``dtype``, else a read-only copy.
+
+    A writable array is copied, so that its owner may go on writing it.
+    """
+    array = np.asarray(values)
+    if array.dtype != dtype or array.flags.writeable:
+        array = np.array(array, dtype=dtype)
+        array.setflags(write=False)
+    return array
+
+
 def _check_pair(x: complex, y: complex, which: str) -> None:
     if not (math.isfinite(x.real) and math.isfinite(x.imag)
             and math.isfinite(y.real) and math.isfinite(y.imag)):

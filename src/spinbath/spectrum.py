@@ -49,10 +49,11 @@ import numpy as np
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
+    EmptyEnvironmentError,
     IndexOutOfRangeError,
     InvalidParameterError,
 )
-from .model import FullObservable, SpinBathModel, observable_entries, spin_moduli
+from .model import FullObservable, SpinBathModel, observable_entries, read_only, spin_moduli
 
 ENUMERATION_CAP = 26
 ORACLE_CAP = 12
@@ -73,11 +74,11 @@ _WEIGHT_SUM_TOLERANCE = 1e-12
 # _fits_int64.
 # hamiltonian_spectrum peaks at about 16-18 B per value at N = 20 to 22
 # (under 1 B with equal couplings, 42 B where the sums need Python ints),
-# so it has its own bound. brute_force_stack peaks at about 53 B per state
-# under tracemalloc at N = 10, 11 and 12 (the phased state, the energies
-# times t at half length, and two copies of the evolved state while a factor
-# is applied), and raises a fresh process's peak RSS by about 57 B per state
-# on stacks of 2^19 states at N = 8, 10 and 12.
+# so it has its own bound. brute_force_stack peaks at 50-52 B per state
+# under tracemalloc at N = 8, 10 and 12 (the phased state and two copies of
+# the evolved state while a factor is applied; the phases, at a quarter of
+# the states, are freed before), and raises a fresh process's peak RSS by
+# about 56.5 B per state on stacks of 2^19 states at N = 8, 10 and 12.
 _INT64_ENUMERATION_BYTES_PER_VALUE = 64
 _PYINT_ENUMERATION_BYTES_PER_VALUE = 100
 _LEVEL_BYTES_PER_VALUE = 48
@@ -124,14 +125,6 @@ def _exact_sum(values: np.ndarray) -> float:
     return scaled / (1 << 1074)
 
 
-def _frozen_float64(values) -> np.ndarray:
-    """``values`` itself if a read-only float64 array, else a float64 copy."""
-    array = np.asarray(values)
-    if array.dtype == np.float64 and not array.flags.writeable:
-        return array
-    return np.array(array, dtype=np.float64)
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedPointSet:
     """Frequencies with nonnegative weights, stored sorted by frequency.
@@ -144,8 +137,8 @@ class WeightedPointSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        points = _frozen_float64(self.points)
-        weights = _frozen_float64(self.weights)
+        points = read_only(self.points, np.float64)
+        weights = read_only(self.weights, np.float64)
         if points.ndim != 1 or weights.shape != points.shape:
             raise InvalidParameterError("points and weights must be 1-d and equal length")
         if points.size == 0:
@@ -158,8 +151,8 @@ class WeightedPointSet:
             order = np.argsort(points, kind="stable")
             points = points[order]
             weights = weights[order]
-        points.setflags(write=False)
-        weights.setflags(write=False)
+            points.setflags(write=False)
+            weights.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
 
@@ -745,22 +738,37 @@ def brute_force_expectation(
     )[0])
 
 
-def _branch_phases(angle: np.ndarray) -> np.ndarray:
-    """e^{-i E t} per case (row) and basis state, from ``angle`` = bath
-    energy times t, shape (k, 2^n): E is the bath energy on the system's up
-    branch (the first 2^n states) and its negation on the down branch.
+def _apply_phases(quarters: np.ndarray, energy: np.ndarray, t: np.ndarray) -> None:
+    """Multiply psi by e^{-i E t} in place, psi as the first operand.
 
-    One cos and one sin of ``angle`` serve both branches. On these purely
-    imaginary arguments they give the bits of ``np.exp(-1j * E * t)`` at
-    half its work; tests pin the oracle's values to those bits.
+    ``quarters`` is psi as (k, system branch, spin 1, 2^(n-1)), up before
+    down, and ``energy`` the bath energies E of the spin-1-up patterns,
+    (k, 2^(n-1)); ``t`` is (k, 1). Entry j of the spin-1-down quarter is
+    the complement of entry 2^(n-1) - 1 - j of the spin-1-up quarter,
+    whose energy is -E, so its phase is the conjugate read backwards;
+    where E is +0 (an exact cancellation) the complement's energy is +0
+    too, and its phase is the same, not the conjugate. The down branch
+    takes the conjugates of the up branch. So one cos and one sin of E t
+    give the bits of ``np.exp(-1j * E * t)`` on all four quarters.
+    ``energy`` is overwritten. A complex product with its operands swapped
+    can differ in the last bit, hence psi first.
     """
-    k, half = angle.shape
-    cos, sin = np.cos(angle), np.sin(angle)
-    phase = np.empty((k, 2, half), dtype=np.complex128)
-    phase.real[:, 0] = phase.real[:, 1] = cos
-    phase.imag[:, 0] = -sin
-    phase.imag[:, 1] = sin
-    return phase.reshape(k, -1)
+    zero = None if energy.all() else np.nonzero(energy == 0.0)
+    angle = np.multiply(energy, t, out=energy)
+    phase = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=phase.real)
+    np.sin(angle, out=phase.imag)
+    mirror = phase[:, ::-1]
+    up, down = quarters[:, 0], quarters[:, 1]
+    np.multiply(down[:, 0], phase, out=down[:, 0])
+    if zero is not None:
+        phase.imag[zero] = -phase.imag[zero]
+    np.multiply(up[:, 1], mirror, out=up[:, 1])
+    np.negative(phase.imag, out=phase.imag)
+    np.multiply(down[:, 1], mirror, out=down[:, 1])
+    if zero is not None:
+        phase.imag[zero] = -phase.imag[zero]
+    np.multiply(up[:, 0], phase, out=up[:, 0])
 
 
 def brute_force_stack(
@@ -774,15 +782,20 @@ def brute_force_stack(
     ``t`` with one value per case or one for all; returns the k values.
 
     Builds each |psi(0)> as a chain of outer products (system first, then
-    spins in order, the last spin at the least significant index), and
-    the bath energies sum_i (+-g_i/2) the same way, spin 1 added first.
-    Each basis state is phased by e^{-i E t}, with E the bath energy on
-    the system's up branch and its negation on the down branch. The
-    observable is applied one 2x2 factor at a time and contracted with
-    the evolved state. Every step runs on the whole stack at once, one
-    row per case. Cost and memory are exponential: the stack holds
-    k * 2^(n+1) states, and is refused up front beyond the oracle cap or
-    the memory available.
+    spins in order, the last spin at the least significant index). Each
+    basis state is phased by e^{-i E t}, with E the bath energy
+    sum_i (+-g_i/2) on the system's up branch and its negation on the down
+    branch. The energies are built the same way, spin 1 added first, but
+    only with spin 1 up: the complement of a bath pattern is the pattern
+    read backwards, its energy is the exact negation (round-to-nearest is
+    symmetric in sign), and one cos and one sin of the 2^(n-1) angles E t
+    phase all four quarters of psi (system up or down, spin 1 up or
+    down), with the bits that ``np.exp(-1j * E * t)`` gives on each basis
+    state. The observable is applied one 2x2 factor at a time and
+    contracted with the evolved state. Every step runs on the whole stack
+    at once, one row per case. Cost and memory are exponential: the stack
+    holds k * 2^(n+1) states, and is refused up front beyond the oracle
+    cap or the memory available.
     """
     alpha = np.asarray(alpha, dtype=np.complex128)
     beta = np.asarray(beta, dtype=np.complex128)
@@ -793,29 +806,32 @@ def brute_force_stack(
         raise DimensionMismatchError(
             f"observable has {env.shape[1]} environment parts, model has {n} spins"
         )
+    if n < 1:
+        raise EmptyEnvironmentError("the state-vector oracle needs at least one environment spin")
     _require_cap(n, max_spins, n + 1, _ORACLE_BYTES_PER_STATE, "state-vector oracle", k)
 
     system = np.asarray(system, dtype=np.float64)
     t = np.broadcast_to(np.asarray(t, dtype=np.float64), (k,))[:, None]
     psi = np.empty((k, 2), dtype=np.complex128)
     psi[:, 0], psi[:, 1] = a, b
-    env_energy = np.zeros((k, 1))
     for i in range(n):
-        # outer products with (alpha_i, beta_i) and (+g_i/2, -g_i/2), per case
+        # outer products with (alpha_i, beta_i), per case
         grown = np.empty((k, psi.shape[1], 2), dtype=np.complex128)
         np.multiply(psi, alpha[:, i, None], out=grown[..., 0])
         np.multiply(psi, beta[:, i, None], out=grown[..., 1])
         psi = grown.reshape(k, -1)
+    # energies with spin 1 up: outer sums with (+g_i/2, -g_i/2) from spin 2 on
+    energy = 0.0 + g[:, :1] / 2
+    for i in range(1, n):
         half = g[:, i, None] / 2
-        levels = np.empty((k, env_energy.shape[1], 2))
-        np.add(env_energy, half, out=levels[..., 0])
-        np.add(env_energy, -half, out=levels[..., 1])
-        env_energy = levels.reshape(k, -1)
-    # psi times the phases in place, psi first: a complex product with its
-    # operands swapped can differ in the last bit. The angles go before the
-    # factors are applied, which hold two more states at once.
-    psi_t = np.multiply(psi, _branch_phases(np.multiply(env_energy, t, out=env_energy)), out=psi)
-    del env_energy
+        levels = np.empty((k, energy.shape[1], 2))
+        np.add(energy, half, out=levels[..., 0])
+        np.add(energy, -half, out=levels[..., 1])
+        energy = levels.reshape(k, -1)
+    # The phases go before the factors are applied, which hold two more
+    # states at once.
+    _apply_phases(psi.reshape(k, 2, 2, -1), energy, t)
+    del energy
 
     # One Hermitian 2x2 matrix per tensor factor and case, system first.
     entries = np.concatenate([system[:, None, :], env], axis=1)
@@ -827,8 +843,8 @@ def brute_force_stack(
     matrices[..., 0, 1].imag = -entries[..., 3]
     # Each step applies the matrix of the last tensor factor and moves
     # that factor to the front; after all n + 1 steps the order is back.
-    acted = psi_t
+    acted = psi
     for factor in range(n, -1, -1):
         pairs = acted.reshape(k, -1, 2).transpose(0, 2, 1)
         acted = (matrices[:, factor] @ pairs).reshape(k, -1)
-    return np.array([np.vdot(row, evolved).real for row, evolved in zip(psi_t, acted)])
+    return np.array([np.vdot(row, evolved).real for row, evolved in zip(psi, acted)])

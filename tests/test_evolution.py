@@ -666,6 +666,23 @@ def test_time_series_validation():
         TimeSeries(times, good, np.zeros(5))
 
 
+def test_time_series_copies_writable_input_and_keeps_read_only_input():
+    given = (np.array([0.0, 1.0]), np.ones(2, dtype=complex), np.zeros(2))
+    series = TimeSeries(*given)
+    held = (series.times, series.r_values, series.expectation_values)
+    for mine, kept in zip(given, held):
+        assert mine.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(mine, kept)
+    given[0][0] = -1.0  # the caller's arrays stay its own
+    assert series.times[0] == 0.0
+    frozen = tuple(array.copy() for array in given)
+    for array in frozen:
+        array.setflags(write=False)
+    series = TimeSeries(*frozen)
+    held = (series.times, series.r_values, series.expectation_values)
+    assert all(np.shares_memory(mine, kept) for mine, kept in zip(frozen, held))
+
+
 def test_time_series_arrays_are_read_only():
     series = TimeSeries(np.array([0.0, 1.0]), np.ones(2, dtype=complex))
     with pytest.raises(ValueError):

@@ -742,6 +742,54 @@ def drawn_oracle_cases(n_max, cases, seed):
     return drawn
 
 
+def five_call_cases(n_max, cases, seed):
+    """(n, model seed, system, env, t) per case, drawn with one generator
+    call per part, as run_oracle_check drew them before one draw per case."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(cases):
+        n = int(rng.integers(1, n_max + 1))
+        model_seed = int(rng.integers(0, 2**63))
+        system = rng.uniform(-0.5, 0.5, size=4)
+        env = rng.uniform(-0.5, 0.5, size=(n, 4))
+        drawn.append((n, model_seed, system, env, 50.0 * rng.random()))
+    return drawn
+
+
+@pytest.mark.parametrize("seed", [1, 1646266295])
+def test_one_draw_per_case_reads_the_five_call_cases(monkeypatch, seed):
+    """Every case of run_oracle_check, as the stacked oracle receives it,
+    equals the five-call draw byte for byte."""
+    stack_seeds, seen = [], {}
+    drawn_bath, stacked = harness.random_spin_arrays, harness.brute_force_stack
+
+    def bath(n, seeds, *laws):
+        stack_seeds.append(list(seeds))
+        return drawn_bath(n, seeds, *laws)
+
+    def recording(a, b, alpha, beta, g, system, env, t, **kwargs):
+        for row, model_seed in enumerate(stack_seeds.pop(0)):
+            seen[model_seed] = (alpha.shape[1], system[row].tobytes(), env[row].tobytes(),
+                                np.float64(t[row]).tobytes())
+        return stacked(a, b, alpha, beta, g, system, env, t, **kwargs)
+
+    monkeypatch.setattr(harness, "brute_force_stack", recording)
+    monkeypatch.setattr(harness, "random_spin_arrays", bath)
+    assert run_oracle_check(12, 1000, seed).passed
+    expected = five_call_cases(12, 1000, seed)
+    assert len(seen) == len({model_seed for _, model_seed, *_ in expected}) == 1000
+    for n, model_seed, system, env, t in expected:
+        assert seen[model_seed] == (n, system.tobytes(), env.tobytes(), np.float64(t).tobytes())
+
+
+# oracle-n12 of the benchmark runs these seeds (its seeds 1 and 9).
+@pytest.mark.parametrize("seed, printed", [(1646266295, "2.776e-16"), (852529970, "3.331e-16")])
+def test_oracle_check_prints_its_recorded_maximum_error(capsys, seed, printed):
+    assert main(["oracle-check", "--n-max", "12", "--cases", "1000", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"oracle check: 1000 cases, max |closed - brute| = {printed}")
+
+
 PERTURBED = (3, 11, 12, 29)
 
 

@@ -1,6 +1,7 @@
 """Exact spectral decomposition, Hamiltonian levels, brute-force oracle."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from spinbath import (
     CapExceededError,
+    EmptyEnvironmentError,
     FullObservable,
     IndexOutOfRangeError,
     InvalidParameterError,
@@ -27,8 +29,8 @@ from spinbath import (
 )
 from spinbath import spectrum
 from spinbath.lemma import lemma_sum
-from spinbath.model import Equal, PhaseLaw, UniformPositive
-from spinbath.spectrum import ENUMERATION_CAP, ORACLE_CAP
+from spinbath.model import Equal, PhaseLaw, UniformPositive, random_spin_arrays
+from spinbath.spectrum import ENUMERATION_CAP, ORACLE_CAP, brute_force_stack
 
 from conftest import ROOT_HALF, bounded_model, random_full_observable, triples
 
@@ -815,3 +817,123 @@ def test_brute_force_arity_mismatch(rng):
     m = bounded_model(3, rng)
     with pytest.raises(DimensionMismatchError):
         brute_force_expectation(m, random_full_observable(rng, 2), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The stacked oracle against its full-length form
+# ---------------------------------------------------------------------------
+
+def full_length_states(a, b, alpha, beta, g):
+    """psi(0) and all 2^n bath energies per case, each energy from its own
+    chain of +-g_i/2 additions, spin 1 first (the last spin varies fastest)."""
+    k, n = alpha.shape
+    psi = np.empty((k, 2), dtype=np.complex128)
+    psi[:, 0], psi[:, 1] = a, b
+    energy = np.zeros((k, 1))
+    for i in range(n):
+        grown = np.empty((k, psi.shape[1], 2), dtype=np.complex128)
+        np.multiply(psi, alpha[:, i, None], out=grown[..., 0])
+        np.multiply(psi, beta[:, i, None], out=grown[..., 1])
+        psi = grown.reshape(k, -1)
+        half = g[:, i, None] / 2
+        levels = np.empty((k, energy.shape[1], 2))
+        np.add(energy, half, out=levels[..., 0])
+        np.add(energy, -half, out=levels[..., 1])
+        energy = levels.reshape(k, -1)
+    return psi, energy
+
+
+def full_length_oracle(a, b, alpha, beta, g, system, env, t):
+    """brute_force_stack as written before it phased complementary states
+    together: one phase vector np.exp(-1j * E * t) over all 2^(n+1) states,
+    E the bath energy on the system's up branch and -E on the down branch."""
+    k, n = alpha.shape
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (k,))[:, None]
+    psi, energy = full_length_states(a, b, alpha, beta, g)
+    phase = np.exp(-1j * np.concatenate([energy, -energy], axis=1) * t)
+    psi = np.multiply(psi, phase, out=psi)  # psi first, as the oracle does
+    entries = np.concatenate([system[:, None, :], env], axis=1)
+    matrices = np.empty((k, n + 1, 2, 2), dtype=np.complex128)
+    matrices[..., 0, 0] = entries[..., 0]
+    matrices[..., 1, 1] = entries[..., 1]
+    matrices[..., 1, 0].real = matrices[..., 0, 1].real = entries[..., 2]
+    matrices[..., 1, 0].imag = entries[..., 3]
+    matrices[..., 0, 1].imag = -entries[..., 3]
+    acted = psi
+    for factor in range(n, -1, -1):
+        pairs = acted.reshape(k, -1, 2).transpose(0, 2, 1)
+        acted = (matrices[:, factor] @ pairs).reshape(k, -1)
+    return np.array([np.vdot(row, evolved).real for row, evolved in zip(psi, acted)])
+
+
+def oracle_stack(n, k, bath="random", phase_law=PhaseLaw.UNIFORM):
+    """A stack of k cases at n spins: random couplings, equal couplings
+    (g = 0.5, so even n has bath energies exactly 0), or a spin with
+    beta = 0 (so psi has exact zeros)."""
+    alpha, beta, g = (x.copy() for x in random_spin_arrays(
+        n, range(7 * n, 7 * n + k), UniformPositive(1.0), phase_law))
+    if bath == "equal":
+        g[:] = 0.5
+    elif bath == "beta0":
+        alpha[:, n // 2], beta[:, n // 2] = 1.0, 0.0
+    rng = np.random.default_rng(n)
+    return alpha, beta, g, rng.uniform(-0.5, 0.5, (k, 4)), rng.uniform(-0.5, 0.5, (k, n, 4))
+
+
+@pytest.mark.parametrize("n, k, bath", [
+    (1, 8, "random"), (2, 8, "equal"), (5, 8, "beta0"), (8, 4, "equal"),
+    (9, 4, "random"), (12, 2, "random"), (12, 2, "equal"), (12, 2, "beta0"),
+])
+@pytest.mark.parametrize("t", [0.0, -0.0, -3.5, 50.0])
+def test_stacked_oracle_keeps_the_bits_of_the_full_length_phases(n, k, bath, t):
+    stack = oracle_stack(n, k, bath)
+    times = [t, np.linspace(0.0, 50.0, k)]
+    for each in times:
+        got = brute_force_stack(ROOT_HALF, ROOT_HALF, *stack, each)
+        expected = full_length_oracle(ROOT_HALF, ROOT_HALF, *stack, each)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]
+
+
+@pytest.mark.parametrize("n, bath", [(2, "equal"), (6, "equal"), (5, "beta0"), (7, "random")])
+@pytest.mark.parametrize("t", [0.0, -0.0, -3.5, 50.0])
+def test_phased_state_keeps_its_signed_zeros(n, bath, t):
+    """The phased state, bit for bit, against phases cos(E t) -+ i sin(E t)
+    of the full-length angles (up branch -, down branch +). The amplitudes
+    are real with imaginary parts -0, so a zero angle leaves the sign of
+    each zero imaginary part to the sign of sin: a bath energy of exactly
+    0 must keep its own angle on the complement, not the negated one."""
+    alpha, beta, g, _, _ = oracle_stack(n, 3, bath, PhaseLaw.ZERO)
+    amp = complex(ROOT_HALF, -0.0)
+    psi, energy = full_length_states(amp, amp, alpha.conj(), beta.conj(), g)
+    assert np.all(np.signbit(psi.imag))
+    assert bath != "equal" or not energy.all()
+    angle = energy * t
+    phase = np.empty((3, 2, 1 << n), dtype=np.complex128)
+    phase.real[:, 0] = phase.real[:, 1] = np.cos(angle)
+    phase.imag[:, 0], phase.imag[:, 1] = -np.sin(angle), np.sin(angle)
+    expected = np.multiply(psi, phase.reshape(3, -1))
+    spin_1_up = energy[:, : 1 << (n - 1)].copy()
+    spectrum._apply_phases(psi.reshape(3, 2, 2, -1), spin_1_up, np.full((3, 1), t))
+    assert psi.tobytes() == expected.tobytes()
+
+
+def test_stacked_oracle_needs_a_bath():
+    none = np.zeros((1, 0))
+    with pytest.raises(EmptyEnvironmentError, match="at least one environment spin"):
+        brute_force_stack(ROOT_HALF, ROOT_HALF, none, none, none,
+                          np.zeros((1, 4)), np.zeros((1, 0, 4)), 1.0)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_oracle_memory_estimate_covers_its_traced_peak(n):
+    """One stack of 2^14 states, the size oracle-check evaluates, peaks
+    below the up-front estimate of _ORACLE_BYTES_PER_STATE per state."""
+    k = 2**14 >> (n + 1)
+    stack = oracle_stack(n, k)
+    tracemalloc.start()
+    try:
+        brute_force_stack(ROOT_HALF, ROOT_HALF, *stack, 7.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < spectrum._ORACLE_BYTES_PER_STATE * (k << (n + 1))
