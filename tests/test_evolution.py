@@ -585,6 +585,98 @@ def test_an_exception_in_a_slice_reaches_the_caller(monkeypatch, rng, failing):
     assert set(threading.enumerate()) == before
 
 
+def cycling_model(n, seed):
+    """Couplings cycling through three values, one spin flipped to -g."""
+    base = generate_random(n, seed, phase_law=PhaseLaw.UNIFORM)
+    g = np.resize([0.5, 0.75, -1.25], n)
+    g[n // 2] = -g[n // 2]
+    return new_model(base.a, base.b, zip(base.alpha.tolist(), base.beta.tolist(), g.tolist()))
+
+
+REPEATED_BATHS = {
+    "equal-0.5-n20": lambda: generate_random(20, 1, Equal(0.5)),
+    "equal-minus-1.25-n20": lambda: generate_random(20, 2, Equal(-1.25)),
+    **{f"cycling-n{n}": lambda n=n: cycling_model(n, 3) for n in (20, 63, 64, 65, 129)},
+    **{f"equal-0.5-n{n}": lambda n=n: generate_random(n, 4, Equal(0.5)) for n in (63, 64, 65, 129)},
+}
+
+
+@pytest.mark.parametrize("slices", [1, 2, 5])
+@pytest.mark.parametrize("bath", sorted(REPEATED_BATHS))
+def test_repeated_couplings_keep_their_bits(monkeypatch, bath, slices):
+    """Spins of one coupling share a phase row, within each window of
+    _ZERO_SWEEP_SPINS spins; windows at 64 and 128 cut the groups."""
+    use_cpus(monkeypatch, slices)
+    monkeypatch.setattr(evolution, "_SPLIT_CELLS", 0)
+    m = REPEATED_BATHS[bath]()
+    times = np.linspace(-3.0, 7.0, 257)
+    r = sample_series(m, -3.0, 7.0, 257).r_values
+    assert_same_nonzero_bits(r, per_spin_loop(m, times))
+    for t in times[::32].tolist():
+        want = per_spin_loop(m, np.array([t, t]))[0]
+        assert np.complex128(r_of_t(m, t)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("slices", [1, 2])
+def test_repeated_couplings_on_a_grid_longer_than_a_block_keep_their_bits(monkeypatch, slices):
+    """On long slices the phase table of a window is cut into spans of
+    points, so that it stays within the block buffer."""
+    use_cpus(monkeypatch, slices)
+    monkeypatch.setattr(evolution, "_SPLIT_CELLS", 0)
+    m = cycling_model(70, 5)
+    steps = 2 * evolution._BLOCK_CELLS + 3
+    r = sample_series(m, 0.0, 30.0, steps).r_values
+    assert_same_nonzero_bits(r, per_spin_loop(m, np.linspace(0.0, 30.0, steps)))
+
+
+@pytest.mark.parametrize("slices", [1, 2, 5])
+def test_equal_couplings_keep_their_bits_across_swept_zeros(monkeypatch, slices):
+    use_cpus(monkeypatch, slices)
+    monkeypatch.setattr(evolution, "_SPLIT_CELLS", 0)
+    m = generate_random(3000, 1, Equal(0.5))
+    r = sample_series(m, 0.0, 2.0 * math.pi, 400).r_values
+    assert 0 < np.count_nonzero(r == 0) < 200
+    assert_same_nonzero_bits(r, per_spin_loop(m, np.linspace(0.0, 2.0 * math.pi, 400)))
+
+
+def test_equal_couplings_keep_their_bits_with_one_surviving_point():
+    # |r| recurs to 1 at t = 2 pi and is below the smallest double at pi and 3 pi
+    m = generate_random(3000, 1, Equal(0.5))
+    r = sample_series(m, math.pi, 3.0 * math.pi, 3).r_values
+    assert np.count_nonzero(r) == 1
+    assert_same_nonzero_bits(r, per_spin_loop(m, np.linspace(math.pi, 3.0 * math.pi, 3)))
+
+
+def test_each_window_evaluates_one_phase_row_per_coupling(monkeypatch):
+    """Equal couplings take one exp row per window of _ZERO_SWEEP_SPINS
+    spins (four windows for 200 spins); distinct couplings take one per
+    spin."""
+    exp = np.exp
+    cells = []
+
+    def counting(x, *args, **kwargs):
+        cells.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    for law, expected in ((Equal(0.5), 4 * 100), (UniformPositive(1.0), 200 * 100)):
+        cells.clear()
+        r = sample_series(generate_random(200, 1, law), 0.0, 0.1, 100).r_values
+        assert np.all(r != 0)
+        assert sum(cells) == expected, law
+
+
+@pytest.mark.parametrize("law", [UniformPositive(1.0), Equal(0.5)])
+def test_r_of_t_on_a_large_bath_is_the_per_spin_product(law):
+    """A lone time point runs as two; each block of spins is folded in by
+    one reduction, with the bits of multiplying its rows in one by one."""
+    m = generate_random(5000, 1, law)
+    for t in (0.3, -0.05, 0.125):
+        want = per_spin_loop(m, np.array([t, t]))[0]
+        assert want != 0
+        assert np.complex128(r_of_t(m, t)).tobytes() == want.tobytes()
+
+
 def test_import_starts_no_thread_and_no_executor():
     code = ("import sys, threading; n = threading.active_count(); import spinbath.cli; "
             "print(threading.active_count() - n, 'concurrent.futures' in sys.modules)")
