@@ -19,15 +19,15 @@ Collision handling is exact rather than approximate: couplings are
 rescaled to integers over a common power-of-two denominator (every float
 is a dyadic rational), and the signed subset sums are formed exactly by
 one doubling over the spins, in int64 while they fit in 62 bits and as
-Python ints beyond. The int64 path keeps only the distinct sums, sorted,
-with the number of terms behind each one, and the weights of each sum's
-terms as one contiguous block in index order. A doubling merges the two
-sorted runs sums + m and sums - m, adds the counts of equal sums, and
-moves each block of weights whole, so no global sort is needed and the
-cost follows the number of distinct sums: the N + 1 lines of equal
-couplings cost O(N) per step besides the weights. Only the final division
-back to float rounds. Equal couplings therefore collide bit-exactly and
-merge at tolerance zero; random couplings collide with probability zero.
+Python ints beyond. The doubling keeps only the distinct sums, sorted,
+each with the number of its terms and their total weight. Each step
+merges the two sorted runs sums + m and sums - m and adds the counts and
+weights of equal sums at once, so no global sort is needed and the cost
+follows the number of distinct sums: the N + 1 lines of equal couplings
+cost O(N) per step, weights included. Only the final division back to
+float rounds, and sums that round to one float fold into one line. Equal
+couplings therefore collide bit-exactly and merge at tolerance zero;
+random couplings collide with probability zero.
 
 The brute-force expectation at the bottom shares no code with the
 closed forms in :mod:`spinbath.evolution`: it materializes the full
@@ -65,15 +65,16 @@ _WEIGHT_SUM_TOLERANCE = 1e-12
 # seeds 1 to 3 (1 and 2 at N = 24): `predict`, which runs the verdict on
 # the spectrum it holds, peaks at about 61 B per term at N = 18, 57 B at
 # N = 20 and 49 B at N = 22 and 24, set by check_quasi_continuous; the
-# int64 bound adds a margin to that. Random couplings set these bounds:
-# equal couplings, whose doubling keeps only their N + 1 distinct sums,
-# take about 13 B per term in `predict` and `compare` at N = 20 and 12 B
-# at N = 22 and 26, all of it the weights. Sums that need Python ints
-# (couplings 1 and 2^-80, say) take about 89 B per term at N = 19 and
-# 76 B at N = 20, so spectral_decomposition picks its bound by
-# _fits_int64.
+# int64 bound adds a margin to that. Random couplings set these bounds,
+# since each of their sums is one term: equal couplings, whose doubling
+# adds the weights as it goes and keeps only their N + 1 distinct sums,
+# take under 0.1 B per term at N = 22 and 26 (12 B when all 2^N weights
+# were kept; `predict --n 26 --equal-coupling 0.5` went from 0.4-0.75 s at
+# 804 MB peak RSS to 0.015 s at 36 MB, the imports). Sums that need Python
+# ints (couplings 1 and 2^-80, say) take about 77 B per term at N = 19 and
+# 76 B at N = 20, so spectral_decomposition picks its bound by _fits_int64.
 # hamiltonian_spectrum peaks at about 16-18 B per value at N = 20 to 22
-# (under 1 B with equal couplings, 42 B where the sums need Python ints),
+# (under 1 B with equal couplings, 34 B where the sums need Python ints),
 # so it has its own bound. brute_force_stack peaks at 50-52 B per state
 # under tracemalloc at N = 8, 10 and 12 (the phased state and two copies of
 # the evolved state while a factor is applied; the phases, at a quarter of
@@ -254,110 +255,45 @@ def _fits_int64(scaled: list[int], denominator: int) -> bool:
     return sum(abs(m) for m in scaled).bit_length() < 63 and denominator.bit_length() <= 1023
 
 
-# A doubling moves the weights of each source block with one np.multiply
-# into its place while the blocks average at least this many terms, and
-# with one gather of all terms below that. Moving 2^20 weights took about
-# 12 ms by one gather at any block length, and by block copies 34 ms at
-# 64 terms per block, 12 ms at 128, 9.6 ms at 256 and 3.8 ms at 1024
-# (in-process medians on a 2-core 2.0 GHz Xeon VM).
-_BLOCK_COPY_MIN_TERMS = 256
-
-
 def _merged_equal(
-    sums: np.ndarray, counts: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Sorted sums with equal neighbours merged into one, their counts added.
+    sums: np.ndarray, counts: np.ndarray | None, weights: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Sorted sums with equal neighbours merged into one, their counts and
+    weights added.
 
     ``counts`` None stands for one term per sum, and is returned as None
-    while every sum is distinct.
+    while every sum is distinct; ``weights`` may be None.
     """
     distinct = sums[1:] != sums[:-1]
     if distinct.all():
-        return sums, counts
+        return sums, counts, weights
     starts = np.flatnonzero(np.concatenate(([True], distinct)))
     if counts is None:
         counts = np.diff(starts, append=sums.size)
     else:
         counts = np.add.reduceat(counts, starts)
-    return sums[starts], counts
-
-
-def _doubled_weights(
-    weights: np.ndarray,
-    factors: tuple[float, float],
-    order: np.ndarray | None,
-    counts: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One doubling of the weights, times |beta|^2 then times |alpha|^2.
-
-    Returns the new weights and the gather that puts them in order, None
-    where they already are. Without ``order`` the two halves stay in index
-    order. With it, entry i of ``order`` names the block that goes i-th:
-    block j < K holds the counts[j] weights of sum j times |beta|^2, block
-    K + j the same weights times |alpha|^2 (K sums; one weight each where
-    ``counts`` is None). Each block is moved whole, so its terms keep their
-    order.
-    """
-    b2, a2 = factors
-    size = weights.size
-    moved = np.empty(2 * size)
-    gather = order
-    if counts is not None:
-        firsts = np.cumsum(counts)
-        firsts -= counts
-        sources = np.concatenate((firsts, firsts + size))[order]
-        lengths = np.concatenate((counts, counts))[order]
-        if order.size * _BLOCK_COPY_MIN_TERMS <= moved.size:
-            stop = 0
-            for first, length in zip(sources.tolist(), lengths.tolist()):
-                start, stop = stop, stop + length
-                factor = b2 if first < size else a2
-                first %= size
-                np.multiply(weights[first:first + length], factor, out=moved[start:stop])
-            return moved, None
-        # the place in `moved` of every term: one step on within a block,
-        # and at each block's start a jump to its first source term
-        gather = np.ones(moved.size, dtype=np.int64)
-        gather[0] = sources[0]
-        jumps = sources[1:] - sources[:-1]
-        jumps -= lengths[:-1]
-        jumps += 1
-        gather[np.cumsum(lengths[:-1])] = jumps
-        np.cumsum(gather, out=gather)
-    np.multiply(weights, b2, out=moved[:size])
-    np.multiply(weights, a2, out=moved[size:])
-    return moved, gather
+    if weights is not None:
+        weights = np.add.reduceat(weights, starts)
+    return sums[starts], counts, weights
 
 
 def _doubled_terms(
-    scaled: list[int],
-    factors: list[tuple[float, float]] | None,
-    dtype,
-    sort: bool,
+    scaled: list[int], factors: list[tuple[float, float]] | None, dtype
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """All 2^N signed sums of the scaled couplings, with their counts and weights.
+    """The distinct signed sums of the scaled couplings, in increasing order,
+    with the count and the total weight of the terms behind each.
 
     Built by doubling from the last spin, so that spin 1 lands at the most
-    significant bit of nu: each step writes sums + m (bit 0), then
-    sums - m (bit 1), and the weights times |beta|^2, then times
-    |alpha|^2. ``dtype`` is np.int64, exact while sum |scaled| < 2^62, or
-    object, whose Python ints are exact at any size.
-
-    Without ``sort`` all 2^N sums come in index order, and counts is None.
-    With it, the sums are the distinct ones in increasing order, and
-    counts[j] terms stand behind sum j (counts is None while every sum is
-    one term); the weights of each sum's terms are one contiguous block,
-    in index order. Each step merges the two sorted runs sums + m and
-    sums - m by one stable sort of 2K values in linear time (Horowitz &
-    Sahni, J. ACM 21, 277, 1974), and equal neighbours merge into one sum.
-    On a tie the +m copy comes first, and its terms have the lower
-    indices, because the new bit is the most significant one. So the
-    weights of sum j, the block of its +m source, then the block of its
-    -m source, stay in index order, exactly as a stable argsort of all
-    2^N index-order terms leaves them. While every sum is one term, a
-    step is one argsort, one gather of the sums and of the weights, and
-    one comparison of neighbours. No array of 2^N indices outlives its
-    doubling.
+    significant bit of nu: each step forms sums + m (bit 0) and sums - m
+    (bit 1), with the weights times |beta|^2 and times |alpha|^2, and
+    merges the two sorted runs of K sums each by one stable sort, in linear
+    time (Horowitz & Sahni, J. ACM 21, 277, 1974). Equal neighbours then
+    merge into one sum, their counts and weights added by np.add.reduceat,
+    so the arrays never hold more than the distinct sums: the N + 1 lines
+    of equal couplings cost O(N) per step. ``dtype`` is np.int64, exact
+    while sum |scaled| < 2^62, or object, whose Python ints are exact at
+    any size. counts is None while every sum is one term, and weights is
+    None without ``factors``. No array of 2^N indices outlives its doubling.
     """
     sums = np.zeros(1, dtype=dtype)
     counts = None
@@ -369,22 +305,25 @@ def _doubled_terms(
         np.subtract(sums, scaled[k], out=buffer[size:])
         del sums
         order = None
-        if sort and weights is None and counts is None:
+        if weights is None and counts is None:
             buffer.sort(kind="stable")
-        elif sort:
+        else:
             order = np.argsort(buffer, kind="stable")
         sums = buffer if order is None else buffer[order]
         del buffer
         if weights is not None:
-            moved, gather = _doubled_weights(weights, factors[k], order, counts)
+            b2, a2 = factors[k]
+            moved = np.empty(2 * size)
+            np.multiply(weights, b2, out=moved[:size])
+            np.multiply(weights, a2, out=moved[size:])
+            # the parent's weights go before the gather allocates 2K more
             del weights
-            weights = moved if gather is None else moved[gather]
-            del moved, gather
+            weights = moved[order]
+            del moved
         if counts is not None:
             counts = np.concatenate((counts, counts))[order]
         del order
-        if sort:
-            sums, counts = _merged_equal(sums, counts)
+        sums, counts, weights = _merged_equal(sums, counts, weights)
     return sums, counts, weights
 
 
@@ -393,47 +332,32 @@ def _sorted_terms(
     denominator: int,
     moduli: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The values sum_i (+-M_i) / D in increasing order, with counts and weights.
+    """The distinct values sum_i (+-M_i) / D in increasing order, with the
+    count and the total weight of the terms behind each.
 
     ``scaled`` and ``denominator`` are _scaled_couplings' M_i and D, so each
     value is correctly rounded; the weights are products of the bath's
-    ``moduli`` (spin_moduli), and None without them. The value array holds
-    the distinct values of the int64 path, each standing for counts[j]
-    terms (counts is None where each value is one term), and the weights of
-    each value's terms come as one contiguous block. Equal values keep index
-    order, exactly as a stable argsort of the index-order arrays leaves
-    them, so merged weights keep their np.sum bits. Sorting the exact
-    int64 sums orders their floats too, since rounding is monotone. Below
-    2^53 distinct sums stay distinct floats. Above it two sums may round
-    to one float, whose group must then be in index order, not integer
-    order: where that happens to weighted terms, and where the sums need
-    Python ints, all 2^N index-order terms are sorted by one stable
-    argsort of their floats instead, and counts is None.
+    ``moduli`` (spin_moduli), and None without them. counts is None where
+    every value is one term. Both the int64 and the Python-int path run
+    _doubled_terms, and rounding is monotone, so the values come sorted.
+    Distinct integer sums stay distinct floats below 2^53 on the int64
+    path; above it, or on the Python-int path, whose quotients may be
+    subnormal, two sums may round to one float, and such values are folded
+    once more.
     """
     # (|beta_i|^2, |alpha_i|^2) per spin: the weight factors of bit 0 and bit 1
     factors = None if moduli is None else list(zip(moduli[1].tolist(), moduli[0].tolist()))
     fits = _fits_int64(scaled, denominator)
-    if fits:
-        sums, counts, weights = _doubled_terms(scaled, factors, np.int64, sort=True)
-        values = sums.astype(np.float64)
-        values /= denominator
-        del sums
-        if (
-            weights is None
-            or sum(abs(m) for m in scaled).bit_length() <= 53
-            or not np.any(values[1:] == values[:-1])
-        ):
-            return values, counts, weights
-        del counts, weights, values
-    sums, _, weights = _doubled_terms(scaled, factors, np.int64 if fits else object, sort=False)
+    sums, counts, weights = _doubled_terms(scaled, factors, np.int64 if fits else object)
     if fits:
         values = sums.astype(np.float64)
         values /= denominator
     else:
         values = np.fromiter((s / denominator for s in sums), dtype=np.float64, count=sums.size)
     del sums
-    order = np.argsort(values, kind="stable")
-    return values[order], None, None if weights is None else weights[order]
+    if fits and sum(abs(m) for m in scaled).bit_length() <= 53:
+        return values, counts, weights
+    return _merged_equal(values, counts, weights)
 
 
 def _check_index(model: SpinBathModel, nu: int) -> None:
@@ -600,47 +524,35 @@ def _merge_sorted(
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Group consecutive values, given in increasing order, whose gaps are <= radius.
 
-    Value j stands for counts[j] terms (one where ``counts`` is None),
-    whose weights are the next counts[j] entries of ``weights``. Returns
-    (representatives, merged weights or None, group sizes in terms). A
-    group of identical values keeps that exact value; otherwise the
-    representative is the weight-averaged position of its terms (plain
-    mean if the mass is zero). Where every group is a single value and no
-    weights need adding (one term per value, or no weights), the inputs are
-    returned as they are, ``counts`` as the sizes. Of the groups of two or more terms
-    only those that need it take a Python iteration: each weight sum is
-    np.sum over one slice of the weights, whose pairwise rounding
-    np.add.reduceat does not reproduce, and only a group of differing
-    values needs a new representative.
+    Value j is one line of counts[j] terms (one where ``counts`` is None)
+    and, where ``weights`` is given, of weight weights[j]. Returns
+    (representatives, group weights or None, group sizes in terms). A group
+    of identical values keeps that exact value. Otherwise the representative
+    is the line positions averaged by line weight; without weights, or where
+    the group's weight is zero, it is the mean of the values repeated by
+    their counts, one Python iteration per such group. Where every group is
+    a single value, the inputs are returned as they are, ``counts`` as the
+    sizes.
     """
     starts = np.flatnonzero(np.diff(values) > radius)
     starts += 1
     starts = np.concatenate(([0], starts))
-    if starts.size == values.size and (counts is None or weights is None):
+    if starts.size == values.size:
         return values, weights, np.ones(values.size, dtype=np.int64) if counts is None else counts
     widths = np.diff(starts, append=values.size)
     reps = values[starts]
     spread = reps != values[starts + widths - 1]
-    if counts is None:
-        firsts, sizes = starts, widths
-    else:
-        sizes = np.add.reduceat(counts, starts)
-        firsts = np.cumsum(sizes)
-        firsts -= sizes
-    mass = weights[firsts] if weights is not None else None
-    for k in np.flatnonzero(spread if weights is None else sizes > 1).tolist():
-        lo = int(firsts[k])
-        hi = lo + int(sizes[k])
-        if weights is not None:
-            mass[k] = np.sum(weights[lo:hi])
-        if not spread[k]:
-            continue
+    sizes = widths if counts is None else np.add.reduceat(counts, starts)
+    mass = None
+    if weights is not None:
+        mass = np.add.reduceat(weights, starts)
+        weighted = spread & (mass > 0.0)
+        reps[weighted] = np.add.reduceat(values * weights, starts)[weighted] / mass[weighted]
+        spread &= ~weighted
+    for k in np.flatnonzero(spread).tolist():
         group = slice(int(starts[k]), int(starts[k] + widths[k]))
         block = values[group] if counts is None else np.repeat(values[group], counts[group])
-        if weights is not None and mass[k] > 0.0:
-            reps[k] = np.sum(block * weights[lo:hi]) / mass[k]
-        else:
-            reps[k] = np.mean(block)
+        reps[k] = np.mean(block)
     return reps, mass, sizes
 
 
