@@ -69,10 +69,14 @@ from .spectrum import (
 
 ORACLE_TOLERANCE = 1e-10
 
-# States (cases x 2^(n+1)) in one stack of oracle-check cases. With
-# --n-max 12, stacks of 2^13 to 2^15 states ran alike and 2^12 about 10 %
-# slower; larger stacks only hold more memory.
-_ORACLE_STACK_STATES = 2**14
+# States (cases x 2^(n+1)) in one stack of oracle-check cases. Each stack
+# pays about 130 numpy calls (bath draw, closed-form pass, state-vector
+# pass, memory check) on top of its per-state work. run_oracle_check(12,
+# 1000, .) in process, alternating rounds, against 2^14: 0.85x at 2^16,
+# 0.84-0.86x at 2^17 and 1.04x at 2^18, where the state and one temporary
+# outgrow a 2 MB per-core L2. 2^17 is no faster than 2^16 and holds twice
+# the memory.
+_ORACLE_STACK_STATES = 2**16
 
 DEFAULT_STEPS = 2000
 DEFAULT_T_END_OVER_MEAN_G = 20.0

@@ -271,10 +271,9 @@ def random_spin_arrays(
 
     Returns ``(alpha, beta, g)``, each of shape ``(len(seeds), n)``: row j
     is the bath of ``generate_random(n, seeds[j], coupling_law,
-    phase_law)``, bit for bit. Each seed's generator makes its whole draw
-    in one call (``random(n * k)``, k draws per spin, in the per-spin order
-    that generate_random documents; numpy fills an array with the same
-    doubles that k * n scalar calls return), and the square roots, phases,
+    phase_law)``, bit for bit. Each seed makes its whole draw in one call
+    (_uniform_draws of n * k doubles, k draws per spin, in the per-spin
+    order that generate_random documents), and the square roots, phases,
     couplings and the bath's checks then run once over the stack.
     np.cos and np.sin give the bits of math.cos and math.sin on these
     phases; tests/test_model.py pins the whole draw against a per-spin
@@ -298,9 +297,7 @@ def random_spin_arrays(
     phased = phase_law is PhaseLaw.UNIFORM
     drawn = isinstance(coupling_law, UniformPositive)
     per_spin = 1 + 2 * phased + drawn
-    draws = np.array(
-        [np.random.default_rng(seed).random(n * per_spin) for seed in seeds]
-    ).reshape(len(seeds), n, per_spin)
+    draws = _uniform_draws(seeds, n * per_spin).reshape(len(seeds), n, per_spin)
     u = draws[..., 0]
     amp_a = np.sqrt(u)
     amp_b = np.sqrt(1.0 - u)
@@ -319,6 +316,22 @@ def random_spin_arrays(
         g = np.full(u.shape, float(coupling_law.g))
     _spin_checks(alpha, beta, g)
     return alpha, beta, g
+
+
+def _uniform_draws(seeds: Sequence[int], size: int) -> np.ndarray:
+    """Row j is ``np.random.default_rng(seeds[j]).random(size)``, bit for bit.
+
+    No Generator is built: each seed's PCG64 bit generator, seeded as
+    default_rng seeds it, gives its 64-bit outputs in one ``random_raw``
+    call, and each output x maps to the double (x >> 11) * 2^-53, which is
+    how ``Generator.random`` maps it. Shape (len(seeds), size), also for no
+    seeds.
+    """
+    raw = np.array(
+        [np.random.PCG64(seed).random_raw(size) for seed in seeds], dtype=np.uint64
+    ).reshape(len(seeds), size)
+    raw >>= 11
+    return raw * 2.0**-53
 
 
 def generate_random(

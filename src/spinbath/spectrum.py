@@ -42,6 +42,7 @@ import functools
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,8 +71,16 @@ _WEIGHT_SUM_TOLERANCE = 1e-12
 # adds the weights as it goes and keeps only their N + 1 distinct sums,
 # take under 0.1 B per term at N = 22 and 26 (12 B when all 2^N weights
 # were kept; `predict --n 26 --equal-coupling 0.5` went from 0.4-0.75 s at
-# 804 MB peak RSS to 0.015 s at 36 MB, the imports). Sums that need Python
-# ints (couplings 1 and 2^-80, say) take about 77 B per term at N = 19 and
+# 804 MB peak RSS to 0.015 s at 36 MB, the imports). So _require_cap
+# charges an enumeration for the distinct sums it can hold
+# (_distinct_sums_bound), not for its 2^N terms: 27 values for 26 equal
+# couplings. In a fresh process `predict` on 4, 20 or 26 equal couplings
+# raises the peak RSS by 6.0-6.2 MB over the imports, a fixed cost of the
+# call, not of its lines. Partial ties (random couplings, seed 7, with
+# 0.375 three times, 0.5, -0.5 and 0.125) raise it by 15.4, 59.9 and
+# 238.5 MB at N = 20, 22 and 24, against estimates of 25.2, 101 and
+# 403 MB for at most 3/8 of the 2^N sums (the lines are 17/64). Sums that
+# need Python ints (couplings 1 and 2^-80, say) take about 77 B per term at N = 19 and
 # 76 B at N = 20, so spectral_decomposition picks its bound by _fits_int64.
 # hamiltonian_spectrum peaks at about 16-18 B per value at N = 20 to 22
 # (under 1 B with equal couplings, 34 B where the sums need Python ints),
@@ -79,11 +88,18 @@ _WEIGHT_SUM_TOLERANCE = 1e-12
 # under tracemalloc at N = 8, 10 and 12 (the phased state and two copies of
 # the evolved state while a factor is applied; the phases, at a quarter of
 # the states, are freed before), and raises a fresh process's peak RSS by
-# about 56.5 B per state on stacks of 2^19 states at N = 8, 10 and 12.
+# about 56.5 B per state on stacks of 2^19 states at N = 8, 10 and 12. A
+# whole oracle-check stack (the bath draw, the closed-form pass and
+# brute_force_stack) also holds arrays of O(N) per case: on stacks of 2^16
+# states it peaks at about 50 B per state plus 240 + 204 N B per case
+# (160 B per state at N = 1, 61 at N = 6, 50 at N = 12), so each case is
+# charged 256 B per qubit, the system's and its N spins', on top of its
+# states.
 _INT64_ENUMERATION_BYTES_PER_VALUE = 64
 _PYINT_ENUMERATION_BYTES_PER_VALUE = 100
 _LEVEL_BYTES_PER_VALUE = 48
 _ORACLE_BYTES_PER_STATE = 64
+_ORACLE_BYTES_PER_CASE_QUBIT = 256
 
 # _exact_sum bins this many values per np.bincount call, and folds its
 # per-exponent sums into one Python int after at most _EXACT_SUM_BLOCK.
@@ -242,6 +258,14 @@ def _scaled_couplings(model: SpinBathModel, scale: int = 1) -> tuple[list[int], 
             f"{max(map(abs, couplings))!r}) is beyond the float range"
         ) from None
     return scaled, common * scale
+
+
+def _distinct_sums_bound(scaled: list[int]) -> int:
+    """A bound on the distinct signed sums sum_i (+-M_i) of the scaled
+    couplings: the c spins of one magnitude |M| give c + 1 sums, so it is
+    the product of c + 1 over the distinct magnitudes. That is N + 1 for
+    equal couplings, and 2^N where no two magnitudes tie."""
+    return math.prod(c + 1 for c in Counter(map(abs, scaled)).values())
 
 
 def _fits_int64(scaled: list[int], denominator: int) -> bool:
@@ -496,17 +520,33 @@ def require_memory(estimate: int, needs: str, remedy: str) -> None:
 
 
 def _require_cap(
-    n: int, cap: int, exponent: int, bytes_per_value: int, what: str, copies: int = 1
+    n: int,
+    cap: int,
+    exponent: int,
+    bytes_per_value: int,
+    what: str,
+    copies: int = 1,
+    bytes_per_copy: int = 0,
+    distinct: int | None = None,
 ) -> None:
     """Refuse ``copies`` enumerations of 2^exponent values over n spins up front.
 
-    They are refused when n exceeds the cap, or when their memory estimate
-    exceeds the memory available to this process now.
+    Each copy is charged ``bytes_per_value`` per value it holds and
+    ``bytes_per_copy`` on top. An enumeration that keeps only distinct
+    values passes ``distinct``, a bound on the distinct signed sums of the
+    n spins (_distinct_sums_bound), and holds at most
+    distinct * 2^(exponent - n) of its values. The copies are refused when
+    n exceeds the cap, or when their memory estimate exceeds the memory
+    available to this process now.
     """
-    estimate = copies * (1 << exponent) * bytes_per_value
-    held = f"{copies} x 2^{exponent}" if copies != 1 else f"2^{exponent}"
+    values = 1 << exponent
+    held = values if distinct is None else min(values, distinct << (exponent - n))
+    estimate = copies * (held * bytes_per_value + bytes_per_copy)
+    count = f"2^{exponent}" if held == values else f"at most {held} distinct of 2^{exponent}"
+    if copies != 1:
+        count = f"{copies} x {count}"
     needs = (
-        f"{what} over {n} spins holds {held} values and needs roughly "
+        f"{what} over {n} spins holds {count} values and needs roughly "
         f"{estimate / 1e6:.3g} MB"
     )
     if n > cap:
@@ -577,7 +617,10 @@ def spectral_decomposition(
         _INT64_ENUMERATION_BYTES_PER_VALUE if _fits_int64(scaled, denominator)
         else _PYINT_ENUMERATION_BYTES_PER_VALUE
     )
-    _require_cap(n, max_spins, n, bytes_per_term, "spectral enumeration")
+    _require_cap(
+        n, max_spins, n, bytes_per_term, "spectral enumeration",
+        distinct=_distinct_sums_bound(scaled),
+    )
 
     omegas, counts, weights = _sorted_terms(scaled, denominator, spin_moduli(model))
     radius = omega_tolerance * float(np.abs(model.g).max())
@@ -605,9 +648,13 @@ def hamiltonian_spectrum(
     if not merge_tolerance >= 0:
         raise InvalidParameterError(f"merge_tolerance must be >= 0, got {merge_tolerance!r}")
     n = model.n_spins
-    _require_cap(n, max_spins, n + 1, _LEVEL_BYTES_PER_VALUE, "eigenvalue enumeration")
+    scaled, denominator = _scaled_couplings(model, scale=2)
+    _require_cap(
+        n, max_spins, n + 1, _LEVEL_BYTES_PER_VALUE, "eigenvalue enumeration",
+        distinct=_distinct_sums_bound(scaled),
+    )
 
-    half, counts, _ = _sorted_terms(*_scaled_couplings(model, scale=2))
+    half, counts, _ = _sorted_terms(scaled, denominator)
     twice = np.full(half.size, 2, dtype=np.int64) if counts is None else 2 * counts
     radius = merge_tolerance * float(np.abs(model.g).max())
     reps, _, sizes = _merge_sorted(half, twice, None, radius)
@@ -720,7 +767,10 @@ def brute_force_stack(
         )
     if n < 1:
         raise EmptyEnvironmentError("the state-vector oracle needs at least one environment spin")
-    _require_cap(n, max_spins, n + 1, _ORACLE_BYTES_PER_STATE, "state-vector oracle", k)
+    _require_cap(
+        n, max_spins, n + 1, _ORACLE_BYTES_PER_STATE, "state-vector oracle", k,
+        _ORACLE_BYTES_PER_CASE_QUBIT * (n + 1),
+    )
 
     system = np.asarray(system, dtype=np.float64)
     t = np.broadcast_to(np.asarray(t, dtype=np.float64), (k,))[:, None]

@@ -623,6 +623,20 @@ def test_random_bath_beyond_memory_exits_two(monkeypatch, command, capsys):
     )
 
 
+def test_equal_couplings_are_charged_for_their_lines(monkeypatch, capsys):
+    """With 1 GB free, 26 equal couplings (27 lines) run, and 26 random
+    ones (2^26 lines, about 4.3 GB) are refused before the enumeration."""
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: 10**9)
+    assert main(["predict", "--n", "26", "--seed", "1", "--equal-coupling", "0.5"]) == 0
+    assert capsys.readouterr().out.startswith("verdict: no_verdict (n_points=27;")
+    assert main(["predict", "--n", "26", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: spectral enumeration over 26 spins holds 2^26 values and needs "
+        "roughly 4.29e+03 MB; only 1e+03 MB of memory is free. Reduce N.\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["predict", "compare", "spectrum"])
 def test_couplings_summing_beyond_the_float_range_exit_two(command, capsys):
     code = main([command, "--n", "5", "--seed", "1", "--equal-coupling", "1e308"])

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -843,3 +844,45 @@ def test_an_oracle_value_that_is_not_a_number_fails_its_case(monkeypatch):
     assert not summary.passed
     assert [f.case_index for f in summary.failures] == [4]
     assert math.isnan(summary.failures[0].error)
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
+def test_the_stack_size_never_changes_a_value(monkeypatch, perturbed):
+    """Stacks of 2^4 states (one case each from n = 3 on), of 2^14 and of
+    the default size give the same maximum error, bit for bit, and the
+    same failures: index, model seed, time, error and replay record."""
+    n_max, cases, seed = (6, 40, 5) if perturbed else (12, 1000, 1646266295)
+    if perturbed:
+        drawn = drawn_oracle_cases(n_max, cases, seed)
+        perturb_oracle(monkeypatch, [drawn[i][2] for i in PERTURBED])
+    summaries = []
+    for states in (2**4, 2**14, harness._ORACLE_STACK_STATES):
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_ORACLE_STACK_STATES", states)
+            summaries.append(run_oracle_check(n_max, cases, seed))
+    first = summaries[0]
+    assert [f.case_index for f in first.failures] == (list(PERTURBED) if perturbed else [])
+    for summary in summaries[1:]:
+        assert summary.max_abs_error.hex() == first.max_abs_error.hex()
+        assert summary.failures == first.failures
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_oracle_stack_peak_stays_within_its_estimate(monkeypatch, n):
+    """A full stack of oracle-check cases, bath draw and closed-form pass
+    included, peaks under tracemalloc at or below the estimate that the
+    state-vector oracle charges for it up front."""
+    rng = np.random.default_rng(n)
+    k = harness._ORACLE_STACK_STATES >> (n + 1)
+    seeds = rng.integers(0, 2**63, size=k).tolist()
+    queue = list(zip(range(k), seeds, rng.random((k, 4 * n + 5))))
+    estimates = []
+    monkeypatch.setattr(spectrum, "require_memory", lambda estimate, *_: estimates.append(estimate))
+    tracemalloc.start()
+    try:
+        harness._oracle_stack(n, queue, [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1
+    assert peak <= estimates[0]

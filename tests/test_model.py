@@ -21,6 +21,7 @@ from spinbath import (
     model_to_dict,
     new_model,
 )
+from spinbath import model as model_module
 from spinbath.model import random_spin_arrays, spin_moduli
 
 from conftest import triples
@@ -297,6 +298,33 @@ def test_array_draw_equals_scalar_transcription(n, coupling_law, phase_law):
         single = random_spin_arrays(n, [seed], coupling_law, phase_law)
         assert bits(zip(*(a[0].tolist() for a in single))) == want
         assert bits(zip(*(a[row].tolist() for a in stacked))) == want
+
+
+DRAW_SEEDS = (0, 1, 2**32, 2**63 - 1)
+
+
+def generator_draws(seeds, size):
+    return np.array([np.random.default_rng(seed).random(size) for seed in seeds])
+
+
+def test_raw_draws_are_the_generators_doubles():
+    for size in range(1, 54):
+        want = generator_draws(DRAW_SEEDS, size)
+        assert model_module._uniform_draws(DRAW_SEEDS, size).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("phase_law", list(PhaseLaw), ids=lambda p: p.value)
+@pytest.mark.parametrize("coupling_law", [UniformPositive(2.5), Equal(-0.7)],
+                         ids=["uniform_positive", "equal"])
+def test_array_draw_equals_the_generators_draw(monkeypatch, coupling_law, phase_law):
+    """The baths drawn from the bit generators' raw outputs are, bit for
+    bit, those drawn through default_rng(seed).random, for 1 to 53 spins."""
+    drawn = {n: random_spin_arrays(n, DRAW_SEEDS, coupling_law, phase_law)
+             for n in range(1, 54)}
+    monkeypatch.setattr(model_module, "_uniform_draws", generator_draws)
+    for n, bath in drawn.items():
+        want = random_spin_arrays(n, DRAW_SEEDS, coupling_law, phase_law)
+        assert [a.tobytes() for a in bath] == [a.tobytes() for a in want]
 
 
 def test_array_draw_shapes():

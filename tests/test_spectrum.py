@@ -27,7 +27,7 @@ from spinbath import (
     spectral_decomposition,
     weight_of_index,
 )
-from spinbath import spectrum
+from spinbath import harness, spectrum
 from spinbath.lemma import lemma_sum
 from spinbath.model import Equal, PhaseLaw, UniformPositive, random_spin_arrays
 from spinbath.spectrum import ENUMERATION_CAP, ORACLE_CAP, brute_force_stack
@@ -556,6 +556,29 @@ def test_enumeration_refused_when_memory_is_short(rng, monkeypatch):
     assert spectral_decomposition(m).n_lines == 2**10
 
 
+def test_enumerations_are_charged_for_the_sums_they_can_hold(monkeypatch):
+    """Ties bound the distinct sums by the product of c + 1 over the
+    magnitudes that c spins share: 2 * 2 * 4 * 3 * 2 = 96 of 2^8 here, so
+    the spectrum is charged for 96 values and the levels for 2 * 96."""
+    g = [0.3, 0.7, 0.375, 0.375, 0.375, 0.5, -0.5, 0.125]
+    m = new_model(ROOT_HALF, ROOT_HALF, [(ROOT_HALF, ROOT_HALF, x) for x in g])
+    spectrum_bytes = 96 * spectrum._INT64_ENUMERATION_BYTES_PER_VALUE
+    levels_bytes = 2 * 96 * spectrum._LEVEL_BYTES_PER_VALUE
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: spectrum_bytes - 1)
+    with pytest.raises(CapExceededError, match=r"holds at most 96 distinct of 2\^8 values"):
+        spectral_decomposition(m)
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: levels_bytes - 1)
+    with pytest.raises(CapExceededError, match=r"holds at most 192 distinct of 2\^9 values"):
+        hamiltonian_spectrum(m)
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: max(spectrum_bytes, levels_bytes))
+    assert spectral_decomposition(m).n_lines <= 96
+    assert hamiltonian_spectrum(m)[0].size <= 96
+    # 26 equal couplings: 27 sums, where all 2^26 would need 4.3 GB
+    equal = generate_random(26, 1, Equal(0.5))
+    assert spectral_decomposition(equal).n_lines == 27
+    assert hamiltonian_spectrum(equal)[0].size == 27
+
+
 def _traced_peak(call, monkeypatch):
     """Peak bytes under tracemalloc of a second call, after a warm-up call.
     The memory check is stubbed out: a fresh reading of /proc would count."""
@@ -962,9 +985,9 @@ def test_stacked_oracle_needs_a_bath():
 
 @pytest.mark.parametrize("n", [8, 10, 12])
 def test_oracle_memory_estimate_covers_its_traced_peak(n):
-    """One stack of 2^14 states, the size oracle-check evaluates, peaks
-    below the up-front estimate of _ORACLE_BYTES_PER_STATE per state."""
-    k = 2**14 >> (n + 1)
+    """One stack of the size oracle-check evaluates peaks below the
+    up-front estimate of _ORACLE_BYTES_PER_STATE per state."""
+    k = harness._ORACLE_STACK_STATES >> (n + 1)
     stack = oracle_stack(n, k)
     tracemalloc.start()
     try:
