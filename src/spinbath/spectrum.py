@@ -170,6 +170,12 @@ class WeightedPointSet:
             weights = weights[order]
             points.setflags(write=False)
             weights.setflags(write=False)
+        # Python floats: a span beyond the float range is inf, with no warning
+        if not math.isfinite(float(points[-1]) - float(points[0])):
+            raise InvalidParameterError(
+                f"points from {float(points[0])!r} to {float(points[-1])!r} span "
+                "beyond the float range"
+            )
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
 
@@ -187,8 +193,8 @@ class SpectralDecomposition(WeightedPointSet):
     (equal to ``math.fsum``) is kept as ``weight_sum``. ``multiplicity``
     (each >= 1, summing to 2^N) counts the terms behind each line.
     ``omega``, ``weight`` and ``n_lines`` name ``points``, ``weights`` and
-    ``n_points`` too. Arrays already of dtype float64, float64 and int64
-    are taken without a copy and made read-only.
+    ``n_points`` too. Read-only arrays of dtype float64, float64 and int64
+    are kept without a copy; any other input is copied, as in the point set.
     """
 
     multiplicity: np.ndarray
@@ -196,13 +202,11 @@ class SpectralDecomposition(WeightedPointSet):
     weight_sum: float = field(init=False)
 
     def __post_init__(self):
-        for name, dtype in (("points", np.float64), ("weights", np.float64),
-                            ("multiplicity", np.int64)):
-            array = np.asarray(getattr(self, name), dtype=dtype)
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        points = read_only(self.points, np.float64)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "multiplicity", read_only(self.multiplicity, np.int64))
         # checked before the point set's checks, which would sort the points
-        if self.points.ndim == 1 and np.any(self.points[1:] <= self.points[:-1]):
+        if points.ndim == 1 and np.any(points[1:] <= points[:-1]):
             raise InvalidParameterError("line omegas must be strictly increasing")
         super().__post_init__()
         multiplicity = self.multiplicity
@@ -279,26 +283,41 @@ def _fits_int64(scaled: list[int], denominator: int) -> bool:
     return sum(abs(m) for m in scaled).bit_length() < 63 and denominator.bit_length() <= 1023
 
 
-def _merged_equal(
-    sums: np.ndarray, counts: np.ndarray | None, weights: np.ndarray | None
+def _folded(
+    values: np.ndarray, counts: np.ndarray | None, weights: np.ndarray | None, radius: float
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Sorted sums with equal neighbours merged into one, their counts and
-    weights added.
+    """Sorted values with each run whose gaps are at most ``radius`` folded
+    into one value, their counts and weights added by np.add.reduceat.
 
-    ``counts`` None stands for one term per sum, and is returned as None
-    while every sum is distinct; ``weights`` may be None.
+    Radius 0 folds equal values only. ``counts`` None stands for one term
+    per value, and is returned as None while no two values fold;
+    ``weights`` may be None. A run of equal values keeps that value. A run
+    of differing values gets the mean of its values weighted by their
+    weights, or by their counts where there are no weights or the run's
+    weight is 0.
     """
-    distinct = sums[1:] != sums[:-1]
-    if distinct.all():
-        return sums, counts, weights
-    starts = np.flatnonzero(np.concatenate(([True], distinct)))
-    if counts is None:
-        counts = np.diff(starts, append=sums.size)
+    if radius:
+        with np.errstate(over="ignore"):  # a gap beyond the float range is inf, a break
+            breaks = np.diff(values) > radius
     else:
-        counts = np.add.reduceat(counts, starts)
-    if weights is not None:
-        weights = np.add.reduceat(weights, starts)
-    return sums[starts], counts, weights
+        breaks = values[1:] != values[:-1]
+    if breaks.all():
+        return values, counts, weights
+    starts = np.flatnonzero(np.concatenate(([True], breaks)))
+    reps = values[starts]
+    sizes = np.diff(starts, append=values.size) if counts is None else np.add.reduceat(counts, starts)
+    mass = None if weights is None else np.add.reduceat(weights, starts)
+    if radius:
+        # a run of differing values differs in its first and last value
+        spread = reps != values[np.append(starts[1:], values.size) - 1]
+        if mass is not None:
+            weighted = spread & (mass > 0.0)
+            reps[weighted] = np.add.reduceat(values * weights, starts)[weighted] / mass[weighted]
+            spread &= ~weighted
+        if spread.any():
+            moments = np.add.reduceat(values if counts is None else values * counts, starts)
+            reps[spread] = moments[spread] / sizes[spread]
+    return reps, sizes, mass
 
 
 def _doubled_terms(
@@ -347,7 +366,7 @@ def _doubled_terms(
         if counts is not None:
             counts = np.concatenate((counts, counts))[order]
         del order
-        sums, counts, weights = _merged_equal(sums, counts, weights)
+        sums, counts, weights = _folded(sums, counts, weights, 0)
     return sums, counts, weights
 
 
@@ -381,7 +400,7 @@ def _sorted_terms(
     del sums
     if fits and sum(abs(m) for m in scaled).bit_length() <= 53:
         return values, counts, weights
-    return _merged_equal(values, counts, weights)
+    return _folded(values, counts, weights, 0)
 
 
 def _check_index(model: SpinBathModel, nu: int) -> None:
@@ -536,8 +555,9 @@ def _require_cap(
     values passes ``distinct``, a bound on the distinct signed sums of the
     n spins (_distinct_sums_bound), and holds at most
     distinct * 2^(exponent - n) of its values. The copies are refused when
-    n exceeds the cap, or when their memory estimate exceeds the memory
-    available to this process now.
+    n exceeds the cap, when the exponent exceeds 62, since the int64 counts
+    of an enumeration sum to 2^exponent, or when their memory estimate
+    exceeds the memory available to this process now.
     """
     values = 1 << exponent
     held = values if distinct is None else min(values, distinct << (exponent - n))
@@ -553,47 +573,12 @@ def _require_cap(
         raise CapExceededError(
             f"{needs}; the cap is {cap} spins. Reduce N or raise the cap."
         )
+    if exponent > 62:
+        raise CapExceededError(
+            f"{needs}; its int64 counts sum to 2^{exponent}, beyond the int64 "
+            "limit of 2^63 - 1. Reduce N."
+        )
     require_memory(estimate, needs, "Reduce N.")
-
-
-def _merge_sorted(
-    values: np.ndarray,
-    counts: np.ndarray | None,
-    weights: np.ndarray | None,
-    radius: float,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Group consecutive values, given in increasing order, whose gaps are <= radius.
-
-    Value j is one line of counts[j] terms (one where ``counts`` is None)
-    and, where ``weights`` is given, of weight weights[j]. Returns
-    (representatives, group weights or None, group sizes in terms). A group
-    of identical values keeps that exact value. Otherwise the representative
-    is the line positions averaged by line weight; without weights, or where
-    the group's weight is zero, it is the mean of the values repeated by
-    their counts, one Python iteration per such group. Where every group is
-    a single value, the inputs are returned as they are, ``counts`` as the
-    sizes.
-    """
-    starts = np.flatnonzero(np.diff(values) > radius)
-    starts += 1
-    starts = np.concatenate(([0], starts))
-    if starts.size == values.size:
-        return values, weights, np.ones(values.size, dtype=np.int64) if counts is None else counts
-    widths = np.diff(starts, append=values.size)
-    reps = values[starts]
-    spread = reps != values[starts + widths - 1]
-    sizes = widths if counts is None else np.add.reduceat(counts, starts)
-    mass = None
-    if weights is not None:
-        mass = np.add.reduceat(weights, starts)
-        weighted = spread & (mass > 0.0)
-        reps[weighted] = np.add.reduceat(values * weights, starts)[weighted] / mass[weighted]
-        spread &= ~weighted
-    for k in np.flatnonzero(spread).tolist():
-        group = slice(int(starts[k]), int(starts[k] + widths[k]))
-        block = values[group] if counts is None else np.repeat(values[group], counts[group])
-        reps[k] = np.mean(block)
-    return reps, mass, sizes
 
 
 def spectral_decomposition(
@@ -604,10 +589,12 @@ def spectral_decomposition(
 ) -> SpectralDecomposition:
     """Enumerate all 2^N (omega, weight) terms and merge coincident lines.
 
-    Lines whose frequencies differ by at most ``omega_tolerance * max|g|``
-    (an absolute radius) are merged, summing weights and multiplicities.
-    At the default tolerance 0 only bit-exact collisions merge, which is
-    exactly what equal couplings produce under the integer scaling.
+    Runs of lines whose gaps are at most ``omega_tolerance * max|g|`` (an
+    absolute radius) are merged, summing weights and multiplicities. A
+    merged line of differing frequencies sits at their mean weighted by
+    line weight, or by multiplicity where the run's weight is 0. At the
+    default tolerance 0 only bit-exact collisions merge, which is exactly
+    what equal couplings produce under the integer scaling.
     """
     if not omega_tolerance >= 0:
         raise InvalidParameterError(f"omega_tolerance must be >= 0, got {omega_tolerance!r}")
@@ -624,9 +611,12 @@ def spectral_decomposition(
 
     omegas, counts, weights = _sorted_terms(scaled, denominator, spin_moduli(model))
     radius = omega_tolerance * float(np.abs(model.g).max())
-    reps, merged, sizes = _merge_sorted(omegas, counts, weights, radius)
-    del omegas, counts, weights
-    return SpectralDecomposition(reps, merged, sizes, n)
+    omegas, counts, weights = _folded(omegas, counts, weights, radius)
+    if counts is None:
+        counts = np.ones(omegas.size, dtype=np.int64)
+    for array in (omegas, weights, counts):
+        array.setflags(write=False)
+    return SpectralDecomposition(omegas, weights, counts, n)
 
 
 def hamiltonian_spectrum(
@@ -643,7 +633,9 @@ def hamiltonian_spectrum(
     bath pattern and the down branch the negation. Each pattern's half-sum
     is the negation of its complement's, and rounding is symmetric, so the
     down branch's levels equal the up branch's: each half-sum is a level
-    twice. Levels within ``merge_tolerance * max|g|`` are merged.
+    twice. Runs of levels whose gaps are at most ``merge_tolerance * max|g|``
+    are merged into their mean weighted by degeneracy, and the merged levels
+    mirror exactly: each is the negation of its mirror, and a middle one 0.0.
     """
     if not merge_tolerance >= 0:
         raise InvalidParameterError(f"merge_tolerance must be >= 0, got {merge_tolerance!r}")
@@ -655,15 +647,22 @@ def hamiltonian_spectrum(
     )
 
     half, counts, _ = _sorted_terms(scaled, denominator)
-    twice = np.full(half.size, 2, dtype=np.int64) if counts is None else 2 * counts
     radius = merge_tolerance * float(np.abs(model.g).max())
-    reps, _, sizes = _merge_sorted(half, twice, None, radius)
-    total = int(np.sum(sizes))
-    if total != 1 << (n + 1) or np.any(sizes < 1):
+    levels, counts, _ = _folded(half, counts, None, radius)
+    # The groups mirror as the half-sums do, but each mean is summed from
+    # its lowest value up, so the upper half takes the negated lower half,
+    # and a middle group, symmetric about 0, the level 0.0.
+    k = levels.size
+    np.negative(levels[:k // 2][::-1], out=levels[k - k // 2:])
+    if k % 2:
+        levels[k // 2] = 0.0
+    degeneracies = np.full(k, 2, dtype=np.int64) if counts is None else 2 * counts
+    total = int(np.sum(degeneracies))
+    if total != 1 << (n + 1) or np.any(degeneracies < 1):
         raise InvalidParameterError(
             f"degeneracies must each be >= 1 and sum to 2^{n + 1}, got a sum of {total}"
         )
-    return reps, sizes
+    return levels, degeneracies
 
 
 def degeneracy_count(n: int, l: int) -> int:

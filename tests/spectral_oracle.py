@@ -169,3 +169,30 @@ def check_merged(merged, model, radius: float) -> None:
         g = gamma(roundings)
         error = 2 * g / (1 - g) * spread
         assert abs(Fraction(omega) - mean) <= error + UNIT_ROUNDOFF * (abs(mean) + error)
+
+
+def check_count_means(reps, values, counts, radius: float, only=None) -> None:
+    """Assert that each of ``reps`` is the count-weighted mean of its group
+    within the derived bound, and inside the group's range. The groups are
+    the runs of ``values``, given in increasing order with their ``counts``,
+    whose gaps are at most ``radius``; ``only``, a mask over the groups,
+    picks the groups checked.
+
+    A group of L values is represented by fl(M'/C), with M' the sum of
+    fl(v_j c_j) in order, so each term passes through at most L roundings.
+    With gamma = gamma_L, A = sum |v_j| c_j and mu the exact mean,
+    |M'/C - mu| <= gamma A / C, and the division adds u (|mu| + gamma A / C).
+    """
+    starts = [0, *(np.flatnonzero(np.diff(values) > radius) + 1).tolist()]
+    assert len(reps) == len(starts)
+    picked = [True] * len(starts) if only is None else list(only)
+    for rep, lo, hi, check in zip(reps.tolist(), starts, [*starts[1:], len(values)], picked):
+        if not check:
+            continue
+        group = [Fraction(v) for v in values[lo:hi].tolist()]
+        sizes = counts[lo:hi].tolist()
+        total = sum(sizes)
+        mean = sum(v * c for v, c in zip(group, sizes)) / total
+        error = gamma(len(group)) * sum(abs(v) * c for v, c in zip(group, sizes)) / total
+        assert group[0] <= rep <= group[-1]
+        assert abs(Fraction(rep) - mean) <= error + UNIT_ROUNDOFF * (abs(mean) + error)

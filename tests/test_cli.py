@@ -637,6 +637,33 @@ def test_equal_couplings_are_charged_for_their_lines(monkeypatch, capsys):
     )
 
 
+def test_counts_beyond_int64_exit_two_before_enumerating(tmp_path, capsys):
+    out = tmp_path / "predict.json"
+    code = main(["predict", "--n", "63", "--seed", "1", "--equal-coupling", "0.5",
+                 "--enumeration-cap", "100", "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: spectral enumeration over 63 spins") and "int64 limit" in err
+    assert not out.exists()
+
+
+def test_lines_spanning_beyond_the_float_range_exit_two(tmp_path, capsys):
+    """Couplings summing to 1.5e308 are floats, but their lines span 3e308:
+    refused with no warning and no artifact, not written as nan."""
+    spin = {"alpha": [0.6, 0.0], "beta": [0.8, 0.0]}
+    model = write_json(tmp_path / "model.json", {
+        "a": [1.0, 0.0], "b": [0.0, 0.0],
+        "spins": [{**spin, "g": g} for g in (6e307, 5e307, 4e307)],
+    })
+    out = tmp_path / "predict.json"
+    code = main(["predict", "--model-file", model, "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "span beyond the float range" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["predict", "compare", "spectrum"])
 def test_couplings_summing_beyond_the_float_range_exit_two(command, capsys):
     code = main([command, "--n", "5", "--seed", "1", "--equal-coupling", "1e308"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,15 @@ def test_point_set_validation():
         WeightedPointSet([math.nan], [0.1])
     with pytest.raises(InvalidParameterError):
         WeightedPointSet([1.0, 2.0], [0.1])
+
+
+def test_point_set_spanning_beyond_the_float_range_is_refused():
+    """Points from -1e308 to 1e308 span 2e308: refused before any gate
+    overflows, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="span beyond the float range"):
+            check_quasi_continuous(WeightedPointSet([-1e308, 0.0, 1e308], [0.25, 0.5, 0.25]))
 
 
 def test_decomposition_is_the_point_set(rng):

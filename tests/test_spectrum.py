@@ -33,7 +33,7 @@ from spinbath.model import Equal, PhaseLaw, UniformPositive, random_spin_arrays
 from spinbath.spectrum import ENUMERATION_CAP, ORACLE_CAP, brute_force_stack
 
 from conftest import ROOT_HALF, bounded_model, random_full_observable, triples
-from spectral_oracle import check_lines, check_merged
+from spectral_oracle import check_count_means, check_lines, check_merged
 
 
 def lines(dec):
@@ -252,10 +252,18 @@ def test_decomposition_arrays_are_read_only(rng):
     assert dec.weight_sum == math.fsum(dec.weight.tolist())
     with pytest.raises(AttributeError):
         dec.n_spins = 7
-    # arrays of the stored dtypes are kept, not copied
+    # writable arrays are copied and stay the caller's to write
     arrays = (np.array([-1.0, 1.0]), np.array([0.5, 0.5]), np.array([1, 1], dtype=np.int64))
     dec = SpectralDecomposition(*arrays, 1)
-    assert all(kept is given for kept, given in
+    kept = (dec.omega, dec.weight, dec.multiplicity)
+    assert all(array.flags.writeable for array in arrays)
+    assert not any(np.shares_memory(k, given) for k, given in zip(kept, arrays))
+    assert all(not k.flags.writeable and np.array_equal(k, given) for k, given in zip(kept, arrays))
+    # read-only arrays of the stored dtypes are kept, not copied
+    for array in arrays:
+        array.setflags(write=False)
+    dec = SpectralDecomposition(*arrays, 1)
+    assert all(k is given for k, given in
                zip((dec.omega, dec.weight, dec.multiplicity), arrays))
 
 
@@ -467,6 +475,22 @@ def test_python_int_path_matches_the_exact_oracle(kind, monkeypatch):
     check_lines(dec, m)
 
 
+def test_groups_of_zero_weight_take_the_count_weighted_mean():
+    """With |alpha|^2 = 1e-200 per spin, a term of two alphas underflows to
+    weight 0. At tolerance 1e-8 the four couplings near 1 fold, and 7 of
+    the 10 lines weigh 0, 5 of them of differing lines: those are the mean
+    of their lines weighted by multiplicity."""
+    alpha, beta = math.sqrt(1e-200), math.sqrt(1.0 - 1e-200)
+    couplings = [1.0, 1.0 + 2.0**-30, 1.0 + 2.0**-29, 1.0 + 3 * 2.0**-30, 0.37]
+    m = new_model(1.0, 0.0, [(alpha, beta, g) for g in couplings])
+    lines = spectral_decomposition(m)
+    merged = spectral_decomposition(m, omega_tolerance=1e-8)
+    zero = merged.weight == 0.0
+    assert merged.n_lines == 10 and np.count_nonzero(zero) == 7
+    assert np.count_nonzero(zero & (merged.multiplicity > 1)) == 5
+    check_count_means(merged.omega, lines.omega, lines.multiplicity, 1e-8 * max(couplings), zero)
+
+
 @pytest.mark.parametrize("kind", ["random", "negative", "equal", "mixed", "partial"])
 def test_sorted_enumeration_matches_one_stable_argsort_when_merging_near_lines(kind):
     m = _sorted_path_model(kind)
@@ -475,7 +499,7 @@ def test_sorted_enumeration_matches_one_stable_argsort_when_merging_near_lines(k
     tolerance = {"equal": 2.5, "mixed": 0.6}.get(kind, 2e-3)
     radius = tolerance * max(map(abs, m.g.tolist()))
     omegas, weights = _argsorted_terms(m)
-    reps, mass, sizes = spectrum._merge_sorted(omegas, None, weights, radius)
+    reps, sizes, mass = spectrum._folded(omegas, None, weights, radius)
     assert np.any(sizes > 1)
     merged = spectral_decomposition(m, omega_tolerance=tolerance)
     assert merged.multiplicity.tobytes() == sizes.tobytes()
@@ -554,6 +578,25 @@ def test_enumeration_refused_when_memory_is_short(rng, monkeypatch):
     monkeypatch.setattr(spectrum, "_available_memory", lambda: None)
     _force_python_ints(monkeypatch)
     assert spectral_decomposition(m).n_lines == 2**10
+
+
+def test_enumerations_whose_int64_counts_overflow_are_refused(monkeypatch):
+    """Multiplicities sum to 2^N and degeneracies to 2^(N+1), in int64: the
+    lines of 63 spins and the levels of 62 are refused before the doubling,
+    and those of 62 and 61 spins still sum exactly."""
+    def unreached(*args):
+        raise AssertionError("the doubling ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectrum, "_doubled_terms", unreached)
+        with pytest.raises(CapExceededError, match=r"over 63 spins .*int64 limit"):
+            spectral_decomposition(generate_random(63, 1, Equal(0.5)), max_spins=100)
+        with pytest.raises(CapExceededError, match=r"over 62 spins .*int64 limit"):
+            hamiltonian_spectrum(generate_random(62, 1, Equal(0.5)), max_spins=100)
+    lines = spectral_decomposition(generate_random(62, 1, Equal(0.5)), max_spins=100)
+    assert int(np.sum(lines.multiplicity)) == 2**62
+    _, degeneracies = hamiltonian_spectrum(generate_random(61, 1, Equal(0.5)), max_spins=100)
+    assert int(np.sum(degeneracies)) == 2**62
 
 
 def test_enumerations_are_charged_for_the_sums_they_can_hold(monkeypatch):
@@ -744,17 +787,15 @@ def test_hamiltonian_merge_tolerance():
 
 def _mirrored_levels(m, merge_tolerance):
     """The levels as the half-sums and their mirrored negations, ordered by one
-    stable sort and merged: the reference for reading them off the half-sums."""
+    stable sort and folded: the reference for reading them off the half-sums."""
     half, counts, _ = spectrum._sorted_terms(*spectrum._scaled_couplings(m, scale=2))
     energies = np.concatenate([half, -half[::-1]])
-    if counts is None:
-        energies.sort(kind="stable")
-    else:
-        order = np.argsort(energies, kind="stable")
-        energies = energies[order]
-        counts = np.concatenate([counts, counts[::-1]])[order]
+    counts = np.ones(half.size, dtype=np.int64) if counts is None else counts
+    order = np.argsort(energies, kind="stable")
+    energies = energies[order]
+    counts = np.concatenate([counts, counts[::-1]])[order]
     radius = merge_tolerance * float(np.abs(m.g).max())
-    reps, _, sizes = spectrum._merge_sorted(energies, counts, None, radius)
+    reps, sizes, _ = spectrum._folded(energies, counts, None, radius)
     return reps.tobytes(), sizes.tobytes()
 
 
@@ -771,17 +812,54 @@ def _level_corpus():
 
 @pytest.mark.parametrize("tolerance", [0.0, 1e-13, 1e-9, 0.01, 0.2])
 def test_hamiltonian_levels_match_the_mirrored_merge(tolerance):
+    """The degeneracies are those of the folded half-sums and their mirrored
+    negations at every tolerance, and so are the levels at tolerance 0. A
+    folded level of differing values is a mean, which the two orders sum
+    differently: test_merged_levels_are_count_weighted_means bounds it."""
     for m in _level_corpus():
-        got = tuple(array.tobytes() for array in hamiltonian_spectrum(m, tolerance))
-        assert got == _mirrored_levels(m, tolerance)
+        levels, degeneracies = hamiltonian_spectrum(m, tolerance)
+        reference, sizes = _mirrored_levels(m, tolerance)
+        assert degeneracies.tobytes() == sizes
+        if tolerance == 0.0:
+            assert levels.tobytes() == reference
+
+
+def _assert_mirrored(levels, degeneracies):
+    """Each level is the exact negation of its mirror, and a middle level is +0.0."""
+    k = levels.size
+    assert levels[:k // 2].tobytes() == (-levels[::-1][:k // 2]).tobytes()
+    assert degeneracies.tobytes() == degeneracies[::-1].tobytes()
+    if k % 2:
+        assert levels[k // 2] == 0.0 and not np.signbit(levels[k // 2])
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 1e-13, 1e-9, 1e-3, 0.01, 0.2])
+def test_merged_levels_are_count_weighted_means(tolerance):
+    """A folded level is the degeneracy-weighted mean of the levels it folds,
+    within the derived bound and inside their range, and mirrors exactly."""
+    for m in [*_level_corpus(), generate_random(12, 1)]:
+        unmerged, counts = hamiltonian_spectrum(m)
+        levels, degeneracies = hamiltonian_spectrum(m, tolerance)
+        _assert_mirrored(levels, degeneracies)
+        radius = tolerance * float(np.abs(m.g).max())
+        check_count_means(levels, unmerged, counts, radius)
+        starts = np.flatnonzero(np.diff(unmerged, prepend=-np.inf) > radius)
+        assert degeneracies.tobytes() == np.add.reduceat(counts, starts).tobytes()
+
+
+@pytest.mark.parametrize("n, seed, tolerance", [
+    (20, 1, 1e-6), (20, 1, 1e-7), (12, 1, 1e-3), (10, 2, 1e-2)])
+def test_merged_levels_mirror_exactly(n, seed, tolerance):
+    _assert_mirrored(*hamiltonian_spectrum(generate_random(n, seed), tolerance))
 
 
 def test_energy_level_validation(monkeypatch):
     """A level of degeneracy 0 is refused, even when the total is right."""
     m = new_model(1.0, 0.0, [(ROOT_HALF, ROOT_HALF, 2.0)])
-    monkeypatch.setattr(spectrum, "_merge_sorted", lambda values, counts, weights, radius: (
-        np.array([-1.0, 0.0, 1.0]), None, np.array([2, 0, 2])))
-    with pytest.raises(InvalidParameterError):
+    # the half-sums stand in for the doubling, which the patch never reaches
+    monkeypatch.setattr(spectrum, "_sorted_terms", lambda scaled, denominator: (
+        np.array([-1.0, 0.0, 1.0]), np.array([1, 0, 1]), None))
+    with pytest.raises(InvalidParameterError, match="degeneracies"):
         hamiltonian_spectrum(m)
 
 
