@@ -26,12 +26,13 @@ time point sees the same operations in the same order however the grid is
 cut, so results are bit-identical on any number of CPUs. At large N the
 decay is Gaussian and most of a long grid underflows; a time point whose
 running product is exactly zero stays zero whatever factors follow, so the
-kernel stops multiplying it and reports it as ``0``. Spins of equal
-coupling share one phase row exp(-i g t) within each window of spins
-between two such sweeps: an equal-coupling bath takes one complex
-exponential per window and time point instead of one per spin, with the
-same bits, since it is the same exp of the same angle. Each block of
-spins is folded into r by one reduction, in spin order.
+kernel stops multiplying it and reports it as ``0``. A bath whose
+couplings are all equal shares one phase row exp(-i g t): it takes one
+complex exponential per time point instead of one per spin, with the same
+bits, since it is the same exp of the same angle. Every other bath, one
+with partial ties included, takes one exponential per spin and time
+point. Each block of spins is folded into r by one reduction, in spin
+order.
 """
 
 from __future__ import annotations
@@ -60,13 +61,12 @@ _R_MODULUS_TOLERANCE = 1e-12
 # sweep copies the surviving points, so it must be rare against the
 # per-spin work; yet a point that has reached zero is still multiplied
 # until the next sweep. At N = 5000 and 2000 steps, blocks of 16 to 128
-# spins ran alike within timing noise, and 64 was kept. Spins of equal
-# coupling share one phase row within such a window.
+# spins ran alike within timing noise, and 64 was kept. A shared phase row
+# drops its swept points with them.
 _ZERO_SWEEP_SPINS = 64
 
-# Cells of the spins x points block in _r_slice, whose complex buffers
-# take 128 KB each per slice (two, and a third for a phase table where
-# couplings repeat). Blocks keep the Python work per spin short, so
+# Cells of the spins x points block in _r_slice, whose two complex buffers
+# take 128 KB each per slice. Blocks keep the Python work per spin short, so
 # the threads spend their time in numpy calls, which release the GIL.
 _BLOCK_CELLS = 8192
 
@@ -206,42 +206,27 @@ def _r_slice(a2: np.ndarray, b2: np.ndarray, g: np.ndarray, t: np.ndarray, out: 
     of at most _BLOCK_CELLS cells (one spin per block on longer slices),
     and each block is folded into r by one ``np.multiply.reduce`` over a
     chain whose first row is r: that gives the bits of multiplying the
-    rows in one at a time. The phase row exp(-i g t) is evaluated once
-    per distinct coupling of the window (_window_phases); a window of
-    distinct couplings, such as every random bath, takes its phases from
-    one ``np.exp`` call per block. The block arrays are buffers made once
-    per call and written with ``out=``: fresh temporaries of this size
-    went back to the OS and page-faulted in again on every block. After
-    every window, points whose product is exactly zero (both parts) are
-    dropped: no finite factor can move them off zero.
+    rows in one at a time. Where every coupling of the bath is equal, the
+    one phase row exp(-i g t) is evaluated once for the slice and copied
+    into each block; otherwise each block takes its phases from one
+    ``np.exp`` call, one row per spin. The block arrays are buffers made
+    once per call and written with ``out=``: fresh temporaries of this
+    size went back to the OS and page-faulted in again on every block.
+    After every window, points whose product is exactly zero (both parts)
+    are dropped, from the shared row too: no finite factor can move them
+    off zero.
     """
     cells = min(max(_BLOCK_CELLS, len(t)), min(_ZERO_SWEEP_SPINS, len(g)) * len(t))
     phase_buf = np.empty(cells, dtype=np.complex128)
     chain_buf = np.empty(cells + len(t), dtype=np.complex128)
-    table_buf = None
+    # validated couplings are nonzero, so equal values have equal bits
+    row = np.exp(-1j * g[:1, None] * t)[0] if np.all(g == g[0]) else None
     out[...] = 1
     r = out
     index = None
     for start in range(0, len(g), _ZERO_SWEEP_SPINS):
         window = slice(start, min(start + _ZERO_SWEEP_SPINS, len(g)))
-        spins = (a2[window], b2[window], g[window])
-        shared = _window_phases(g[window])
-        if shared is None:
-            _fold_window(*spins, None, t, r, phase_buf, chain_buf)
-        else:
-            distinct, which = shared
-            if table_buf is None:
-                table_buf = np.empty(cells, dtype=np.complex128)
-            # The table, one row per distinct coupling, fits in `cells`, so
-            # a long slice is cut into spans of points. A cut slice has
-            # cells >= 8192 and fewer than 64 rows: each span holds 64
-            # points or more, never the lone point numpy rounds apart.
-            spans = -(-len(t) // (cells // len(distinct)))
-            edges = [len(t) * k // spans for k in range(spans + 1)]
-            for lo, hi in zip(edges, edges[1:]):
-                table = table_buf[:len(distinct) * (hi - lo)].reshape(len(distinct), hi - lo)
-                np.exp(np.multiply(-1j * distinct[:, None], t[lo:hi], out=table), out=table)
-                _fold_window(*spins, (table, which), t[lo:hi], r[lo:hi], phase_buf, chain_buf)
+        _fold_window(a2[window], b2[window], g[window], row, t, r, phase_buf, chain_buf)
         live = r != 0
         n_live = np.count_nonzero(live)
         if n_live == 0:
@@ -251,34 +236,18 @@ def _r_slice(a2: np.ndarray, b2: np.ndarray, g: np.ndarray, t: np.ndarray, out: 
                 live[np.argmin(live)] = True
             index = np.flatnonzero(live) if index is None else index[live]
             t, r = t[live], r[live]
+            if row is not None:
+                row = row[live]
     if index is not None:
         out[...] = 0
         out[index] = r
     out[out == 0] = 0  # no -0 parts
 
 
-def _window_phases(g: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The distinct couplings of a window and, per spin, the row of its own,
-    or None where every coupling differs.
-
-    Couplings are grouped by value in a Python set and dict, with no sort:
-    on 64 spins the set costs about 3 us, half the time of a 64 x 64
-    equality table. Validated couplings are finite and nonzero, so equal
-    values have equal bits, and exp(-i g t) of the same angle is the same
-    row; g and -g stay apart.
-    """
-    values = g.tolist()
-    if len(set(values)) == len(values):
-        return None
-    rows = {}
-    which = [rows.setdefault(value, len(rows)) for value in values]
-    return np.array(list(rows)), np.array(which)
-
-
-def _fold_window(a2, b2, g, shared, t, r, phase_buf, chain_buf) -> None:
+def _fold_window(a2, b2, g, row, t, r, phase_buf, chain_buf) -> None:
     """Multiply r by the factors of one window of spins on the times ``t``,
-    in spin order. ``shared`` is None, or the phase table of the window's
-    distinct couplings on ``t`` with each spin's row in it."""
+    in spin order. ``row`` is None, or the phase row on ``t`` that every
+    spin shares."""
     rows = max(1, _BLOCK_CELLS // len(t))
     for lo in range(0, len(g), rows):
         block = slice(lo, min(lo + rows, len(g)))
@@ -287,13 +256,10 @@ def _fold_window(a2, b2, g, shared, t, r, phase_buf, chain_buf) -> None:
         chain = chain_buf[:phase.size + len(t)].reshape(shape[0] + 1, len(t))
         chain[0] = r
         factors = chain[1:]
-        if shared is None:
+        if row is None:
             np.exp(np.multiply(-1j * g[block, None], t, out=phase), out=phase)
         else:
-            table, which = shared
-            # every index is in range; "clip" writes straight into phase,
-            # where the default "raise" would buffer the output
-            np.take(table, which[block], axis=0, out=phase, mode="clip")
+            phase[...] = row
         # a2 * phase + b2 * conj(phase), operation for operation
         np.multiply(a2[block, None], phase, out=factors)
         np.multiply(b2[block, None], np.conj(phase, out=phase), out=phase)

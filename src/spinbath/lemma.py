@@ -162,8 +162,15 @@ def check_quasi_continuous(
 
     gaps = np.diff(pts)
     mean_gap = span / (n - 1)
-    gap_cv = float(np.std(gaps) / mean_gap)
+    # np.std squares the gaps' deviations, which can overflow on a finite span
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap_cv = float(np.std(gaps) / mean_gap)
     del gaps
+    if not math.isfinite(gap_cv):
+        raise InvalidParameterError(
+            f"the gap spread of points from {float(pts[0])!r} to {float(pts[-1])!r} "
+            "is beyond the float range"
+        )
 
     # The empirical CDF steps from grid[i] to grid[i + 1] at the i-th point.
     u = (pts - pts[0]) / span

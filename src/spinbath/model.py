@@ -46,10 +46,10 @@ def read_only(values, dtype) -> np.ndarray:
 
     A writable array is copied, so that its owner may go on writing it.
     """
-    array = np.asarray(values)
-    if array.dtype != dtype or array.flags.writeable:
-        array = np.array(array, dtype=dtype)
-        array.setflags(write=False)
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
     return array
 
 
@@ -92,8 +92,9 @@ class SpinBathModel:
     Bath spin i starts in ``alpha[i]|up> + beta[i]|down>`` and couples with
     strength ``g[i]`` (radians per unit time, finite and nonzero). The bath
     is held as three read-only 1-d arrays of equal length (complex128,
-    complex128, float64), copied from the given sequences; models are
-    equal when a, b and every array entry are.
+    complex128, float64). Read-only input of the right dtype is kept
+    without a copy; any other input is copied, so the caller's own arrays
+    stay writable. Models are equal when a, b and every array entry are.
     """
 
     a: complex
@@ -106,10 +107,9 @@ class SpinBathModel:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
         for name, dtype in (("alpha", np.complex128), ("beta", np.complex128), ("g", np.float64)):
-            column = np.array(getattr(self, name), dtype=dtype)
+            column = read_only(getattr(self, name), dtype)
             if column.ndim != 1:
                 raise InvalidParameterError(f"{name} must be 1-d, got shape {column.shape}")
-            column.setflags(write=False)
             object.__setattr__(self, name, column)
         lengths = (self.alpha.size, self.beta.size, self.g.size)
         if len(set(lengths)) != 1:
@@ -357,4 +357,6 @@ def generate_random(
     The draw itself is random_spin_arrays for a stack of one seed.
     """
     alpha, beta, g = random_spin_arrays(n, [seed], coupling_law, phase_law)
+    for array in (alpha, beta, g):
+        array.setflags(write=False)  # handed over: the model keeps them
     return SpinBathModel(BALANCED_AMPLITUDE, BALANCED_AMPLITUDE, alpha[0], beta[0], g[0])

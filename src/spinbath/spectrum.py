@@ -294,7 +294,7 @@ def _folded(
     ``weights`` may be None. A run of equal values keeps that value. A run
     of differing values gets the mean of its values weighted by their
     weights, or by their counts where there are no weights or the run's
-    weight is 0.
+    weight is 0; a mean beyond the float range is refused.
     """
     if radius:
         with np.errstate(over="ignore"):  # a gap beyond the float range is inf, a break
@@ -310,13 +310,19 @@ def _folded(
     if radius:
         # a run of differing values differs in its first and last value
         spread = reps != values[np.append(starts[1:], values.size) - 1]
-        if mass is not None:
-            weighted = spread & (mass > 0.0)
-            reps[weighted] = np.add.reduceat(values * weights, starts)[weighted] / mass[weighted]
-            spread &= ~weighted
-        if spread.any():
-            moments = np.add.reduceat(values if counts is None else values * counts, starts)
-            reps[spread] = moments[spread] / sizes[spread]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            if mass is not None:
+                weighted = spread & (mass > 0.0)
+                reps[weighted] = np.add.reduceat(values * weights, starts)[weighted] / mass[weighted]
+                spread &= ~weighted
+            if spread.any():
+                moments = np.add.reduceat(values if counts is None else values * counts, starts)
+                reps[spread] = moments[spread] / sizes[spread]
+        if not np.all(np.isfinite(reps)):
+            raise InvalidParameterError(
+                f"the mean of a merged run of values up to {float(np.abs(values).max())!r} "
+                "is beyond the float range"
+            )
     return reps, sizes, mass
 
 
@@ -678,13 +684,7 @@ def degeneracy_count(n: int, l: int) -> int:
     return 2 * math.comb(n, l)
 
 
-def brute_force_expectation(
-    model: SpinBathModel,
-    obs: FullObservable,
-    t: float,
-    *,
-    max_spins: int = ORACLE_CAP,
-) -> float:
+def brute_force_expectation(model: SpinBathModel, obs: FullObservable, t: float) -> float:
     """Full state-vector expectation, independent of every closed form.
 
     This is brute_force_stack on a stack of one case.
@@ -692,7 +692,7 @@ def brute_force_expectation(
     system, env = observable_entries(obs)
     return float(brute_force_stack(
         model.a, model.b, model.alpha[None], model.beta[None], model.g[None],
-        system[None], env[None], t, max_spins=max_spins,
+        system[None], env[None], t,
     )[0])
 
 
@@ -729,9 +729,7 @@ def _apply_phases(quarters: np.ndarray, energy: np.ndarray, t: np.ndarray) -> No
     np.multiply(up[:, 0], phase, out=up[:, 0])
 
 
-def brute_force_stack(
-    a, b, alpha, beta, g, system, env, t, *, max_spins: int = ORACLE_CAP
-) -> np.ndarray:
+def brute_force_stack(a, b, alpha, beta, g, system, env, t) -> np.ndarray:
     """State-vector expectations of a stack of k cases of one bath size n.
 
     Takes the arrays that :func:`spinbath.evolution.expectation_full_stack`
@@ -767,7 +765,7 @@ def brute_force_stack(
     if n < 1:
         raise EmptyEnvironmentError("the state-vector oracle needs at least one environment spin")
     _require_cap(
-        n, max_spins, n + 1, _ORACLE_BYTES_PER_STATE, "state-vector oracle", k,
+        n, ORACLE_CAP, n + 1, _ORACLE_BYTES_PER_STATE, "state-vector oracle", k,
         _ORACLE_BYTES_PER_CASE_QUBIT * (n + 1),
     )
 

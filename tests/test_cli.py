@@ -664,6 +664,24 @@ def test_lines_spanning_beyond_the_float_range_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gap_spread_beyond_the_float_range_exits_two(tmp_path, capsys):
+    """Lines within 3e200 of each other span a finite range, but their gap
+    spread squares beyond it: refused with no warning and no artifact, not
+    written as an infinite qc_gap_cv."""
+    spin = {"alpha": [0.6, 0.0], "beta": [0.8, 0.0]}
+    model = write_json(tmp_path / "model.json", {
+        "a": [1.0, 0.0], "b": [0.0, 0.0],
+        "spins": [{**spin, "g": g} for g in (1e200, 3e199, 1e199)],
+    })
+    out = tmp_path / "predict.json"
+    code = main(["predict", "--model-file", model, "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "gap spread" in err and "beyond the float range" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["predict", "compare", "spectrum"])
 def test_couplings_summing_beyond_the_float_range_exit_two(command, capsys):
     code = main([command, "--n", "5", "--seed", "1", "--equal-coupling", "1e308"])

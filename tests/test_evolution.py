@@ -604,8 +604,9 @@ REPEATED_BATHS = {
 @pytest.mark.parametrize("slices", [1, 2, 5])
 @pytest.mark.parametrize("bath", sorted(REPEATED_BATHS))
 def test_repeated_couplings_keep_their_bits(monkeypatch, bath, slices):
-    """Spins of one coupling share a phase row, within each window of
-    _ZERO_SWEEP_SPINS spins; windows at 64 and 128 cut the groups."""
+    """An equal-coupling bath shares one phase row per slice, and a bath of
+    partial ties takes one row per spin, with the same bits; the zero
+    sweeps at 64 and 128 spins compress the shared row with the points."""
     use_cpus(monkeypatch, slices)
     monkeypatch.setattr(evolution, "_SPLIT_CELLS", 0)
     m = REPEATED_BATHS[bath]()
@@ -619,8 +620,8 @@ def test_repeated_couplings_keep_their_bits(monkeypatch, bath, slices):
 
 @pytest.mark.parametrize("slices", [1, 2])
 def test_repeated_couplings_on_a_grid_longer_than_a_block_keep_their_bits(monkeypatch, slices):
-    """On long slices the phase table of a window is cut into spans of
-    points, so that it stays within the block buffer."""
+    """On slices longer than a block each spin takes a block of its own,
+    partial ties included."""
     use_cpus(monkeypatch, slices)
     monkeypatch.setattr(evolution, "_SPLIT_CELLS", 0)
     m = cycling_model(70, 5)
@@ -647,10 +648,18 @@ def test_equal_couplings_keep_their_bits_with_one_surviving_point():
     assert_same_nonzero_bits(r, per_spin_loop(m, np.linspace(math.pi, 3.0 * math.pi, 3)))
 
 
-def test_each_window_evaluates_one_phase_row_per_coupling(monkeypatch):
-    """Equal couplings take one exp row per window of _ZERO_SWEEP_SPINS
-    spins (four windows for 200 spins); distinct couplings take one per
-    spin."""
+def alternating_model(n, seed):
+    """Couplings alternating between 0.5 and -0.5."""
+    base = generate_random(n, seed)
+    return new_model(base.a, base.b, zip(base.alpha.tolist(), base.beta.tolist(),
+                                         np.resize([0.5, -0.5], n).tolist()))
+
+
+def test_an_equal_coupling_bath_evaluates_one_phase_row_per_slice(monkeypatch):
+    """Equal couplings take one exp row per time slice, 100 cells in all on
+    100 points in one slice or two; every other bath takes one per spin,
+    also where g and -g alternate."""
+    monkeypatch.setattr(evolution, "_SPLIT_CELLS", 0)
     exp = np.exp
     cells = []
 
@@ -659,11 +668,18 @@ def test_each_window_evaluates_one_phase_row_per_coupling(monkeypatch):
         return exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", counting)
-    for law, expected in ((Equal(0.5), 4 * 100), (UniformPositive(1.0), 200 * 100)):
-        cells.clear()
-        r = sample_series(generate_random(200, 1, law), 0.0, 0.1, 100).r_values
-        assert np.all(r != 0)
-        assert sum(cells) == expected, law
+    baths = (
+        ("equal", generate_random(200, 1, Equal(0.5)), 100),
+        ("uniform", generate_random(200, 1, UniformPositive(1.0)), 200 * 100),
+        ("alternating", alternating_model(200, 1), 200 * 100),
+    )
+    for slices in (1, 2):
+        use_cpus(monkeypatch, slices)
+        for name, m, expected in baths:
+            cells.clear()
+            r = sample_series(m, 0.0, 0.1, 100).r_values
+            assert np.all(r != 0)
+            assert sum(cells) == expected, (name, slices)
 
 
 @pytest.mark.parametrize("law", [UniformPositive(1.0), Equal(0.5)])

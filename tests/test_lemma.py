@@ -82,6 +82,17 @@ def test_point_set_spanning_beyond_the_float_range_is_refused():
             check_quasi_continuous(WeightedPointSet([-1e308, 0.0, 1e308], [0.25, 0.5, 0.25]))
 
 
+def test_gap_spread_beyond_the_float_range_is_refused():
+    """Points within 3e200 of each other have a finite span, but squaring
+    their gaps' deviations overflows: refused with no warning, not judged
+    on an infinite gap CV."""
+    points = [-1.4e200, -1.2e200, -8e199, -6e199, 6e199, 8e199, 1.2e200, 1.4e200]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="gap spread .* beyond the float range"):
+            check_quasi_continuous(WeightedPointSet(points, [0.125] * 8))
+
+
 def test_decomposition_is_the_point_set(rng):
     dec = spectral_decomposition(bounded_model(5, rng))
     assert isinstance(dec, WeightedPointSet)

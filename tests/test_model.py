@@ -101,6 +101,18 @@ def test_the_bath_is_read_only():
     assert m.alpha.tolist() == [1.0, 0.0]
 
 
+def test_read_only_columns_are_kept_without_a_copy():
+    columns = [np.array([1.0, 0.0], dtype=np.complex128),
+               np.array([0.0, 1.0], dtype=np.complex128), np.array([0.5, -0.5])]
+    for column in columns:
+        column.setflags(write=False)
+    m = SpinBathModel(1.0, 0.0, *columns)
+    assert all(kept is given for kept, given in zip((m.alpha, m.beta, m.g), columns))
+    drawn = generate_random(5, 1)
+    assert not any(column.flags.owndata for column in (drawn.alpha, drawn.beta, drawn.g))
+    assert SpinBathModel(drawn.a, drawn.b, drawn.alpha, drawn.beta, drawn.g).g is drawn.g
+
+
 @pytest.mark.parametrize("alpha, beta, g, message", [
     ([[1.0]], [0.0], [1.0], "alpha must be 1-d, got shape (1, 1)"),
     ([1.0], [0.0], [[1.0]], "g must be 1-d, got shape (1, 1)"),

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -853,6 +854,20 @@ def test_merged_levels_mirror_exactly(n, seed, tolerance):
     _assert_mirrored(*hamiltonian_spectrum(generate_random(n, seed), tolerance))
 
 
+def test_merged_level_beyond_the_float_range_is_refused():
+    """The levels of 1.7e308, 1e292 and 2e292 are floats, but the four that
+    fold near each end sum beyond the float range: the merge is refused
+    with no warning, not returned as -inf and inf."""
+    spins = [(0.6, 0.8, g) for g in (1.7e308, 1e292, 2e292)]
+    m = new_model(1.0, 0.0, spins)
+    levels, _ = hamiltonian_spectrum(m)
+    assert np.all(np.isfinite(levels))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="merged run .* beyond the float range"):
+            hamiltonian_spectrum(m, 1e-10)
+
+
 def test_energy_level_validation(monkeypatch):
     """A level of degeneracy 0 is refused, even when the total is right."""
     m = new_model(1.0, 0.0, [(ROOT_HALF, ROOT_HALF, 2.0)])
@@ -941,10 +956,12 @@ def test_brute_force_matches_dense_kronecker_reference(n, rng):
 
 
 def test_brute_force_cap(rng):
-    m = bounded_model(5, rng)
-    with pytest.raises(CapExceededError):
-        brute_force_expectation(
-            m, random_full_observable(rng, 5), 1.0, max_spins=4)
+    """The oracle's cap is the constant ORACLE_CAP; one spin more is refused
+    before any state is built."""
+    n = ORACLE_CAP + 1
+    m = bounded_model(n, rng)
+    with pytest.raises(CapExceededError, match=f"the cap is {ORACLE_CAP} spins"):
+        brute_force_expectation(m, random_full_observable(rng, n), 1.0)
     assert ORACLE_CAP < ENUMERATION_CAP
 
 
