@@ -49,10 +49,11 @@ class IndexOutOfRangeError(SpinBathError):
 
 
 class CapExceededError(SpinBathError):
-    """An enumeration-based routine was asked for more spins than its cap.
+    """An enumeration-based routine was asked for more than its cap, the
+    int64 limit of its counts, or the memory available.
 
-    The message carries a memory estimate so the caller can judge
-    whether raising the cap is sane on their machine.
+    The message states how many values the enumeration would hold and a
+    memory estimate for them.
     """
 
 

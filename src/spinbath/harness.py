@@ -142,7 +142,6 @@ class Field:
     default: Any = REQUIRED
     help: str | None = None
     null_is_default: bool = False  # a JSON null stands for the default
-    enumeration: bool = False  # also a setting of the spectrum subcommand
     rule: tuple[Callable[[Any], bool], str] | None = None  # a given value's test, and what it says
 
 
@@ -276,9 +275,7 @@ VERDICT_FIELDS = (
           rule=_AT_LEAST_ONE),
     Field("q_max", int, OMIT, "rationalization denominator cap", rule=_AT_LEAST_ONE),
     Field("rel_tolerance", float, OMIT, rule=(lambda tol: 0.0 < tol < 1.0, "lie in (0, 1)")),
-    Field("omega_tolerance", float, OMIT, "line merge radius / max|g|", enumeration=True,
-          rule=_NOT_NAN),
-    Field("enumeration_cap", int, OMIT, enumeration=True),
+    Field("omega_tolerance", float, OMIT, "line merge radius / max|g|", rule=_NOT_NAN),
 )
 OUTPUT_FIELDS = (Field("path", str), Field("format", str, None))  # None: the command's default
 
@@ -565,12 +562,9 @@ def run_simulate(config: ExperimentConfig) -> TimeSeries:
 
 
 def run_spectrum(config: ExperimentConfig) -> SpectralDecomposition:
-    """Enumerate the merged spectrum, with the merge radius and the cap of
-    the verdict settings, and emit it as CSV."""
-    verdict = config.verdict
-    dec = spectral_decomposition(
-        config.model, verdict.omega_tolerance, max_spins=verdict.enumeration_cap
-    )
+    """Enumerate the merged spectrum, with the merge radius of the verdict
+    settings, and emit it as CSV."""
+    dec = spectral_decomposition(config.model, config.verdict.omega_tolerance)
     if config.output is not None:
         decomposition_to_csv(config.output.path, dec)
     return dec

@@ -36,9 +36,7 @@ import numpy as np
 
 from .errors import DegenerateSetError, InvalidParameterError
 from .model import SpinBathModel
-from .spectrum import (
-    ENUMERATION_CAP, SpectralDecomposition, WeightedPointSet, spectral_decomposition,
-)
+from .spectrum import SpectralDecomposition, WeightedPointSet, spectral_decomposition
 
 
 class _Sentinel:
@@ -82,7 +80,6 @@ class VerdictConfig:
     q_max: int = 10**6
     rel_tolerance: float = 1e-9
     omega_tolerance: float = 0.0
-    enumeration_cap: int = ENUMERATION_CAP
 
 
 @dataclass(frozen=True)
@@ -396,9 +393,7 @@ def decoherence_verdict(
     time and, when finite, the sum magnitude at half of it are attached as
     diagnostics.
     """
-    dec = spectral_decomposition(
-        model, config.omega_tolerance, max_spins=config.enumeration_cap
-    )
+    dec = spectral_decomposition(model, config.omega_tolerance)
     return verdict_from_decomposition(dec, config)
 
 

@@ -291,10 +291,10 @@ def _folded(
 
     Radius 0 folds equal values only. ``counts`` None stands for one term
     per value, and is returned as None while no two values fold;
-    ``weights`` may be None. A run of equal values keeps that value. A run
-    of differing values gets the mean of its values weighted by their
-    weights, or by their counts where there are no weights or the run's
-    weight is 0; a mean beyond the float range is refused.
+    ``weights`` may be None at radius 0 only. A run of equal values keeps
+    that value. A run of differing values gets the mean of its values
+    weighted by their weights, or by their counts where the run's weight
+    is 0; a mean beyond the float range is refused.
     """
     if radius:
         with np.errstate(over="ignore"):  # a gap beyond the float range is inf, a break
@@ -311,10 +311,9 @@ def _folded(
         # a run of differing values differs in its first and last value
         spread = reps != values[np.append(starts[1:], values.size) - 1]
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            if mass is not None:
-                weighted = spread & (mass > 0.0)
-                reps[weighted] = np.add.reduceat(values * weights, starts)[weighted] / mass[weighted]
-                spread &= ~weighted
+            weighted = spread & (mass > 0.0)
+            reps[weighted] = np.add.reduceat(values * weights, starts)[weighted] / mass[weighted]
+            spread &= ~weighted
             if spread.any():
                 moments = np.add.reduceat(values if counts is None else values * counts, starts)
                 reps[spread] = moments[spread] / sizes[spread]
@@ -560,25 +559,25 @@ def _require_cap(
     ``bytes_per_copy`` on top. An enumeration that keeps only distinct
     values passes ``distinct``, a bound on the distinct signed sums of the
     n spins (_distinct_sums_bound), and holds at most
-    distinct * 2^(exponent - n) of its values. The copies are refused when
-    n exceeds the cap, when the exponent exceeds 62, since the int64 counts
-    of an enumeration sum to 2^exponent, or when their memory estimate
-    exceeds the memory available to this process now.
+    min(2^n, distinct) * 2^(exponent - n) of its values. The copies are
+    refused when they can hold more than 2^cap distinct sums (more than
+    ``cap`` spins, without ``distinct``), when the exponent exceeds 62,
+    since the int64 counts of an enumeration sum to 2^exponent, or when
+    their memory estimate exceeds the memory available to this process now.
     """
-    values = 1 << exponent
-    held = values if distinct is None else min(values, distinct << (exponent - n))
+    sums = 1 << n if distinct is None else min(1 << n, distinct)
+    held = sums << (exponent - n)
     estimate = copies * (held * bytes_per_value + bytes_per_copy)
-    count = f"2^{exponent}" if held == values else f"at most {held} distinct of 2^{exponent}"
+    count = f"2^{exponent}" if sums == 1 << n else f"at most {held} distinct of 2^{exponent}"
     if copies != 1:
         count = f"{copies} x {count}"
     needs = (
         f"{what} over {n} spins holds {count} values and needs roughly "
         f"{estimate / 1e6:.3g} MB"
     )
-    if n > cap:
-        raise CapExceededError(
-            f"{needs}; the cap is {cap} spins. Reduce N or raise the cap."
-        )
+    if sums > 1 << cap:
+        limit = f"{cap} spins" if distinct is None else f"2^{cap} distinct sums"
+        raise CapExceededError(f"{needs}; the cap is {limit}. Reduce N.")
     if exponent > 62:
         raise CapExceededError(
             f"{needs}; its int64 counts sum to 2^{exponent}, beyond the int64 "
@@ -588,10 +587,7 @@ def _require_cap(
 
 
 def spectral_decomposition(
-    model: SpinBathModel,
-    omega_tolerance: float = 0.0,
-    *,
-    max_spins: int = ENUMERATION_CAP,
+    model: SpinBathModel, omega_tolerance: float = 0.0
 ) -> SpectralDecomposition:
     """Enumerate all 2^N (omega, weight) terms and merge coincident lines.
 
@@ -600,7 +596,10 @@ def spectral_decomposition(
     merged line of differing frequencies sits at their mean weighted by
     line weight, or by multiplicity where the run's weight is 0. At the
     default tolerance 0 only bit-exact collisions merge, which is exactly
-    what equal couplings produce under the integer scaling.
+    what equal couplings produce under the integer scaling. A bath whose
+    distinct signed sums can number more than 2^ENUMERATION_CAP is refused
+    up front: any bath of more than ENUMERATION_CAP spins without ties, but
+    equal couplings up to the int64 limit of 62 spins.
     """
     if not omega_tolerance >= 0:
         raise InvalidParameterError(f"omega_tolerance must be >= 0, got {omega_tolerance!r}")
@@ -611,7 +610,7 @@ def spectral_decomposition(
         else _PYINT_ENUMERATION_BYTES_PER_VALUE
     )
     _require_cap(
-        n, max_spins, n, bytes_per_term, "spectral enumeration",
+        n, ENUMERATION_CAP, n, bytes_per_term, "spectral enumeration",
         distinct=_distinct_sums_bound(scaled),
     )
 
@@ -625,12 +624,7 @@ def spectral_decomposition(
     return SpectralDecomposition(omegas, weights, counts, n)
 
 
-def hamiltonian_spectrum(
-    model: SpinBathModel,
-    merge_tolerance: float = 0.0,
-    *,
-    max_spins: int = ENUMERATION_CAP,
-) -> tuple[np.ndarray, np.ndarray]:
+def hamiltonian_spectrum(model: SpinBathModel) -> tuple[np.ndarray, np.ndarray]:
     """All 2^(N+1) eigenvalues +-(1/2) sum_i (+-g_i), merged by degeneracy.
 
     Returns ``(energies, degeneracies)``: float64 levels in increasing
@@ -638,31 +632,23 @@ def hamiltonian_spectrum(
     The system's up branch carries +half the signed coupling sum of the
     bath pattern and the down branch the negation. Each pattern's half-sum
     is the negation of its complement's, and rounding is symmetric, so the
-    down branch's levels equal the up branch's: each half-sum is a level
-    twice. Runs of levels whose gaps are at most ``merge_tolerance * max|g|``
-    are merged into their mean weighted by degeneracy, and the merged levels
-    mirror exactly: each is the negation of its mirror, and a middle one 0.0.
+    down branch's levels equal the up branch's: each distinct half-sum is a
+    level of twice its count. The levels mirror exactly: each is the
+    negation of its mirror, and a middle one +0.0. The cap is that of
+    spectral_decomposition, and the int64 limit is 61 spins.
     """
-    if not merge_tolerance >= 0:
-        raise InvalidParameterError(f"merge_tolerance must be >= 0, got {merge_tolerance!r}")
     n = model.n_spins
     scaled, denominator = _scaled_couplings(model, scale=2)
     _require_cap(
-        n, max_spins, n + 1, _LEVEL_BYTES_PER_VALUE, "eigenvalue enumeration",
+        n, ENUMERATION_CAP, n + 1, _LEVEL_BYTES_PER_VALUE, "eigenvalue enumeration",
         distinct=_distinct_sums_bound(scaled),
     )
 
-    half, counts, _ = _sorted_terms(scaled, denominator)
-    radius = merge_tolerance * float(np.abs(model.g).max())
-    levels, counts, _ = _folded(half, counts, None, radius)
-    # The groups mirror as the half-sums do, but each mean is summed from
-    # its lowest value up, so the upper half takes the negated lower half,
-    # and a middle group, symmetric about 0, the level 0.0.
-    k = levels.size
-    np.negative(levels[:k // 2][::-1], out=levels[k - k // 2:])
-    if k % 2:
-        levels[k // 2] = 0.0
-    degeneracies = np.full(k, 2, dtype=np.int64) if counts is None else 2 * counts
+    levels, counts, _ = _sorted_terms(scaled, denominator)
+    # half-sums of +-2^-1075 round to -0.0 and +0.0, and the middle level
+    # would keep the sign of the lower; -0.0 + 0.0 is +0.0
+    levels += 0.0
+    degeneracies = np.full(levels.size, 2, dtype=np.int64) if counts is None else 2 * counts
     total = int(np.sum(degeneracies))
     if total != 1 << (n + 1) or np.any(degeneracies < 1):
         raise InvalidParameterError(

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: flags, configs, files, exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +84,20 @@ def test_a_parse_error_leaves_the_next_call_working(capsys):
     assert info.value.code == 2
     assert main(["simulate", "--n", "2", "--seed", "1", "--steps", "4"]) == 0
     assert "simulated 4 points" in capsys.readouterr().out
+
+
+def test_readme_names_exactly_the_subcommand_flags():
+    """Every --flag in README.md is an option of some subcommand, and every
+    option is documented; --help and pip's --no-build-isolation aside."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    subcommands = next(
+        action.choices.values() for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {option for sub in subcommands for action in sub._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert named - {"--no-build-isolation"} == options - {"--help"}
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +335,7 @@ def test_degenerate_default_horizon_exits_two_with_field_path(capsys, argv):
 def _flag_cases():
     for f in VERDICT_FIELDS:
         value = 7 if f.kind is int else 0.375
-        commands = ["predict", "compare"] + (["spectrum"] if f.enumeration else [])
+        commands = ["predict", "compare"] + (["spectrum"] if f.key == "omega_tolerance" else [])
         for command in commands:
             yield pytest.param(command, f.key, value, id=f"{command}-{f.key}")
 
@@ -430,16 +446,8 @@ def test_spectrum_rejects_nan_merge_tolerance(capsys):
 
 
 def test_spectrum_honours_the_config_verdict_section(tmp_path, capsys):
-    """Like predict, spectrum takes the merge radius and the cap from the
-    config's verdict section."""
-    model = {"random": {"n": 6, "seed": 1, "coupling": {"law": "equal", "g": 0.5}}}
-    capped = write_json(tmp_path / "capped.json",
-                        {"model": model, "verdict": {"enumeration_cap": 3}})
-    assert main(["predict", "--config", capped]) == 2
-    assert main(["spectrum", "--config", capped]) == 2
-    assert "cap is 3 spins" in capsys.readouterr().err
-    assert main(["spectrum", "--config", capped, "--enumeration-cap", "6"]) == 0
-    assert "7 lines over [-3, 3]" in capsys.readouterr().out
+    """Like predict, spectrum takes the merge radius from the config's
+    verdict section."""
     merged = write_json(tmp_path / "merged.json", {"model": {"random": {"n": 2, "seed": 1}},
                                                    "verdict": {"omega_tolerance": 10.0}})
     assert main(["spectrum", "--config", merged]) == 0
@@ -637,14 +645,52 @@ def test_equal_couplings_are_charged_for_their_lines(monkeypatch, capsys):
     )
 
 
-def test_counts_beyond_int64_exit_two_before_enumerating(tmp_path, capsys):
+def _refuse_doubling(monkeypatch):
+    def unreached(*args):
+        raise AssertionError("the doubling ran")
+
+    monkeypatch.setattr(spectrum, "_doubled_terms", unreached)
+
+
+def test_counts_beyond_int64_exit_two_before_enumerating(tmp_path, capsys, monkeypatch):
+    _refuse_doubling(monkeypatch)
     out = tmp_path / "predict.json"
     code = main(["predict", "--n", "63", "--seed", "1", "--equal-coupling", "0.5",
-                 "--enumeration-cap", "100", "--output", str(out)])
+                 "--output", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: spectral enumeration over 63 spins") and "int64 limit" in err
     assert not out.exists()
+
+
+def test_equal_couplings_run_past_26_spins(capsys):
+    """The cap bounds the distinct sums: 40 equal couplings give 41 lines,
+    and 62, the int64 limit of the counts, run through compare."""
+    assert main(["predict", "--n", "40", "--seed", "1", "--equal-coupling", "0.5"]) == 0
+    assert capsys.readouterr().out.startswith("verdict: no_verdict (n_points=41;")
+    assert main(["compare", "--n", "62", "--seed", "1", "--equal-coupling", "0.5"]) == 0
+
+
+def test_random_couplings_past_26_spins_exit_two_before_enumerating(capsys, monkeypatch):
+    _refuse_doubling(monkeypatch)
+    assert main(["predict", "--n", "27", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: spectral enumeration over 27 spins holds 2^27 values")
+    assert err.endswith("; the cap is 2^26 distinct sums. Reduce N.\n")
+
+
+def test_the_enumeration_cap_is_no_setting(tmp_path, capsys):
+    for command in ("predict", "compare", "spectrum"):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([command, "--enumeration-cap", "30"])
+        assert info.value.code == 2
+    config = write_json(tmp_path / "config.json", {"model": {"random": {"n": 4, "seed": 1}},
+                                                   "verdict": {"enumeration_cap": 3}})
+    capsys.readouterr()
+    assert main(["predict", "--config", config]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config.verdict.enumeration_cap: unknown field\n"
+    )
 
 
 def test_lines_spanning_beyond_the_float_range_exit_two(tmp_path, capsys):

@@ -547,14 +547,6 @@ def test_verdict_refuses_zero_groups(rng):
         decoherence_verdict(bounded_model(4, rng), VerdictConfig(g_groups=0))
 
 
-def test_verdict_enumeration_cap(rng):
-    from spinbath import CapExceededError
-
-    m = bounded_model(8, rng)
-    with pytest.raises(CapExceededError):
-        decoherence_verdict(m, VerdictConfig(enumeration_cap=7))
-
-
 def test_verdict_from_decomposition_rejects_single_line():
     m = new_model(1.0, 0.0, [(1.0, 0.0, 1.0)])
     dec = spectral_decomposition(m)  # two lines, weights 0 and 1

@@ -205,20 +205,30 @@ def test_omega_tolerance_merges_near_lines():
     assert abs(merged.omega[1] - 1.0) < eps
 
 
+def _unreached_doubling(*args):
+    raise AssertionError("the doubling ran")
+
+
 @pytest.mark.parametrize("tolerance", [math.nan, -1e-9, -math.inf])
 def test_merge_tolerances_must_be_nonnegative_numbers(rng, tolerance):
     """A NaN radius would merge every line into one; it is refused."""
     m = bounded_model(4, rng)
     with pytest.raises(InvalidParameterError):
         spectral_decomposition(m, omega_tolerance=tolerance)
-    with pytest.raises(InvalidParameterError):
-        hamiltonian_spectrum(m, merge_tolerance=tolerance)
 
 
-def test_decomposition_cap(rng):
-    m = bounded_model(7, rng)
-    with pytest.raises(CapExceededError, match="MB"):
-        spectral_decomposition(m, max_spins=6)
+def test_decomposition_cap(monkeypatch):
+    """The cap bounds the distinct sums, not the spins: 27 random couplings
+    (2^27 sums) are refused before the doubling, 27 equal ones (28 sums) run."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectrum, "_doubled_terms", _unreached_doubling)
+        with pytest.raises(CapExceededError, match=r"the cap is 2\^26 distinct sums\. Reduce N\.$"):
+            spectral_decomposition(generate_random(ENUMERATION_CAP + 1, 1))
+        with pytest.raises(CapExceededError, match=r"the cap is 2\^26 distinct sums\. Reduce N\.$"):
+            hamiltonian_spectrum(generate_random(ENUMERATION_CAP + 1, 1))
+    equal = generate_random(ENUMERATION_CAP + 1, 1, Equal(0.5))
+    assert spectral_decomposition(equal).n_lines == ENUMERATION_CAP + 2
+    assert hamiltonian_spectrum(equal)[0].size == ENUMERATION_CAP + 2
 
 
 def test_spectral_line_and_decomposition_validation():
@@ -547,14 +557,15 @@ def test_float_ties_above_2_53_fold_within_the_exact_bound(monkeypatch):
 # Enumeration caps and the memory estimate
 # ---------------------------------------------------------------------------
 
-def test_cap_message_states_terms_and_a_nonzero_estimate(rng):
+def test_cap_message_states_terms_and_a_nonzero_estimate():
+    m = generate_random(27, 1)
     with pytest.raises(CapExceededError) as info:
-        spectral_decomposition(bounded_model(8, rng), max_spins=7)
+        spectral_decomposition(m)
     message = str(info.value)
-    assert "2^8 values" in message
+    assert "2^27 values" in message
     assert " 0 MB" not in message
-    with pytest.raises(CapExceededError, match=r"2\^9 values"):
-        hamiltonian_spectrum(bounded_model(8, rng), max_spins=7)
+    with pytest.raises(CapExceededError, match=r"2\^28 values"):
+        hamiltonian_spectrum(m)
 
 
 def test_enumeration_refused_when_memory_is_short(rng, monkeypatch):
@@ -585,18 +596,15 @@ def test_enumerations_whose_int64_counts_overflow_are_refused(monkeypatch):
     """Multiplicities sum to 2^N and degeneracies to 2^(N+1), in int64: the
     lines of 63 spins and the levels of 62 are refused before the doubling,
     and those of 62 and 61 spins still sum exactly."""
-    def unreached(*args):
-        raise AssertionError("the doubling ran")
-
     with monkeypatch.context() as patch:
-        patch.setattr(spectrum, "_doubled_terms", unreached)
+        patch.setattr(spectrum, "_doubled_terms", _unreached_doubling)
         with pytest.raises(CapExceededError, match=r"over 63 spins .*int64 limit"):
-            spectral_decomposition(generate_random(63, 1, Equal(0.5)), max_spins=100)
+            spectral_decomposition(generate_random(63, 1, Equal(0.5)))
         with pytest.raises(CapExceededError, match=r"over 62 spins .*int64 limit"):
-            hamiltonian_spectrum(generate_random(62, 1, Equal(0.5)), max_spins=100)
-    lines = spectral_decomposition(generate_random(62, 1, Equal(0.5)), max_spins=100)
+            hamiltonian_spectrum(generate_random(62, 1, Equal(0.5)))
+    lines = spectral_decomposition(generate_random(62, 1, Equal(0.5)))
     assert int(np.sum(lines.multiplicity)) == 2**62
-    _, degeneracies = hamiltonian_spectrum(generate_random(61, 1, Equal(0.5)), max_spins=100)
+    _, degeneracies = hamiltonian_spectrum(generate_random(61, 1, Equal(0.5)))
     assert int(np.sum(degeneracies)) == 2**62
 
 
@@ -774,19 +782,15 @@ def test_hamiltonian_negation_symmetry(rng):
     assert sum(degens) == 2**9
 
 
-def test_hamiltonian_merge_tolerance():
-    # the down branch negates the up branch, so the +-1e-13 satellites
-    # already coincide pairwise at radius zero
-    m = new_model(1.0, 0.0, [(ROOT_HALF, ROOT_HALF, 1.0),
-                             (ROOT_HALF, ROOT_HALF, 1e-13)])
-    _, exact = hamiltonian_spectrum(m)
-    assert exact.tolist() == [2, 2, 2, 2]
-    energies, merged = hamiltonian_spectrum(m, merge_tolerance=1e-9)
-    assert merged.tolist() == [4, 4]
-    assert abs(energies[0] + 0.5) < 1e-12 and abs(energies[1] - 0.5) < 1e-12
+def test_signed_zero_half_sums_give_a_positive_middle_level():
+    """With scale 2 the half-sums of a coupling of 2^-1074 are +-2^-1075,
+    which round to -0.0 and +0.0 and fold into one middle level: +0.0."""
+    levels, degeneracies = hamiltonian_spectrum(new_model(1.0, 0.0, [(0.6, 0.8, 5e-324)]))
+    assert levels.tolist() == [0.0] and not np.signbit(levels[0])
+    assert degeneracies.tolist() == [4]
 
 
-def _mirrored_levels(m, merge_tolerance):
+def _mirrored_levels(m):
     """The levels as the half-sums and their mirrored negations, ordered by one
     stable sort and folded: the reference for reading them off the half-sums."""
     half, counts, _ = spectrum._sorted_terms(*spectrum._scaled_couplings(m, scale=2))
@@ -795,8 +799,7 @@ def _mirrored_levels(m, merge_tolerance):
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     counts = np.concatenate([counts, counts[::-1]])[order]
-    radius = merge_tolerance * float(np.abs(m.g).max())
-    reps, sizes, _ = spectrum._folded(energies, counts, None, radius)
+    reps, sizes, _ = spectrum._folded(energies, counts, None, 0)
     return reps.tobytes(), sizes.tobytes()
 
 
@@ -811,20 +814,6 @@ def _level_corpus():
     return models
 
 
-@pytest.mark.parametrize("tolerance", [0.0, 1e-13, 1e-9, 0.01, 0.2])
-def test_hamiltonian_levels_match_the_mirrored_merge(tolerance):
-    """The degeneracies are those of the folded half-sums and their mirrored
-    negations at every tolerance, and so are the levels at tolerance 0. A
-    folded level of differing values is a mean, which the two orders sum
-    differently: test_merged_levels_are_count_weighted_means bounds it."""
-    for m in _level_corpus():
-        levels, degeneracies = hamiltonian_spectrum(m, tolerance)
-        reference, sizes = _mirrored_levels(m, tolerance)
-        assert degeneracies.tobytes() == sizes
-        if tolerance == 0.0:
-            assert levels.tobytes() == reference
-
-
 def _assert_mirrored(levels, degeneracies):
     """Each level is the exact negation of its mirror, and a middle level is +0.0."""
     k = levels.size
@@ -834,38 +823,32 @@ def _assert_mirrored(levels, degeneracies):
         assert levels[k // 2] == 0.0 and not np.signbit(levels[k // 2])
 
 
-@pytest.mark.parametrize("tolerance", [0.0, 1e-13, 1e-9, 1e-3, 0.01, 0.2])
-def test_merged_levels_are_count_weighted_means(tolerance):
-    """A folded level is the degeneracy-weighted mean of the levels it folds,
-    within the derived bound and inside their range, and mirrors exactly."""
-    for m in [*_level_corpus(), generate_random(12, 1)]:
-        unmerged, counts = hamiltonian_spectrum(m)
-        levels, degeneracies = hamiltonian_spectrum(m, tolerance)
+def test_hamiltonian_levels_match_the_mirrored_merge():
+    """The levels and degeneracies are those of the half-sums and their
+    mirrored negations, folded, bit for bit, and they mirror exactly."""
+    for m in _level_corpus():
+        levels, degeneracies = hamiltonian_spectrum(m)
+        assert (levels.tobytes(), degeneracies.tobytes()) == _mirrored_levels(m)
         _assert_mirrored(levels, degeneracies)
-        radius = tolerance * float(np.abs(m.g).max())
-        check_count_means(levels, unmerged, counts, radius)
-        starts = np.flatnonzero(np.diff(unmerged, prepend=-np.inf) > radius)
-        assert degeneracies.tobytes() == np.add.reduceat(counts, starts).tobytes()
 
 
-@pytest.mark.parametrize("n, seed, tolerance", [
-    (20, 1, 1e-6), (20, 1, 1e-7), (12, 1, 1e-3), (10, 2, 1e-2)])
-def test_merged_levels_mirror_exactly(n, seed, tolerance):
-    _assert_mirrored(*hamiltonian_spectrum(generate_random(n, seed), tolerance))
+@pytest.mark.parametrize("n, seed", [(20, 1), (12, 1), (10, 2)])
+def test_merged_levels_mirror_exactly(n, seed):
+    _assert_mirrored(*hamiltonian_spectrum(generate_random(n, seed)))
 
 
-def test_merged_level_beyond_the_float_range_is_refused():
-    """The levels of 1.7e308, 1e292 and 2e292 are floats, but the four that
-    fold near each end sum beyond the float range: the merge is refused
-    with no warning, not returned as -inf and inf."""
-    spins = [(0.6, 0.8, g) for g in (1.7e308, 1e292, 2e292)]
+def test_merged_line_beyond_the_float_range_is_refused():
+    """The lines of 1.7e308, 1e292 and 2e292 are floats, but the four of
+    weight 0 near +1.7e308 fold into a count-weighted mean beyond the float
+    range: the merge is refused with no warning, not returned as inf."""
+    spins = [(1.0, 0.0, 1.7e308), (0.6, 0.8, 1e292), (0.6, 0.8, 2e292)]
     m = new_model(1.0, 0.0, spins)
-    levels, _ = hamiltonian_spectrum(m)
-    assert np.all(np.isfinite(levels))
+    omegas, _, _ = spectrum._sorted_terms(*spectrum._scaled_couplings(m))
+    assert np.all(np.isfinite(omegas))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidParameterError, match="merged run .* beyond the float range"):
-            hamiltonian_spectrum(m, 1e-10)
+            spectral_decomposition(m, 1e-10)
 
 
 def test_energy_level_validation(monkeypatch):
