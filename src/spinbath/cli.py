@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     spectrum = sub.add_parser("spectrum", help="dump the exact frequency spectrum")
     _add_model_flags(spectrum)
-    _add_setting_flags(spectrum, [f for f in VERDICT_FIELDS if f.key == "omega_tolerance"])
     spectrum.add_argument("--output", metavar="FILE", help="write CSV to this path")
     return parser
 

@@ -275,7 +275,6 @@ VERDICT_FIELDS = (
           rule=_AT_LEAST_ONE),
     Field("q_max", int, OMIT, "rationalization denominator cap", rule=_AT_LEAST_ONE),
     Field("rel_tolerance", float, OMIT, rule=(lambda tol: 0.0 < tol < 1.0, "lie in (0, 1)")),
-    Field("omega_tolerance", float, OMIT, "line merge radius / max|g|", rule=_NOT_NAN),
 )
 OUTPUT_FIELDS = (Field("path", str), Field("format", str, None))  # None: the command's default
 
@@ -562,9 +561,8 @@ def run_simulate(config: ExperimentConfig) -> TimeSeries:
 
 
 def run_spectrum(config: ExperimentConfig) -> SpectralDecomposition:
-    """Enumerate the merged spectrum, with the merge radius of the verdict
-    settings, and emit it as CSV."""
-    dec = spectral_decomposition(config.model, config.verdict.omega_tolerance)
+    """Enumerate the merged spectrum and emit it as CSV."""
+    dec = spectral_decomposition(config.model)
     if config.output is not None:
         decomposition_to_csv(config.output.path, dec)
     return dec

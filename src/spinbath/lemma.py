@@ -79,7 +79,6 @@ class VerdictConfig:
     g_groups: int | None = None
     q_max: int = 10**6
     rel_tolerance: float = 1e-9
-    omega_tolerance: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -393,7 +392,7 @@ def decoherence_verdict(
     time and, when finite, the sum magnitude at half of it are attached as
     diagnostics.
     """
-    dec = spectral_decomposition(model, config.omega_tolerance)
+    dec = spectral_decomposition(model)
     return verdict_from_decomposition(dec, config)
 
 

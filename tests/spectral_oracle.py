@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from spinbath import spectrum
 from spinbath.model import spin_moduli
 
@@ -74,7 +72,7 @@ class ExactLine:
 
 
 def exact_lines(model) -> list[ExactLine]:
-    """The merged lines of ``model`` at merge radius zero, in increasing omega."""
+    """The merged lines of ``model``, in increasing omega."""
     scaled, denominator = spectrum._scaled_couplings(model)
     a2, b2, _ = spin_moduli(model)
     # each spin's |beta|^2 and |alpha|^2 as integers over one power of two
@@ -110,10 +108,10 @@ def exact_lines(model) -> list[ExactLine]:
 
 
 def check_lines(dec, model) -> list[ExactLine]:
-    """Assert that ``dec``, a decomposition of ``model`` at merge radius zero,
-    agrees with the exact lines: omegas correctly rounded, multiplicities
-    exact, each weight within gamma_k of its exact sum, and ``weight_sum``
-    the correctly rounded sum of the stored weights, within the bound of
+    """Assert that ``dec``, a decomposition of ``model``, agrees with the
+    exact lines: omegas correctly rounded, multiplicities exact, each
+    weight within gamma_k of its exact sum, and ``weight_sum`` the
+    correctly rounded sum of the stored weights, within the bound of
     the exact total. Returns the exact lines."""
     lines = exact_lines(model)
     assert dec.omega.tolist() == [line.omega for line in lines]
@@ -129,70 +127,3 @@ def check_lines(dec, model) -> list[ExactLine]:
     slack = gamma(max(line.roundings for line in lines)) * total
     assert abs(Fraction(dec.weight_sum) - total) <= slack + UNIT_ROUNDOFF * (total + slack)
     return lines
-
-
-def check_merged(merged, model, radius: float) -> None:
-    """Assert that ``merged``, a decomposition of ``model`` at merge radius
-    ``radius``, groups the exact lines as the floats dictate and stays within
-    the derived bounds.
-
-    A group of L lines whose weights carry at most a roundings has its mass
-    summed by L - 1 more additions: bound gamma_(a+L-1). Its representative
-    is fl(M'/W'), with M' the sum of fl(omega_j w_j), each term through at
-    most a + L roundings. With gamma = gamma_(a+L), A = sum |omega_j| W_j and
-    mu the exact weighted mean, |M'/W' - mu| <= e = 2 gamma / (1 - gamma)
-    A / W, and the division adds u (|mu| + e).
-    """
-    lines = exact_lines(model)
-    omegas = np.array([line.omega for line in lines])
-    starts = [0, *(np.flatnonzero(np.diff(omegas) > radius) + 1).tolist()]
-    groups = list(zip(starts, [*starts[1:], len(lines)]))
-    assert merged.n_lines == len(groups)
-    for (lo, hi), omega, weight, size in zip(
-        groups, merged.omega.tolist(), merged.weight.tolist(), merged.multiplicity.tolist()
-    ):
-        group = lines[lo:hi]
-        assert size == sum(line.multiplicity for line in group)
-        numerator = sum(line.weight_numerator for line in group)
-        roundings = max(line.roundings for line in group) + len(group)
-        assert within(weight, numerator, 1 << group[0].scale, roundings - 1)
-        if len(group) == 1:
-            assert omega == group[0].omega
-            continue
-        assert numerator > 0
-        # omega_j W_j over one power of two; the weights' 2^scale cancels
-        ratios = [line.omega.as_integer_ratio() for line in group]
-        common = max(q for _, q in ratios)
-        moments = [p * (common // q) * line.weight_numerator for (p, q), line in zip(ratios, group)]
-        mean = Fraction(sum(moments), common * numerator)
-        spread = Fraction(sum(map(abs, moments)), common * numerator)
-        g = gamma(roundings)
-        error = 2 * g / (1 - g) * spread
-        assert abs(Fraction(omega) - mean) <= error + UNIT_ROUNDOFF * (abs(mean) + error)
-
-
-def check_count_means(reps, values, counts, radius: float, only=None) -> None:
-    """Assert that each of ``reps`` is the count-weighted mean of its group
-    within the derived bound, and inside the group's range. The groups are
-    the runs of ``values``, given in increasing order with their ``counts``,
-    whose gaps are at most ``radius``; ``only``, a mask over the groups,
-    picks the groups checked.
-
-    A group of L values is represented by fl(M'/C), with M' the sum of
-    fl(v_j c_j) in order, so each term passes through at most L roundings.
-    With gamma = gamma_L, A = sum |v_j| c_j and mu the exact mean,
-    |M'/C - mu| <= gamma A / C, and the division adds u (|mu| + gamma A / C).
-    """
-    starts = [0, *(np.flatnonzero(np.diff(values) > radius) + 1).tolist()]
-    assert len(reps) == len(starts)
-    picked = [True] * len(starts) if only is None else list(only)
-    for rep, lo, hi, check in zip(reps.tolist(), starts, [*starts[1:], len(values)], picked):
-        if not check:
-            continue
-        group = [Fraction(v) for v in values[lo:hi].tolist()]
-        sizes = counts[lo:hi].tolist()
-        total = sum(sizes)
-        mean = sum(v * c for v, c in zip(group, sizes)) / total
-        error = gamma(len(group)) * sum(abs(v) * c for v, c in zip(group, sizes)) / total
-        assert group[0] <= rep <= group[-1]
-        assert abs(Fraction(rep) - mean) <= error + UNIT_ROUNDOFF * (abs(mean) + error)

@@ -335,8 +335,7 @@ def test_degenerate_default_horizon_exits_two_with_field_path(capsys, argv):
 def _flag_cases():
     for f in VERDICT_FIELDS:
         value = 7 if f.kind is int else 0.375
-        commands = ["predict", "compare"] + (["spectrum"] if f.key == "omega_tolerance" else [])
-        for command in commands:
+        for command in ("predict", "compare"):
             yield pytest.param(command, f.key, value, id=f"{command}-{f.key}")
 
 
@@ -437,21 +436,6 @@ def test_spectrum_summary_and_csv(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "omega,weight,multiplicity"
     assert len(lines) == 6
-
-
-def test_spectrum_rejects_nan_merge_tolerance(capsys):
-    code = main(["spectrum", "--n", "4", "--seed", "1", "--omega-tolerance", "nan"])
-    assert code == 2
-    assert "lines over" not in capsys.readouterr().out
-
-
-def test_spectrum_honours_the_config_verdict_section(tmp_path, capsys):
-    """Like predict, spectrum takes the merge radius from the config's
-    verdict section."""
-    merged = write_json(tmp_path / "merged.json", {"model": {"random": {"n": 2, "seed": 1}},
-                                                   "verdict": {"omega_tolerance": 10.0}})
-    assert main(["spectrum", "--config", merged]) == 0
-    assert "1 lines over" in capsys.readouterr().out
 
 
 def test_spectrum_writes_only_to_its_output_flag(tmp_path, capsys):
@@ -671,6 +655,17 @@ def test_equal_couplings_run_past_26_spins(capsys):
     assert main(["compare", "--n", "62", "--seed", "1", "--equal-coupling", "0.5"]) == 0
 
 
+def test_lattice_couplings_run_past_26_spins(tmp_path, capsys):
+    """Couplings k / 8 for k = 1 to 30 hold at most 466 distinct sums."""
+    spin = {"alpha": [0.6, 0.0], "beta": [0.8, 0.0]}
+    model = write_json(tmp_path / "model.json", {
+        "a": [1.0, 0.0], "b": [0.0, 0.0],
+        "spins": [{**spin, "g": k / 8} for k in range(1, 31)],
+    })
+    assert main(["predict", "--model-file", model]) == 0
+    assert capsys.readouterr().out.startswith("verdict: no_verdict (n_points=466;")
+
+
 def test_random_couplings_past_26_spins_exit_two_before_enumerating(capsys, monkeypatch):
     _refuse_doubling(monkeypatch)
     assert main(["predict", "--n", "27", "--seed", "1"]) == 2
@@ -680,17 +675,19 @@ def test_random_couplings_past_26_spins_exit_two_before_enumerating(capsys, monk
 
 
 def test_the_enumeration_cap_is_no_setting(tmp_path, capsys):
-    for command in ("predict", "compare", "spectrum"):
-        with pytest.raises(SystemExit) as info:
-            build_parser().parse_args([command, "--enumeration-cap", "30"])
-        assert info.value.code == 2
-    config = write_json(tmp_path / "config.json", {"model": {"random": {"n": 4, "seed": 1}},
-                                                   "verdict": {"enumeration_cap": 3}})
-    capsys.readouterr()
-    assert main(["predict", "--config", config]) == 2
-    assert capsys.readouterr().err == (
-        "config error: config.verdict.enumeration_cap: unknown field\n"
-    )
+    """Neither the cap nor a merge radius is a flag or a config key: the
+    spectral route has no setting."""
+    for key, value in (("enumeration_cap", 3), ("omega_tolerance", 0)):
+        for command in ("predict", "compare", "spectrum"):
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args([command, "--" + key.replace("_", "-"), str(value)])
+            assert info.value.code == 2
+            config = write_json(tmp_path / "config.json", {
+                "model": {"random": {"n": 4, "seed": 1}}, "verdict": {key: value},
+            })
+            capsys.readouterr()
+            assert main([command, "--config", config]) == 2
+            assert capsys.readouterr().err == f"config error: config.verdict.{key}: unknown field\n"
 
 
 def test_lines_spanning_beyond_the_float_range_exit_two(tmp_path, capsys):

@@ -579,7 +579,7 @@ def test_run_predict_payload(tmp_path):
 @pytest.mark.parametrize("doc", [
     {"model": {"random": {"n": 16, "seed": 105}}, "verdict": dict(LOOSE_VERDICT)},
     {"model": {"random": {"n": 8, "seed": 2, "coupling": {"law": "equal", "g": 0.5}}}},
-    {"model": {"inline": TENSION_MODEL}, "verdict": {"omega_tolerance": 1e-6}},
+    {"model": {"inline": TENSION_MODEL}, "verdict": TENSION_VERDICT},
 ])
 def test_compare_prediction_is_the_predict_payload(tmp_path, doc):
     predicted, compared = tmp_path / "predict.json", tmp_path / "compare.json"

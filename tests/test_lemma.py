@@ -11,6 +11,7 @@ import pytest
 from spinbath import (
     DegenerateSetError,
     InvalidParameterError,
+    SpectralDecomposition,
     Verdict,
     decoherence_verdict,
     estimate_recurrence_time,
@@ -521,16 +522,6 @@ def test_loosened_thresholds_give_decoheres_with_real_decay():
     assert report.recurrence_time is EFFECTIVELY_INFINITE
 
 
-def test_verdict_uses_omega_tolerance():
-    m = new_model(ROOT_HALF, ROOT_HALF,
-                  [(ROOT_HALF, ROOT_HALF, 1.0), (ROOT_HALF, ROOT_HALF, 1e-13)])
-    exact = decoherence_verdict(m)
-    merged = decoherence_verdict(m, VerdictConfig(omega_tolerance=1e-9))
-    assert exact.n_points == 4
-    assert merged.n_points == 2
-    assert merged.has_degenerate_lines
-
-
 def test_verdict_threads_g_groups(rng):
     m = bounded_model(8, rng)
     left = decoherence_verdict(m, VerdictConfig(g_groups=4))
@@ -548,12 +539,9 @@ def test_verdict_refuses_zero_groups(rng):
 
 
 def test_verdict_from_decomposition_rejects_single_line():
-    m = new_model(1.0, 0.0, [(1.0, 0.0, 1.0)])
-    dec = spectral_decomposition(m)  # two lines, weights 0 and 1
-    merged = spectral_decomposition(m, omega_tolerance=3.0)
-    assert merged.n_lines == 1
+    single = SpectralDecomposition([0.0], [1.0], [2], 1)
     with pytest.raises(DegenerateSetError):
-        verdict_from_decomposition(merged)
+        verdict_from_decomposition(single)
 
 
 def test_report_to_dict_maps_sentinels(rng):

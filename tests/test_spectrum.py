@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +33,7 @@ from spinbath.model import Equal, PhaseLaw, UniformPositive, random_spin_arrays
 from spinbath.spectrum import ENUMERATION_CAP, ORACLE_CAP, brute_force_stack
 
 from conftest import ROOT_HALF, bounded_model, random_full_observable, triples
-from spectral_oracle import check_count_means, check_lines, check_merged
+from spectral_oracle import check_lines
 
 
 def lines(dec):
@@ -151,8 +150,7 @@ def test_decomposition_bookkeeping(rng):
 
 
 def test_equal_couplings_collide_exactly():
-    """n+1 lines at (n - 2m) g with binomial multiplicities, at merge
-    radius zero."""
+    """n+1 lines at (n - 2m) g with binomial multiplicities."""
     n, g, a2 = 10, 0.1, 0.3
     m = new_model(ROOT_HALF, ROOT_HALF,
                   [(math.sqrt(a2), math.sqrt(1 - a2), g)] * n)
@@ -192,29 +190,8 @@ def test_extreme_magnitude_ratio_stays_exact():
     assert dec.omega[1] - dec.omega[0] == 2.0**-49
 
 
-def test_omega_tolerance_merges_near_lines():
-    eps = 1e-13
-    m = new_model(1.0, 0.0, [(ROOT_HALF, ROOT_HALF, 1.0),
-                             (ROOT_HALF, ROOT_HALF, eps)])
-    assert spectral_decomposition(m).n_lines == 4
-    merged = spectral_decomposition(m, omega_tolerance=1e-9)
-    assert merged.n_lines == 2
-    assert all(multiplicity == 2 for multiplicity in merged.multiplicity.tolist())
-    assert abs(math.fsum(merged.weight.tolist()) - 1.0) <= 1e-12
-    # representative is the weight-averaged position inside each pair
-    assert abs(merged.omega[1] - 1.0) < eps
-
-
 def _unreached_doubling(*args):
     raise AssertionError("the doubling ran")
-
-
-@pytest.mark.parametrize("tolerance", [math.nan, -1e-9, -math.inf])
-def test_merge_tolerances_must_be_nonnegative_numbers(rng, tolerance):
-    """A NaN radius would merge every line into one; it is refused."""
-    m = bounded_model(4, rng)
-    with pytest.raises(InvalidParameterError):
-        spectral_decomposition(m, omega_tolerance=tolerance)
 
 
 def test_decomposition_cap(monkeypatch):
@@ -433,6 +410,8 @@ def _sorted_path_model(kind):
         # int64 sums above 2^53, up to 32 of which round to one float
         "2^53-tie": rng.permutation(
             [2.0**55, 1.0, 0.5, 2.0, -3.0, 0.25, 1.5, 5.0, -0.75, 6.0, 0.125, 3.0]),
+        # no magnitude repeats, but every sum is a multiple of 1/8: at most 79 sums, not 2^12
+        "lattice": rng.permutation(np.arange(1, n + 1)) / 8 * rng.choice([-1, 1], size=n),
     }[kind]
     return new_model(ROOT_HALF, ROOT_HALF, [
         (math.sqrt(a), math.sqrt(1.0 - a), float(c)) for a, c in zip(a2, g)
@@ -448,8 +427,8 @@ def _argsorted_terms(m):
 
 
 def _argsort_reference(m):
-    """Decomposition bytes at merge radius zero, built from the argsorted
-    terms: each run of equal frequencies summed with np.sum."""
+    """Decomposition bytes built from the argsorted terms: each run of
+    equal frequencies summed with np.sum."""
     omegas, weights = _argsorted_terms(m)
     starts = (np.flatnonzero(np.diff(omegas) != 0) + 1).tolist()
     groups = list(zip([0, *starts], [*starts, omegas.size]))
@@ -460,7 +439,7 @@ def _argsort_reference(m):
 
 
 @pytest.mark.parametrize(
-    "kind", ["random", "equal", "mixed", "negative", "partial", "python-int", "2^53-tie"])
+    "kind", ["random", "equal", "mixed", "negative", "partial", "python-int", "2^53-tie", "lattice"])
 def test_sorted_enumeration_matches_one_stable_argsort(kind):
     """The omegas and multiplicities are those of one stable argsort of the
     index-order terms, and so is the weight of each line of one term, bit
@@ -472,9 +451,11 @@ def test_sorted_enumeration_matches_one_stable_argsort(kind):
     single = dec.multiplicity == 1
     assert np.array_equal(dec.weight[single], np.frombuffer(weight)[single])
     check_lines(dec, m)
+    assert dec.n_lines <= spectrum._distinct_sums_bound(spectrum._scaled_couplings(m)[0])
 
 
-@pytest.mark.parametrize("kind", ["random", "equal", "mixed", "negative", "partial", "2^53-tie"])
+@pytest.mark.parametrize(
+    "kind", ["random", "equal", "mixed", "negative", "partial", "2^53-tie", "lattice"])
 def test_python_int_path_matches_the_exact_oracle(kind, monkeypatch):
     """The Python-int path runs the same doubling on object arrays: the
     same bits as the int64 path, within the exact oracle's bound."""
@@ -484,40 +465,6 @@ def test_python_int_path_matches_the_exact_oracle(kind, monkeypatch):
     dec = spectral_decomposition(m)
     assert (dec.omega.tobytes(), dec.weight.tobytes(), dec.multiplicity.tobytes()) == int64
     check_lines(dec, m)
-
-
-def test_groups_of_zero_weight_take_the_count_weighted_mean():
-    """With |alpha|^2 = 1e-200 per spin, a term of two alphas underflows to
-    weight 0. At tolerance 1e-8 the four couplings near 1 fold, and 7 of
-    the 10 lines weigh 0, 5 of them of differing lines: those are the mean
-    of their lines weighted by multiplicity."""
-    alpha, beta = math.sqrt(1e-200), math.sqrt(1.0 - 1e-200)
-    couplings = [1.0, 1.0 + 2.0**-30, 1.0 + 2.0**-29, 1.0 + 3 * 2.0**-30, 0.37]
-    m = new_model(1.0, 0.0, [(alpha, beta, g) for g in couplings])
-    lines = spectral_decomposition(m)
-    merged = spectral_decomposition(m, omega_tolerance=1e-8)
-    zero = merged.weight == 0.0
-    assert merged.n_lines == 10 and np.count_nonzero(zero) == 7
-    assert np.count_nonzero(zero & (merged.multiplicity > 1)) == 5
-    check_count_means(merged.omega, lines.omega, lines.multiplicity, 1e-8 * max(couplings), zero)
-
-
-@pytest.mark.parametrize("kind", ["random", "negative", "equal", "mixed", "partial"])
-def test_sorted_enumeration_matches_one_stable_argsort_when_merging_near_lines(kind):
-    m = _sorted_path_model(kind)
-    # the lattices of equal and mixed couplings (steps 0.6 and 0.5) merge
-    # into one group, random ones into groups of nearby lines
-    tolerance = {"equal": 2.5, "mixed": 0.6}.get(kind, 2e-3)
-    radius = tolerance * max(map(abs, m.g.tolist()))
-    omegas, weights = _argsorted_terms(m)
-    reps, sizes, mass = spectrum._folded(omegas, None, weights, radius)
-    assert np.any(sizes > 1)
-    merged = spectral_decomposition(m, omega_tolerance=tolerance)
-    assert merged.multiplicity.tobytes() == sizes.tobytes()
-    if kind in ("random", "negative"):
-        # every line is one term, so merging lines is merging terms
-        assert (merged.omega.tobytes(), merged.weight.tobytes()) == (reps.tobytes(), mass.tobytes())
-    check_merged(merged, m, radius)
 
 
 def _one_sort_levels(m):
@@ -530,7 +477,7 @@ def _one_sort_levels(m):
     return energies[starts].tobytes(), counts.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["random", "equal", "mixed", "negative", "partial"])
+@pytest.mark.parametrize("kind", ["random", "equal", "mixed", "negative", "partial", "lattice"])
 def test_sorted_levels_match_one_sort(kind):
     m = _sorted_path_model(kind)
     assert _levels_bytes(m) == _one_sort_levels(m)
@@ -611,7 +558,10 @@ def test_enumerations_whose_int64_counts_overflow_are_refused(monkeypatch):
 def test_enumerations_are_charged_for_the_sums_they_can_hold(monkeypatch):
     """Ties bound the distinct sums by the product of c + 1 over the
     magnitudes that c spins share: 2 * 2 * 4 * 3 * 2 = 96 of 2^8 here, so
-    the spectrum is charged for 96 values and the levels for 2 * 96."""
+    the spectrum is charged for 96 values and the levels for 2 * 96. A
+    lattice bounds them too: couplings k / 8 for k = 1 to 30 share no
+    magnitude, but each sum is an odd multiple of 1/8 within +-465/8, so
+    they are charged for 466 values, not 2^30, and give 466 lines."""
     g = [0.3, 0.7, 0.375, 0.375, 0.375, 0.5, -0.5, 0.125]
     m = new_model(ROOT_HALF, ROOT_HALF, [(ROOT_HALF, ROOT_HALF, x) for x in g])
     spectrum_bytes = 96 * spectrum._INT64_ENUMERATION_BYTES_PER_VALUE
@@ -629,6 +579,16 @@ def test_enumerations_are_charged_for_the_sums_they_can_hold(monkeypatch):
     equal = generate_random(26, 1, Equal(0.5))
     assert spectral_decomposition(equal).n_lines == 27
     assert hamiltonian_spectrum(equal)[0].size == 27
+    lattice = new_model(ROOT_HALF, ROOT_HALF, [(ROOT_HALF, ROOT_HALF, k / 8) for k in range(1, 31)])
+    lattice_bytes = 466 * spectrum._INT64_ENUMERATION_BYTES_PER_VALUE
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: lattice_bytes - 1)
+    with pytest.raises(CapExceededError, match=r"holds at most 466 distinct of 2\^30 values"):
+        spectral_decomposition(lattice)
+    monkeypatch.setattr(spectrum, "_available_memory", lambda: 2 * lattice_bytes)
+    dec = spectral_decomposition(lattice)
+    assert dec.omega.tolist() == [k / 8 for k in range(-465, 466, 2)]
+    assert int(dec.multiplicity.sum()) == 2**30
+    assert hamiltonian_spectrum(lattice)[0].size == 466
 
 
 def _traced_peak(call, monkeypatch):
@@ -799,7 +759,7 @@ def _mirrored_levels(m):
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     counts = np.concatenate([counts, counts[::-1]])[order]
-    reps, sizes, _ = spectrum._folded(energies, counts, None, 0)
+    reps, sizes, _ = spectrum._folded(energies, counts, None)
     return reps.tobytes(), sizes.tobytes()
 
 
@@ -835,20 +795,6 @@ def test_hamiltonian_levels_match_the_mirrored_merge():
 @pytest.mark.parametrize("n, seed", [(20, 1), (12, 1), (10, 2)])
 def test_merged_levels_mirror_exactly(n, seed):
     _assert_mirrored(*hamiltonian_spectrum(generate_random(n, seed)))
-
-
-def test_merged_line_beyond_the_float_range_is_refused():
-    """The lines of 1.7e308, 1e292 and 2e292 are floats, but the four of
-    weight 0 near +1.7e308 fold into a count-weighted mean beyond the float
-    range: the merge is refused with no warning, not returned as inf."""
-    spins = [(1.0, 0.0, 1.7e308), (0.6, 0.8, 1e292), (0.6, 0.8, 2e292)]
-    m = new_model(1.0, 0.0, spins)
-    omegas, _, _ = spectrum._sorted_terms(*spectrum._scaled_couplings(m))
-    assert np.all(np.isfinite(omegas))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InvalidParameterError, match="merged run .* beyond the float range"):
-            spectral_decomposition(m, 1e-10)
 
 
 def test_energy_level_validation(monkeypatch):
