@@ -139,6 +139,15 @@ def _check_time(t: float) -> None:
         raise InvalidParameterError(f"t must be finite, got {t!r}")
 
 
+def _check_phase(g: np.ndarray, t_max: float, scale: float = 1.0) -> None:
+    """Refuse times up to |t| = t_max at which some phase scale * g * t
+    overflows: rounding is monotone, so the largest |g| and |t| decide."""
+    g_max = float(np.max(np.abs(g)))
+    if not math.isfinite(scale * g_max * t_max):
+        raise InvalidParameterError(f"the phases at |t| up to {t_max!r}, with max|g| = "
+                                    f"{g_max!r}, are beyond the float range")
+
+
 def _slice_count(n_spins: int, points: int) -> int:
     """Time slices for _r_values: one per usable CPU on a grid of at least
     _SPLIT_CELLS spins x points, each of at least two points (see _r_values)."""
@@ -170,6 +179,7 @@ def _r_values(a2: np.ndarray, b2: np.ndarray, g: np.ndarray, times: np.ndarray) 
     along with a lone live point.
     """
     t = np.asarray(times, dtype=np.float64)
+    _check_phase(g, float(np.max(np.abs(t))))
     if len(t) == 1:
         t = np.repeat(t, 2)
     out = np.empty(len(t), dtype=np.complex128)
@@ -281,6 +291,7 @@ def r_squared(model: SpinBathModel, t: float) -> float:
     """
     _check_time(t)
     a2, b2, g = spin_moduli(model)
+    _check_phase(g, abs(t), 2.0)
     factors = a2 * a2 + b2 * b2 + 2.0 * a2 * b2 * np.cos(2.0 * g * t)
     return float(np.prod(factors))
 

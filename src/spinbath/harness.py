@@ -253,7 +253,6 @@ COUPLING_LAWS = {
     "equal": (Equal, (_LAW, Field("g", float))),
 }
 _FINITE = (math.isfinite, "be finite")
-_AT_LEAST_ONE = (lambda value: value >= 1, "be >= 1")
 # t_end left out (or null) is the horizon t_start + 20 / mean|g|
 GRID_FIELDS = (
     Field("t_start", float, 0.0, rule=_FINITE),
@@ -262,8 +261,7 @@ GRID_FIELDS = (
 )
 OBSERVABLE_FIELDS = (Field("s_uu", float), Field("s_dd", float), Field("s_du", complex, 0j))
 # VerdictConfig's fields, in its order; a key left out keeps its default there.
-# NaN is refused, as a NaN gate would fail silently; +inf switches a max gate
-# off. A bad group count or recurrence setting is refused before the enumeration.
+# NaN is refused, as a NaN gate would fail silently; +inf switches a max gate off.
 _NOT_NAN = (lambda value: not math.isnan(value), "not be NaN")
 VERDICT_FIELDS = (
     Field("n_min", int, OMIT, "minimum line count gate"),
@@ -271,10 +269,6 @@ VERDICT_FIELDS = (
     Field("ks_max", float, OMIT, "uniformity gate", rule=_NOT_NAN),
     Field("eps_global", float, OMIT, "max weight gate", rule=_NOT_NAN),
     Field("eps_group", float, OMIT, "per-group deviation gate", rule=_NOT_NAN),
-    Field("g_groups", int, OMIT, "partition group count", null_is_default=True,
-          rule=_AT_LEAST_ONE),
-    Field("q_max", int, OMIT, "rationalization denominator cap", rule=_AT_LEAST_ONE),
-    Field("rel_tolerance", float, OMIT, rule=(lambda tol: 0.0 < tol < 1.0, "lie in (0, 1)")),
 )
 OUTPUT_FIELDS = (Field("path", str), Field("format", str, None))  # None: the command's default
 

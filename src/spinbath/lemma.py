@@ -63,22 +63,14 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class VerdictConfig:
-    """Everything the verdict pipeline can be tuned with.
-
-    n_min to eps_group are gate thresholds; the gate table GATES says which
-    gate each one bounds, and from which side. g_groups None means
-    ceil(sqrt(n)) groups, so group count and group size both grow with the
-    spectrum.
-    """
+    """The verdict's thresholds, one per row of the gate table GATES, which
+    says which gate each one bounds and from which side."""
 
     n_min: int = 64
     cv_max: float = 1.0
     ks_max: float = 0.2
     eps_global: float = 1e-3
     eps_group: float = 1e-3
-    g_groups: int | None = None
-    q_max: int = 10**6
-    rel_tolerance: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -228,88 +220,85 @@ def lemma_sum(point_set: WeightedPointSet, t: float) -> complex:
 # Recurrence time
 # ---------------------------------------------------------------------------
 
-_MAX_CF_STEPS = 64
+# The recurrence search takes gap ratios p/q with q <= DENOMINATOR_CAP, and
+# multiples of Delta within REL_TOLERANCE of their gaps.
+DENOMINATOR_CAP = 10**6
+REL_TOLERANCE = 1e-9
+_JUMP = 1.0 / math.sqrt(REL_TOLERANCE)  # a partial quotient that ends a fraction
 
 
-def _rationalize(x: float, q_max: int, rel_tolerance: float) -> tuple[int, int] | None:
+def _rationalize(x: float) -> tuple[int, int] | None:
     """Recognize x as a ratio p/q of small integers, or refuse.
 
     Walks the continued fraction of x and accepts a convergent only when
     the expansion terminates or the next partial quotient would exceed
-    1/sqrt(rel_tolerance) - the signature of a genuine rational perturbed
+    1/sqrt(REL_TOLERANCE) - the signature of a genuine rational perturbed
     by rounding noise. A generic irrational keeps producing modest
-    quotients, so its denominators grow past q_max and the walk refuses;
+    quotients, so its denominators, growing at least as the Fibonacci
+    numbers, pass DENOMINATOR_CAP within 31 steps and the walk refuses;
     accepting any convergent that merely lands within tolerance would
     wrongly rationalize irrationals, since sufficiently large denominators
     approximate everything. The convergent 0/1 of an x below 1 is never
-    accepted: a large next quotient there says only that x is small, so
-    the walk goes on to 1/floor(1/x) and beyond.
+    accepted: a large next quotient there says only that x is small, so the
+    walk goes on to 1/floor(1/x) and beyond. An infinite x or remainder
+    reciprocal is refused.
     """
-    jump = max(16.0, 1.0 / math.sqrt(rel_tolerance))
     h1, h0 = 1, 0
     k1, k0 = 0, 1
     value = x
-    for _ in range(_MAX_CF_STEPS):
+    while True:
+        if not math.isfinite(value):
+            return None
         a = math.floor(value)
         h1, h0 = a * h1 + h0, h1
         k1, k0 = a * k1 + k0, k1
-        if k1 > q_max:
+        if k1 > DENOMINATOR_CAP:
             return None
         frac = value - a
-        if frac <= 0.0 or (h1 != 0 and 1.0 / frac > jump):
+        if frac <= 0.0 or (h1 != 0 and 1.0 / frac > _JUMP):
             if h1 < 1:
                 return None
-            if abs(x - h1 / k1) > rel_tolerance * abs(x):
+            if abs(x - h1 / k1) > REL_TOLERANCE * abs(x):
                 return None
             return h1, k1
         value = 1.0 / frac
-    return None
 
 
-def _common_divisor(a: float, b: float, q_max: int, rel_tolerance: float) -> float | None:
+def _common_divisor(a: float, b: float) -> float | None:
     """Largest d with a = p*d, b = q*d for small integers p, q; None if absent."""
-    pq = _rationalize(a / b, q_max, rel_tolerance)
+    pq = _rationalize(a / b)
     if pq is None:
         return None
     _, q = pq
     return b / q
 
 
-def estimate_recurrence_time(
-    point_set: WeightedPointSet,
-    q_max: int = 10**6,
-    rel_tolerance: float = 1e-9,
-):
+def estimate_recurrence_time(point_set: WeightedPointSet):
     """Period 2*pi/Delta of the sum, where Delta divides every frequency gap.
 
     Delta is folded over the nonzero gaps between consecutive points (the
     gaps of the distinct points) by continued-fraction rationalization with
-    denominators capped at q_max, then every gap is verified to be an
-    integer multiple of Delta within rel_tolerance. Any failure, including a
-    single distinct point, yields EFFECTIVELY_INFINITE: no recurrence structure at this precision.
+    denominators capped at DENOMINATOR_CAP, then every gap is verified to
+    be an integer multiple of Delta within REL_TOLERANCE. Any failure,
+    including a single distinct point or a multiple beyond the float range,
+    yields EFFECTIVELY_INFINITE: no recurrence structure at this precision.
     So does a Delta so small that 2*pi/Delta overflows to infinity.
     """
-    if q_max < 1:
-        raise InvalidParameterError(f"q_max must be >= 1, got {q_max}")
-    if not 0.0 < rel_tolerance < 1.0:
-        raise InvalidParameterError(
-            f"rel_tolerance must lie in (0, 1), got {rel_tolerance!r}"
-        )
     deltas = np.diff(point_set.points)
     deltas = deltas[deltas != 0.0]
     if deltas.size == 0:
         return EFFECTIVELY_INFINITE
     delta = float(deltas[0])
     for d in deltas[1:]:
-        divisor = _common_divisor(float(d), delta, q_max, rel_tolerance)
+        divisor = _common_divisor(float(d), delta)
         if divisor is None:
             return EFFECTIVELY_INFINITE
         delta = divisor
-    for d in deltas:
-        d = float(d)
-        multiple = round(d / delta)
-        if multiple < 1 or abs(d - multiple * delta) > rel_tolerance * d:
-            return EFFECTIVELY_INFINITE
+    with np.errstate(over="ignore"):
+        multiples = np.round(deltas / delta)
+        misses = np.abs(deltas - multiples * delta)
+    if not np.all((multiples >= 1) & (misses <= REL_TOLERANCE * deltas)):
+        return EFFECTIVELY_INFINITE
     period = 2.0 * math.pi / delta
     return period if math.isfinite(period) else EFFECTIVELY_INFINITE
 
@@ -406,9 +395,8 @@ def verdict_from_decomposition(
         raise DegenerateSetError("spectrum collapsed to a single line")
 
     qc = check_quasi_continuous(dec, config)
-    g_groups = default_g_groups(n) if config.g_groups is None else config.g_groups
-    l1, _ = check_l1(dec, make_partition(dec, g_groups), config)
-    recurrence = estimate_recurrence_time(dec, config.q_max, config.rel_tolerance)
+    l1, _ = check_l1(dec, make_partition(dec, default_g_groups(n)), config)
+    recurrence = estimate_recurrence_time(dec)
     if isinstance(recurrence, float):
         magnitude = abs(lemma_sum(dec, recurrence / 2.0))
     else:

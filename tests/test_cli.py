@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from spinbath import cli, spectrum
 from spinbath.cli import build_parser, main
 from spinbath.harness import VERDICT_FIELDS
 
+from conftest import ROOT_HALF
 from test_harness import TENSION_MODEL, TENSION_VERDICT, sha256
 
 
@@ -578,19 +580,6 @@ def test_cap_violation_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value, field", [
-    ("--q-max", "0", "config.verdict.q_max"),
-    ("--rel-tolerance", "2", "config.verdict.rel_tolerance"),
-    ("--g-groups", "-3", "config.verdict.g_groups"),
-])
-def test_bad_verdict_setting_is_refused_before_the_enumeration(capsys, flag, value, field):
-    """At N = 30 the enumeration would be refused by its cap; the setting is
-    refused first, with its field path."""
-    assert main(["predict", "--n", "30", "--seed", "1", flag, value]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {field}: must ") and "cap" not in err
-
-
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_grid_beyond_memory_exits_two(monkeypatch, command, capsys):
     # a small reading stands in for a grid too large for the machine
@@ -676,8 +665,10 @@ def test_random_couplings_past_26_spins_exit_two_before_enumerating(capsys, monk
 
 def test_the_enumeration_cap_is_no_setting(tmp_path, capsys):
     """Neither the cap nor a merge radius is a flag or a config key: the
-    spectral route has no setting."""
-    for key, value in (("enumeration_cap", 3), ("omega_tolerance", 0)):
+    spectral route has no setting. Nor have the partition and the recurrence
+    search: the verdict's only settings are its gate thresholds."""
+    for key, value in (("enumeration_cap", 3), ("omega_tolerance", 0), ("g_groups", 3),
+                       ("q_max", 3), ("rel_tolerance", 0.5)):
         for command in ("predict", "compare", "spectrum"):
             with pytest.raises(SystemExit) as info:
                 build_parser().parse_args([command, "--" + key.replace("_", "-"), str(value)])
@@ -721,6 +712,42 @@ def test_gap_spread_beyond_the_float_range_exits_two(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "gap spread" in err and "beyond the float range" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+def balanced_model_file(tmp_path, couplings):
+    """An inline model file with the system and every spin balanced."""
+    half = [ROOT_HALF, 0.0]
+    return write_json(tmp_path / "model.json", {
+        "a": half, "b": half, "spins": [{"alpha": half, "beta": half, "g": g} for g in couplings],
+    })
+
+
+def test_gap_ratio_beyond_the_float_range_has_no_recurrence(tmp_path, capsys):
+    """Couplings 5e153, 5e153 and 1e-160 put two lines 2e-160 apart beside
+    gaps of 1e154: the ratio 2e-314 has an infinite reciprocal, which the
+    recurrence search refuses instead of crashing."""
+    model = balanced_model_file(tmp_path, (5e153, 5e153, 1e-160))
+    out = tmp_path / "predict.json"
+    assert main(["predict", "--model-file", model, "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["recurrence_time"] == "effectively_infinite"
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_phases_beyond_the_float_range_exit_two(command, tmp_path, capsys):
+    """A finite grid up to t = 1e308 on couplings 2 and 0.5 would overflow
+    the phase g t: refused with no warning and no artifact, not written as
+    nan rows."""
+    model = balanced_model_file(tmp_path, (2.0, 0.5))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--model-file", model, "--t-end", "1e308", "--steps", "3",
+                     "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "beyond the float range" in err
     assert "Warning" not in err
     assert not out.exists()
 

@@ -760,6 +760,20 @@ def test_pointwise_evaluators_reject_non_finite_time(rng, t):
             call()
 
 
+def test_pointwise_evaluators_reject_phases_beyond_the_float_range():
+    """At t = 1e308 the phase g t of a coupling 2 overflows, and every
+    evaluator would return NaN; at t = 1e307 the phases and r are finite."""
+    m = new_model(ROOT_HALF, ROOT_HALF, [(ROOT_HALF, ROOT_HALF, g) for g in (2.0, 0.5)])
+    for call in (r_of_t, r_squared, reduced_state):
+        with pytest.raises(InvalidParameterError, match="beyond the float range"):
+            call(m, 1e308)
+    with pytest.raises(InvalidParameterError, match="beyond the float range"):
+        sample_series(m, 0.0, 1e308, 3)
+    with pytest.raises(InvalidParameterError, match="beyond the float range"):
+        r_squared(m, 5e307)  # the cosines take 2 g t
+    assert cmath.isfinite(r_of_t(m, 1e307)) and math.isfinite(r_squared(m, 1e307))
+
+
 def test_time_series_validation():
     times = np.array([0.0, 1.0, 2.0])
     good = np.ones(3, dtype=complex)

@@ -92,7 +92,7 @@ def test_parse_config_full_document():
                              "phases": "uniform"}},
         "grid": {"t_start": 1.0, "t_end": 5.0, "steps": 100},
         "observable": {"s_uu": 1.0, "s_dd": -1.0, "s_du": [0.5, -0.5]},
-        "verdict": {"n_min": 32, "eps_global": 1e-2, "g_groups": 7},
+        "verdict": {"n_min": 32, "eps_global": 1e-2},
         "output": {"path": "out.csv", "format": "csv"},
     }, SIMULATE)
     assert config.model == generate_random(8, 3, Equal(0.4), PhaseLaw.UNIFORM)
@@ -100,7 +100,6 @@ def test_parse_config_full_document():
     assert config.observable == RelevantObservable(1.0, -1.0, 0.5 - 0.5j)
     assert config.verdict.n_min == 32
     assert config.verdict.eps_global == 1e-2
-    assert config.verdict.g_groups == 7
     assert config.verdict.cv_max == 1.0  # untouched default
     assert config.output == OutputSpec("out.csv", "csv")
 
@@ -208,7 +207,7 @@ def random_2(**keys):
         "spins": [{"alpha": [0.9, 0.0], "beta": [0.9, 0.0], "g": 1.0},
                   {"alpha": [1.0, 0.0], "beta": [0.0, 0.0], "g": "x"}],
     }}}, "config.model.inline.spins[1].g", id="doc28-config.model.inline.spins[1].g"),
-    # settings the verdict would refuse only after the enumeration
+    # the recurrence search and the partition have no setting: each key is unknown
     pytest.param(with_random_2(verdict={"q_max": 0}), "config.verdict.q_max",
                  id="doc29-config.verdict.q_max"),
     pytest.param(with_random_2(verdict={"rel_tolerance": 2.0}), "config.verdict.rel_tolerance",
@@ -280,23 +279,18 @@ def test_verdict_rejects_nan(key):
     assert info.value.field_path == f"config.verdict.{key}"
 
 
-# rel_tolerance must lie in (0, 1); the other real keys take infinities
-INFINITE_KEYS = [key for key in REAL_KEYS if key != "rel_tolerance"]
-
-
-@pytest.mark.parametrize("key", INFINITE_KEYS)
+@pytest.mark.parametrize("key", REAL_KEYS)
 def test_verdict_accepts_infinities(key):
     for value in (math.inf, -math.inf):
         assert getattr(parse_verdict({key: value}), key) == value
 
 
 def test_verdict_null_rules():
-    """g_groups null means the default group count; any other null is refused."""
-    assert parse_verdict({"g_groups": None}).g_groups is None
-    assert parse_verdict({"g_groups": None}) == VerdictConfig()
-    with pytest.raises(ConfigError) as info:
-        parse_verdict({"n_min": None})
-    assert info.value.field_path == "config.verdict.n_min"
+    """A null is refused for every verdict key: none stands for a default."""
+    for f in VERDICT_FIELDS:
+        with pytest.raises(ConfigError) as info:
+            parse_verdict({f.key: None})
+        assert info.value.field_path == f"config.verdict.{f.key}"
 
 
 def inline_grid(model, grid):

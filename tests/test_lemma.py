@@ -1,5 +1,6 @@
 """Hypothesis checks, recurrence estimation, and the verdict pipeline."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -23,9 +24,11 @@ from spinbath.lemma import (
     EFFECTIVELY_INFINITE,
     GATES,
     NOT_EVALUATED,
+    REL_TOLERANCE,
     PartitionScheme,
     VerdictConfig,
     WeightedPointSet,
+    _common_divisor,
     check_l1,
     check_quasi_continuous,
     default_g_groups,
@@ -290,6 +293,10 @@ def test_each_gate_passes_at_its_threshold_and_fails_one_step_past_it():
         assert [g.name for g in rows(VerdictConfig(**{**at, key: past})) if not g.passed] == [name]
 
 
+def test_verdict_config_holds_the_gate_thresholds_only():
+    assert [f.name for f in dataclasses.fields(VerdictConfig)] == [key for key, _ in GATES.values()]
+
+
 def test_l1_rejects_foreign_partition():
     s = uniform_set(50)
     with pytest.raises(InvalidParameterError):
@@ -374,7 +381,7 @@ def test_recurrence_does_not_depend_on_the_order_of_the_gaps(points):
 def test_two_spin_bath_with_nearby_couplings_recurs():
     """Balanced spins at g = 1 and 1 + 2^-16 put their lines 2^-15 apart
     in multiples, so |r| returns to 1 after pi 2^16. At 1 + 2^-20 the
-    divisor needs a denominator of 2^20, past the default q_max of 10^6."""
+    divisor needs a denominator of 2^20, past DENOMINATOR_CAP = 10^6."""
     spins = [(ROOT_HALF, ROOT_HALF, 1.0), (ROOT_HALF, ROOT_HALF, 1.0 + 2.0**-16)]
     m = new_model(ROOT_HALF, ROOT_HALF, spins)
     report = decoherence_verdict(m)
@@ -385,22 +392,33 @@ def test_two_spin_bath_with_nearby_couplings_recurs():
     assert far.recurrence_time is EFFECTIVELY_INFINITE
 
 
-@pytest.mark.parametrize("points, q_max, rel_tolerance", [
+@pytest.mark.parametrize("points", [
     # 1 + 1e-5 has the convergent 1/1 and a next quotient of 10^5, but
     # 1/1 misses it by more than the tolerance
-    ([0.0, 1.0, 2.0 + 1e-5], 10**6, 1e-9),
+    [0.0, 1.0, 2.0 + 1e-5],
     # the gap ratio 5e-324 / 1e300 is 0: no numerator of 1 or more fits
-    ([-1e300, 0.0, 5e-324], 10**6, 1e-9),
-    # sqrt(2) keeps giving small quotients: the walk stops after its
-    # step limit before the denominators pass q_max
-    ([0.0, 1.0, 1.0 + math.sqrt(2.0)], 10**60, 1e-300),
+    [-1e300, 0.0, 5e-324],
     # every gap passes against the running Delta, but the final Delta,
     # 0.75 / 47 rounded, misses the second gap by just over the tolerance
-    ([-0.75, 0.0, 0.75000000075, 0.7659574475585106], 10**6, 1e-9),
+    [-0.75, 0.0, 0.75000000075, 0.7659574475585106],
+    # the gap ratio 1e308 / 1e-300 is beyond the float range
+    [0.0, 1e-300, 1e308],
 ])
-def test_recurrence_refusals(points, q_max, rel_tolerance):
+def test_recurrence_refusals(points):
     s = WeightedPointSet(points, np.full(len(points), 1.0 / len(points)))
-    assert estimate_recurrence_time(s, q_max, rel_tolerance) is EFFECTIVELY_INFINITE
+    assert estimate_recurrence_time(s) is EFFECTIVELY_INFINITE
+
+
+def test_recurrence_multiple_beyond_the_float_range_is_effectively_infinite():
+    """Gaps 1.5e308 / 999983^j for j = 0..52, ascending to 0: each one is
+    1/999983 of the running Delta, so the fold passes, but the first gap is
+    1e312 times the final Delta, a multiple beyond the float range."""
+    gaps = 1.5e308 * 999983.0 ** -np.arange(53)
+    points = np.append(-np.cumsum(gaps[::-1])[::-1], 0.0)
+    s = WeightedPointSet(points, np.full(points.size, 1.0 / points.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estimate_recurrence_time(s) is EFFECTIVELY_INFINITE
 
 
 def test_lemma_sum_rejects_non_finite_time():
@@ -451,24 +469,51 @@ def test_recurrence_scale_covariance():
         assert abs(tp - 2.0 * math.pi / c) < 1e-9 * tp
 
 
-def test_recurrence_respects_q_max():
-    s = WeightedPointSet([0.0, 3.0, 7.0], np.full(3, 1 / 3))
-    assert estimate_recurrence_time(s, q_max=2) is EFFECTIVELY_INFINITE
-
-
-def test_recurrence_parameter_validation():
-    s = WeightedPointSet([0.0, 1.0], [0.5, 0.5])
-    with pytest.raises(InvalidParameterError):
-        estimate_recurrence_time(s, q_max=0)
-    for bad in (0.0, 1.0, -0.5):
-        with pytest.raises(InvalidParameterError):
-            estimate_recurrence_time(s, rel_tolerance=bad)
-
-
 def test_random_spectrum_has_no_recurrence(rng):
     m = bounded_model(10, rng)
     s = spectral_decomposition(m)
     assert estimate_recurrence_time(s) is EFFECTIVELY_INFINITE
+
+
+def recurrence_by_loop(points):
+    """estimate_recurrence_time with every gap verified one at a time in
+    Python floats: the reference for its array check."""
+    deltas = [float(d) for d in np.diff(points) if d != 0.0]
+    if not deltas:
+        return EFFECTIVELY_INFINITE
+    delta = deltas[0]
+    for d in deltas[1:]:
+        delta = _common_divisor(d, delta)
+        if delta is None:
+            return EFFECTIVELY_INFINITE
+    for d in deltas:
+        ratio = d / delta
+        if not math.isfinite(ratio):
+            return EFFECTIVELY_INFINITE
+        multiple = round(ratio)
+        if multiple < 1 or abs(d - multiple * delta) > REL_TOLERANCE * d:
+            return EFFECTIVELY_INFINITE
+    period = 2.0 * math.pi / delta
+    return period if math.isfinite(period) else EFFECTIVELY_INFINITE
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_recurrence_matches_the_per_gap_loop(seed):
+    """Lattice spectra, and integer points with rounding-size noise, give
+    the loop's period (or its refusal) bit for bit."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(25):
+        ks = rng.integers(1, 9, int(rng.integers(2, 9)))
+        spins = [(ROOT_HALF, ROOT_HALF, float(rng.uniform(0.01, 10)) * int(k)) for k in ks]
+        sets.append(spectral_decomposition(new_model(ROOT_HALF, ROOT_HALF, spins)))
+        n = int(rng.integers(3, 30))
+        points = np.sort(rng.integers(-50, 50, n).astype(float)) * float(rng.uniform(0.1, 10))
+        points += rng.normal(0.0, 10.0 ** rng.uniform(-11, -7), n)
+        sets.append(WeightedPointSet(points, np.full(n, 1.0 / n)))
+    results = [estimate_recurrence_time(s) for s in sets]
+    assert results == [recurrence_by_loop(s.points) for s in sets]
+    assert any(isinstance(r, float) for r in results) and EFFECTIVELY_INFINITE in results
 
 
 # ---------------------------------------------------------------------------
@@ -522,20 +567,13 @@ def test_loosened_thresholds_give_decoheres_with_real_decay():
     assert report.recurrence_time is EFFECTIVELY_INFINITE
 
 
-def test_verdict_threads_g_groups(rng):
-    m = bounded_model(8, rng)
-    left = decoherence_verdict(m, VerdictConfig(g_groups=4))
-    right = decoherence_verdict(m, VerdictConfig(g_groups=256))
-    # with singleton groups every deviation vanishes
-    assert right.l1_max_group_deviation == 0.0
-    assert left.l1_max_group_deviation >= right.l1_max_group_deviation
-
-
-def test_verdict_refuses_zero_groups(rng):
-    """Zero groups is refused like any other count out of range; only None
-    means the default."""
-    with pytest.raises(InvalidParameterError, match="g_groups"):
-        decoherence_verdict(bounded_model(4, rng), VerdictConfig(g_groups=0))
+def test_verdict_refuses_zero_groups():
+    """A partition takes from 1 to n groups; zero groups, or more groups
+    than points, is refused."""
+    s = uniform_set(8)
+    for g_groups in (0, s.n_points + 1):
+        with pytest.raises(InvalidParameterError, match="g_groups"):
+            make_partition(s, g_groups)
 
 
 def test_verdict_from_decomposition_rejects_single_line():
