@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parse tree, built on the first ``main`` call and kept for the process.
 
-    Building it (five subparsers, about seventy flags) is a fixed cost as
+    Building it (five subparsers, 54 flags besides ``-h``) is a fixed cost as
     large as the physics of a small ``predict``; parsing leaves no state in it,
     so repeated in-process calls share it. A shell invocation still builds it once.
     """

@@ -37,22 +37,23 @@ order.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import InvalidParameterError
 from .model import (
     FullObservable,
     RelevantObservable,
     SpinBathModel,
     abs2,
+    check_phases,
     observable_entries,
     read_only,
     spin_moduli,
+    stack_arrays,
 )
 
 _R_MODULUS_TOLERANCE = 1e-12
@@ -134,20 +135,6 @@ class ReducedState:
             raise InvalidParameterError("coherence violates positivity")
 
 
-def _check_time(t: float) -> None:
-    if not math.isfinite(t):
-        raise InvalidParameterError(f"t must be finite, got {t!r}")
-
-
-def _check_phase(g: np.ndarray, t_max: float, scale: float = 1.0) -> None:
-    """Refuse times up to |t| = t_max at which some phase scale * g * t
-    overflows: rounding is monotone, so the largest |g| and |t| decide."""
-    g_max = float(np.max(np.abs(g)))
-    if not math.isfinite(scale * g_max * t_max):
-        raise InvalidParameterError(f"the phases at |t| up to {t_max!r}, with max|g| = "
-                                    f"{g_max!r}, are beyond the float range")
-
-
 def _slice_count(n_spins: int, points: int) -> int:
     """Time slices for _r_values: one per usable CPU on a grid of at least
     _SPLIT_CELLS spins x points, each of at least two points (see _r_values)."""
@@ -179,7 +166,7 @@ def _r_values(a2: np.ndarray, b2: np.ndarray, g: np.ndarray, times: np.ndarray) 
     along with a lone live point.
     """
     t = np.asarray(times, dtype=np.float64)
-    _check_phase(g, float(np.max(np.abs(t))))
+    check_phases(g, t)
     if len(t) == 1:
         t = np.repeat(t, 2)
     out = np.empty(len(t), dtype=np.complex128)
@@ -278,8 +265,8 @@ def _fold_window(a2, b2, g, row, t, r, phase_buf, chain_buf) -> None:
 
 
 def r_of_t(model: SpinBathModel, t: float) -> complex:
-    """Dephasing factor r(t), the overlap of the two evolved bath branches."""
-    _check_time(t)
+    """Dephasing factor r(t), the overlap of the two evolved bath branches;
+    t and the phases g t go by :func:`spinbath.model.check_phases`."""
     return complex(_r_values(*spin_moduli(model), np.array([t]))[0])
 
 
@@ -289,9 +276,8 @@ def r_squared(model: SpinBathModel, t: float) -> float:
     Each factor is |alpha|^4 + |beta|^4 + 2 |alpha|^2 |beta|^2 cos(2 g t),
     so the result is manifestly real; it equals |r_of_t(t)|^2 within 1e-12.
     """
-    _check_time(t)
     a2, b2, g = spin_moduli(model)
-    _check_phase(g, abs(t), 2.0)
+    check_phases(g, t, 2.0)
     factors = a2 * a2 + b2 * b2 + 2.0 * a2 * b2 * np.cos(2.0 * g * t)
     return float(np.prod(factors))
 
@@ -357,23 +343,11 @@ def expectation_full_stack(a, b, alpha, beta, g, system, env, t) -> np.ndarray:
     per case, or one value for all. On a stack of one the values are
     expectation_full's. A row of a larger stack can differ from the single
     call in the last bit: on arrays of 256 KB and more numpy may reuse a
-    temporary for a complex product, with the operands swapped.
+    temporary for a complex product, with the operands swapped. t and the
+    phases g t go by :func:`spinbath.model.check_phases`, case by case.
     """
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    beta = np.asarray(beta, dtype=np.complex128)
-    g = np.asarray(g, dtype=np.float64)
-    system = np.asarray(system, dtype=np.float64)
-    env = np.asarray(env, dtype=np.float64)
-    if env.shape[:2] != alpha.shape:
-        raise DimensionMismatchError(
-            f"observable has {env.shape[1]} environment parts, model has "
-            f"{alpha.shape[-1]} spins"
-        )
-    t = np.asarray(t, dtype=np.float64)
-    for value in t[~np.isfinite(t)].flat:
-        _check_time(float(value))
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    a, b, alpha, beta, g, system, env, t = stack_arrays(a, b, alpha, beta, g, system, env, t)
+    check_phases(g, t)
     t = t[..., None]
 
     a2, b2 = abs2(alpha), abs2(beta)
@@ -444,9 +418,9 @@ def sample_series(
     """
     if steps < 2:
         raise InvalidParameterError(f"steps must be >= 2, got {steps}")
-    if not (np.isfinite(t_start) and np.isfinite(t_end)) or t_start >= t_end:
+    if not np.isfinite(float(t_end) - float(t_start)) or t_start >= t_end:
         raise InvalidParameterError(
-            f"need finite t_start < t_end, got [{t_start!r}, {t_end!r}]"
+            f"need finite t_start < t_end a finite span apart, got [{t_start!r}, {t_end!r}]"
         )
     times = np.linspace(t_start, t_end, steps)
     r = _r_values(*spin_moduli(model), times)

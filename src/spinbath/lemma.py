@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSetError, InvalidParameterError
-from .model import SpinBathModel
+from .model import SpinBathModel, check_phases
 from .spectrum import SpectralDecomposition, WeightedPointSet, spectral_decomposition
 
 
@@ -209,10 +209,10 @@ def check_l1(
 def lemma_sum(point_set: WeightedPointSet, t: float) -> complex:
     """Evaluate sum_i w_i e^{+i x_i t} with the stored weights.
 
-    On a spin bath's spectral weights (which sum to 1) this is r(t).
+    On a spin bath's spectral weights (which sum to 1) this is r(t). t and
+    the phases x_i t go by :func:`spinbath.model.check_phases`.
     """
-    if not math.isfinite(t):
-        raise InvalidParameterError(f"t must be finite, got {t!r}")
+    check_phases(point_set.points, t)
     return complex(np.sum(point_set.weights * np.exp(1j * point_set.points * t)))
 
 

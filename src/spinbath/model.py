@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     EmptyEnvironmentError,
     InvalidParameterError,
     NormalizationError,
@@ -226,6 +227,35 @@ def observable_entries(obs: FullObservable) -> tuple[np.ndarray, np.ndarray]:
         dtype=np.float64,
     ).reshape(len(obs.env_parts), 4)
     return system, env
+
+
+def check_phases(frequencies, t, scale: float = 1.0) -> None:
+    """The time rule of every evaluator. ``frequencies`` holds those that it
+    multiplies by t, one row per case, and ``t`` one time per case or one for
+    all. Refuses the first non-finite t, then each case whose largest phase,
+    scale * max|f| * |t| (rounding is monotone), is beyond the float range."""
+    times = np.asarray(t, dtype=np.float64)
+    f_max = np.abs(frequencies).max(axis=-1, initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        beyond = ~np.isfinite(scale * f_max * np.abs(times))
+    if beyond.any():
+        finite = np.isfinite(times)
+        if not finite.all():
+            raise InvalidParameterError(f"t must be finite, got {float(times[~finite][0])!r}")
+        f_at, t_at = (float(np.broadcast_to(x, beyond.shape)[beyond][0]) for x in (f_max, times))
+        raise InvalidParameterError(
+            f"the phases at t = {t_at!r}, max|f| = {f_at!r}, are beyond the float range")
+
+
+def stack_arrays(a, b, alpha, beta, g, system, env, t) -> tuple[np.ndarray, ...]:
+    """The stacked evaluators' arguments as arrays, a, b, alpha and beta complex
+    and the rest float; refuses an ``env`` whose (k, n) is not alpha's."""
+    a, b, alpha, beta = (np.asarray(x, dtype=np.complex128) for x in (a, b, alpha, beta))
+    g, system, env, t = (np.asarray(x, dtype=np.float64) for x in (g, system, env, t))
+    if env.shape[:2] != alpha.shape:
+        raise DimensionMismatchError(f"observable has {env.shape[1]} environment parts, "
+                                     f"model has {alpha.shape[-1]} spins")
+    return a, b, alpha, beta, g, system, env, t
 
 
 # ---------------------------------------------------------------------------

@@ -50,12 +50,12 @@ import numpy as np
 
 from .errors import (
     CapExceededError,
-    DimensionMismatchError,
     EmptyEnvironmentError,
     IndexOutOfRangeError,
     InvalidParameterError,
 )
-from .model import FullObservable, SpinBathModel, observable_entries, read_only, spin_moduli
+from .model import (FullObservable, SpinBathModel, check_phases, observable_entries, read_only,
+                    spin_moduli, stack_arrays)
 
 ENUMERATION_CAP = 26
 ORACLE_CAP = 12
@@ -715,26 +715,21 @@ def brute_force_stack(a, b, alpha, beta, g, system, env, t) -> np.ndarray:
     contracted with the evolved state. Every step runs on the whole stack
     at once, one row per case. Cost and memory are exponential: the stack
     holds k * 2^(n+1) states, and is refused up front beyond the oracle
-    cap or the memory available.
+    cap or the memory available. The phases E t go by
+    :func:`spinbath.model.check_phases`: a case's largest |E| is the
+    left-to-right sum of its |g_i| / 2, as rounding is monotone and symmetric.
     """
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    beta = np.asarray(beta, dtype=np.complex128)
-    g = np.asarray(g, dtype=np.float64)
-    env = np.asarray(env, dtype=np.float64)
+    a, b, alpha, beta, g, system, env, t = stack_arrays(a, b, alpha, beta, g, system, env, t)
     k, n = alpha.shape
-    if env.shape[:2] != (k, n):
-        raise DimensionMismatchError(
-            f"observable has {env.shape[1]} environment parts, model has {n} spins"
-        )
     if n < 1:
         raise EmptyEnvironmentError("the state-vector oracle needs at least one environment spin")
     _require_cap(
         n, ORACLE_CAP, n + 1, _ORACLE_BYTES_PER_STATE, "state-vector oracle", k,
         _ORACLE_BYTES_PER_CASE_QUBIT * (n + 1),
     )
-
-    system = np.asarray(system, dtype=np.float64)
-    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (k,))[:, None]
+    with np.errstate(over="ignore"):
+        check_phases(np.cumsum(np.abs(g) / 2, axis=-1), t)
+    t = np.broadcast_to(t, (k,))[:, None]
     psi = np.empty((k, 2), dtype=np.complex128)
     psi[:, 0], psi[:, 1] = a, b
     for i in range(n):

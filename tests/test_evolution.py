@@ -28,12 +28,14 @@ from spinbath import (
     expectation_full,
     expectation_relevant,
     generate_random,
+    lemma_sum,
     new_model,
     r_bounds,
     r_of_t,
     r_squared,
     reduced_state,
     sample_series,
+    spectral_decomposition,
 )
 from spinbath import evolution, spectrum
 from spinbath.errors import CapExceededError
@@ -355,9 +357,26 @@ def test_stacked_evaluators_check_their_inputs():
     for evaluate in (expectation_full_stack, brute_force_stack):
         with pytest.raises(DimensionMismatchError, match="4 environment parts, model has 3"):
             evaluate(ROOT_HALF, ROOT_HALF, alpha, beta, g, system, env, 1.0)
-    with pytest.raises(InvalidParameterError, match="t must be finite, got nan"):
-        expectation_full_stack(ROOT_HALF, ROOT_HALF, alpha, beta, g, system,
-                               np.zeros((2, 3, 4)), [1.0, math.nan])
+        with pytest.raises(InvalidParameterError, match="t must be finite, got nan"):
+            evaluate(ROOT_HALF, ROOT_HALF, alpha, beta, g, system, np.zeros((2, 3, 4)),
+                     [1.0, math.nan])
+
+
+def test_stacked_evaluators_check_the_phases_case_by_case():
+    """Case A has couplings 1e300 at t = 1 and case B couplings 1 at
+    t = 1e300: each case's phases are finite, though the largest coupling
+    of the stack times its largest time is not. Each row keeps the bits of
+    its single call."""
+    models = [new_model(ROOT_HALF, ROOT_HALF, [(ROOT_HALF, ROOT_HALF, g)] * 2)
+              for g in (1e300, 1.0)]
+    sigma_x = FullObservable.identity_environment(RelevantObservable(0.0, 0.0, 0.5), 2)
+    arrays = stack_of(models, [sigma_x] * 2)
+    times = [1.0, 1e300]
+    for stacked, single in ((expectation_full_stack, expectation_full),
+                            (brute_force_stack, brute_force_expectation)):
+        values = stacked(*arrays, times)
+        assert np.isfinite(values).all()
+        assert values.tolist() == [single(m, sigma_x, t) for m, t in zip(models, times)]
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +757,8 @@ def test_large_bath_r_within_exact_log_bounds(seed):
 @pytest.mark.parametrize(
     "t_start, t_end, steps",
     [(0.0, 1.0, 1), (0.0, 0.0, 10), (2.0, 1.0, 10),
-     (0.0, math.inf, 10), (math.nan, 1.0, 10)],
+     (0.0, math.inf, 10), (math.nan, 1.0, 10),
+     (-1e308, 1e308, 3)],  # finite ends whose span overflows
 )
 def test_sample_series_rejects_bad_grid(rng, t_start, t_end, steps):
     with pytest.raises(InvalidParameterError):
@@ -754,24 +774,41 @@ def test_pointwise_evaluators_reject_non_finite_time(rng, t):
         lambda: expectation_relevant(m, random_system_observable(rng), t),
         lambda: expectation_full(m, random_full_observable(rng, 3), t),
         lambda: reduced_state(m, t),
+        lambda: brute_force_expectation(m, random_full_observable(rng, 3), t),
     ]
     for call in calls:
-        with pytest.raises(InvalidParameterError, match="finite"):
+        with pytest.raises(InvalidParameterError, match=f"t must be finite, got {t!r}"):
             call()
 
 
 def test_pointwise_evaluators_reject_phases_beyond_the_float_range():
     """At t = 1e308 the phase g t of a coupling 2 overflows, and every
-    evaluator would return NaN; at t = 1e307 the phases and r are finite."""
+    evaluator would return NaN; at t = 1e307 the phases and r are finite.
+    Each evaluator checks the phases it forms: on three couplings of 1e308
+    at t = 1.5 the oracle's energy 1.5e308 times t overflows, while the
+    closed forms' phases g t do not."""
     m = new_model(ROOT_HALF, ROOT_HALF, [(ROOT_HALF, ROOT_HALF, g) for g in (2.0, 0.5)])
+    sigma_x = FullObservable.identity_environment(RelevantObservable(0.0, 0.0, 0.5), 2)
     for call in (r_of_t, r_squared, reduced_state):
         with pytest.raises(InvalidParameterError, match="beyond the float range"):
             call(m, 1e308)
-    with pytest.raises(InvalidParameterError, match="beyond the float range"):
-        sample_series(m, 0.0, 1e308, 3)
-    with pytest.raises(InvalidParameterError, match="beyond the float range"):
-        r_squared(m, 5e307)  # the cosines take 2 g t
+    beyond = [
+        lambda: sample_series(m, 0.0, 1e308, 3),
+        lambda: r_squared(m, 5e307),  # the cosines take 2 g t
+        lambda: expectation_full(m, sigma_x, 1e308),
+        lambda: lemma_sum(spectral_decomposition(m), 1e308),
+    ]
+    for call in beyond:
+        with pytest.raises(InvalidParameterError, match="beyond the float range"):
+            call()
     assert cmath.isfinite(r_of_t(m, 1e307)) and math.isfinite(r_squared(m, 1e307))
+
+    huge = new_model(ROOT_HALF, ROOT_HALF, [(ROOT_HALF, ROOT_HALF, 1e308)] * 3)
+    sigma_x = FullObservable.identity_environment(RelevantObservable(0.0, 0.0, 0.5), 3)
+    with pytest.raises(InvalidParameterError, match="beyond the float range"):
+        brute_force_expectation(huge, sigma_x, 1.5)
+    assert expectation_full(huge, sigma_x, 1.5) == 0.1364823441324937
+    assert r_of_t(huge, 1.5) == 0.2729646882649873
 
 
 def test_time_series_validation():
