@@ -27,12 +27,14 @@ cut, so results are bit-identical on any number of CPUs. At large N the
 decay is Gaussian and most of a long grid underflows; a time point whose
 running product is exactly zero stays zero whatever factors follow, so the
 kernel stops multiplying it and reports it as ``0``. A bath whose
-couplings are all equal shares one phase row exp(-i g t): it takes one
-complex exponential per time point instead of one per spin, with the same
-bits, since it is the same exp of the same angle. Every other bath, one
-with partial ties included, takes one exponential per spin and time
-point. Each block of spins is folded into r by one reduction, in spin
-order.
+couplings are all equal shares one phase row exp(-i g t) per time slice:
+it takes one complex exponential per time point instead of one per spin,
+with the same bits, since it is the same exp of the same angle. Every
+other bath, one with partial ties included, takes one exponential per
+spin and time point. The spins go in blocks of _BLOCK_CELLS // points
+spins, counted over the points still in play; each block is folded into
+r by one reduction, in spin order, and followed by a sweep for exact
+zeros.
 """
 
 from __future__ import annotations
@@ -58,18 +60,14 @@ from .model import (
 
 _R_MODULUS_TOLERANCE = 1e-12
 
-# Spins multiplied between two sweeps for exact zeros in _r_values. A
-# sweep copies the surviving points, so it must be rare against the
-# per-spin work; yet a point that has reached zero is still multiplied
-# until the next sweep. At N = 5000 and 2000 steps, blocks of 16 to 128
-# spins ran alike within timing noise, and 64 was kept. A shared phase row
-# drops its swept points with them.
-_ZERO_SWEEP_SPINS = 64
-
 # Cells of the spins x points block in _r_slice, whose two complex buffers
-# take 128 KB each per slice. Blocks keep the Python work per spin short, so
-# the threads spend their time in numpy calls, which release the GIL.
-_BLOCK_CELLS = 8192
+# take 256 KB each per slice; a sweep for exact zeros follows each block.
+# Blocks keep the Python work per spin short, so the threads spend their
+# time in numpy calls, which release the GIL. On compare-equal-n20's grid
+# (20 spins x 2000 points, in process) blocks of 8192, 16384 and 32768
+# cells took 0.46, 0.42 and 0.86 ms a call, and simulate-n5000 peaked at
+# 36.8, 37.2 and 38.2 MB RSS in a fresh process (2-vCPU VM).
+_BLOCK_CELLS = 16384
 
 # Spins x points below which _r_values runs on one thread. Such a grid takes
 # a few milliseconds at most; on 20 spins x 2000 points (about 1 ms), two
@@ -197,23 +195,21 @@ def _r_values(a2: np.ndarray, b2: np.ndarray, g: np.ndarray, times: np.ndarray) 
 def _r_slice(a2: np.ndarray, b2: np.ndarray, g: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
     """Write r on the times ``t`` (two or more) into ``out``.
 
-    Spins go in windows of _ZERO_SWEEP_SPINS, multiplied in spin order
-    over the time points still in play, in place in ``out`` until a point
-    drops. Within a window the factors come in blocks of spins x points
-    of at most _BLOCK_CELLS cells (one spin per block on longer slices),
-    and each block is folded into r by one ``np.multiply.reduce`` over a
-    chain whose first row is r: that gives the bits of multiplying the
-    rows in one at a time. Where every coupling of the bath is equal, the
-    one phase row exp(-i g t) is evaluated once for the slice and copied
-    into each block; otherwise each block takes its phases from one
-    ``np.exp`` call, one row per spin. The block arrays are buffers made
-    once per call and written with ``out=``: fresh temporaries of this
-    size went back to the OS and page-faulted in again on every block.
-    After every window, points whose product is exactly zero (both parts)
-    are dropped, from the shared row too: no finite factor can move them
-    off zero.
+    Spins go in blocks of _BLOCK_CELLS // points spins (one spin per block
+    on longer slices), counted over the time points still in play, and
+    are multiplied in spin order, in place in ``out`` until a point drops.
+    Each block is folded into r by one ``np.multiply.reduce`` over a chain
+    whose first row is r: that gives the bits of multiplying the rows in
+    one at a time. Where every coupling of the bath is equal, the one
+    phase row exp(-i g t) is evaluated once for the slice and copied into
+    each block; otherwise each block takes its phases from one ``np.exp``
+    call, one row per spin. The block arrays are buffers made once per
+    call and written with ``out=``: fresh temporaries of this size went
+    back to the OS and page-faulted in again on every block. After every
+    block, points whose product is exactly zero (both parts) are dropped,
+    from the shared row too: no finite factor can move them off zero.
     """
-    cells = min(max(_BLOCK_CELLS, len(t)), min(_ZERO_SWEEP_SPINS, len(g)) * len(t))
+    cells = min(max(_BLOCK_CELLS, len(t)), len(g) * len(t))
     phase_buf = np.empty(cells, dtype=np.complex128)
     chain_buf = np.empty(cells + len(t), dtype=np.complex128)
     # validated couplings are nonzero, so equal values have equal bits
@@ -221,9 +217,23 @@ def _r_slice(a2: np.ndarray, b2: np.ndarray, g: np.ndarray, t: np.ndarray, out: 
     out[...] = 1
     r = out
     index = None
-    for start in range(0, len(g), _ZERO_SWEEP_SPINS):
-        window = slice(start, min(start + _ZERO_SWEEP_SPINS, len(g)))
-        _fold_window(a2[window], b2[window], g[window], row, t, r, phase_buf, chain_buf)
+    lo = 0
+    while lo < len(g):
+        hi = min(lo + max(1, _BLOCK_CELLS // len(t)), len(g))
+        phase = phase_buf[:(hi - lo) * len(t)].reshape(-1, len(t))
+        chain = chain_buf[:phase.size + len(t)].reshape(-1, len(t))
+        chain[0] = r
+        factors = chain[1:]
+        if row is None:
+            np.exp(np.multiply(-1j * g[lo:hi, None], t, out=phase), out=phase)
+        else:
+            phase[...] = row
+        # a2 * phase + b2 * conj(phase), operation for operation
+        np.multiply(a2[lo:hi, None], phase, out=factors)
+        np.multiply(b2[lo:hi, None], np.conj(phase, out=phase), out=phase)
+        np.add(factors, phase, out=factors)
+        np.multiply.reduce(chain, axis=0, out=r)
+        lo = hi
         live = r != 0
         n_live = np.count_nonzero(live)
         if n_live == 0:
@@ -239,29 +249,6 @@ def _r_slice(a2: np.ndarray, b2: np.ndarray, g: np.ndarray, t: np.ndarray, out: 
         out[...] = 0
         out[index] = r
     out[out == 0] = 0  # no -0 parts
-
-
-def _fold_window(a2, b2, g, row, t, r, phase_buf, chain_buf) -> None:
-    """Multiply r by the factors of one window of spins on the times ``t``,
-    in spin order. ``row`` is None, or the phase row on ``t`` that every
-    spin shares."""
-    rows = max(1, _BLOCK_CELLS // len(t))
-    for lo in range(0, len(g), rows):
-        block = slice(lo, min(lo + rows, len(g)))
-        shape = (block.stop - lo, len(t))
-        phase = phase_buf[:shape[0] * shape[1]].reshape(shape)
-        chain = chain_buf[:phase.size + len(t)].reshape(shape[0] + 1, len(t))
-        chain[0] = r
-        factors = chain[1:]
-        if row is None:
-            np.exp(np.multiply(-1j * g[block, None], t, out=phase), out=phase)
-        else:
-            phase[...] = row
-        # a2 * phase + b2 * conj(phase), operation for operation
-        np.multiply(a2[block, None], phase, out=factors)
-        np.multiply(b2[block, None], np.conj(phase, out=phase), out=phase)
-        np.add(factors, phase, out=factors)
-        np.multiply.reduce(chain, axis=0, out=r)
 
 
 def r_of_t(model: SpinBathModel, t: float) -> complex:

@@ -504,10 +504,11 @@ def decomposition_to_csv(path: str, dec: SpectralDecomposition) -> None:
 # ---------------------------------------------------------------------------
 
 # Peak-RSS rise per grid step of run_simulate and run_compare, whatever the
-# output: 63-65 B measured in fresh processes on generate_random(n, 1) at
-# N = 2 and 64 with 1e6 steps and a system observable, on one CPU and with
-# the grid split over two threads (98-104 B before the r(t) kernel reused
-# its block buffers), so the estimate keeps a wide margin.
+# output: 81-83 B measured from just before the call in fresh processes on
+# generate_random(n, 1) at N = 2 and 64 with 1e6 steps and a system
+# observable, CSV or JSON output, on one CPU and with the grid split over
+# two threads (an earlier reading gave 63-65 B, and 98-104 B before the
+# r(t) kernel reused its block buffers), so the estimate keeps a margin.
 _BYTES_PER_STEP = 128
 
 

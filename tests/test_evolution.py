@@ -612,11 +612,17 @@ def cycling_model(n, seed):
     return new_model(base.a, base.b, zip(base.alpha.tolist(), base.beta.tolist(), g.tolist()))
 
 
+# Spins per block on the 257-point grid below, one slice; a zero sweep
+# follows each block. The sizes hold the block edges and, past them, 65
+# and 129.
+ROWS = evolution._BLOCK_CELLS // 257
+SIZES = sorted({ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1, 63, 64, 65, 129})
+
 REPEATED_BATHS = {
     "equal-0.5-n20": lambda: generate_random(20, 1, Equal(0.5)),
     "equal-minus-1.25-n20": lambda: generate_random(20, 2, Equal(-1.25)),
-    **{f"cycling-n{n}": lambda n=n: cycling_model(n, 3) for n in (20, 63, 64, 65, 129)},
-    **{f"equal-0.5-n{n}": lambda n=n: generate_random(n, 4, Equal(0.5)) for n in (63, 64, 65, 129)},
+    **{f"cycling-n{n}": lambda n=n: cycling_model(n, 3) for n in (20, *SIZES)},
+    **{f"equal-0.5-n{n}": lambda n=n: generate_random(n, 4, Equal(0.5)) for n in SIZES},
 }
 
 
@@ -625,7 +631,7 @@ REPEATED_BATHS = {
 def test_repeated_couplings_keep_their_bits(monkeypatch, bath, slices):
     """An equal-coupling bath shares one phase row per slice, and a bath of
     partial ties takes one row per spin, with the same bits; the zero
-    sweeps at 64 and 128 spins compress the shared row with the points."""
+    sweeps at the block edges compress the shared row with the points."""
     use_cpus(monkeypatch, slices)
     monkeypatch.setattr(evolution, "_SPLIT_CELLS", 0)
     m = REPEATED_BATHS[bath]()
@@ -699,6 +705,27 @@ def test_an_equal_coupling_bath_evaluates_one_phase_row_per_slice(monkeypatch):
             r = sample_series(m, 0.0, 0.1, 100).r_values
             assert np.all(r != 0)
             assert sum(cells) == expected, (name, slices)
+
+
+def test_a_lone_point_takes_one_exp_call_per_block(monkeypatch):
+    """r_of_t runs as two points, so a block holds _BLOCK_CELLS // 2 spins:
+    a random bath of 5000 spins takes one np.exp call per block, and an
+    equal-coupling bath one call for its shared row."""
+    exp = np.exp
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    for m, expected in (
+        (generate_random(5000, 1), math.ceil(5000 / (evolution._BLOCK_CELLS // 2))),
+        (generate_random(5000, 1, Equal(0.5)), 1),
+    ):
+        calls.clear()
+        assert r_of_t(m, 0.3) != 0
+        assert len(calls) == expected
 
 
 @pytest.mark.parametrize("law", [UniformPositive(1.0), Equal(0.5)])
