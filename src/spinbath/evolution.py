@@ -39,8 +39,6 @@ zeros.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +52,10 @@ from .model import (
     check_phases,
     observable_entries,
     read_only,
+    run_lanes,
     spin_moduli,
     stack_arrays,
+    usable_cpus,
 )
 
 _R_MODULUS_TOLERANCE = 1e-12
@@ -138,22 +138,18 @@ def _slice_count(n_spins: int, points: int) -> int:
     _SPLIT_CELLS spins x points, each of at least two points (see _r_values)."""
     if n_spins * points < _SPLIT_CELLS:
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, points // 2))
+    return max(1, min(usable_cpus(), points // 2))
 
 
 def _r_values(a2: np.ndarray, b2: np.ndarray, g: np.ndarray, times: np.ndarray) -> np.ndarray:
     """r at every entry of ``times``: the product of the per-spin factors.
 
     The grid is cut into contiguous slices (_slice_count), each evaluated
-    by _r_slice in its own thread while numpy releases the GIL; the
-    threads are joined before returning, and an exception in any slice is
-    raised here. Every time point runs the same operations in the same
-    order whatever the slicing, so the result does not depend on the
-    number of CPUs. Points whose product underflows to exactly zero come
+    by _r_slice in a lane of :func:`spinbath.model.run_lanes` while numpy
+    releases the GIL; the lanes are joined before returning, and an
+    exception in any slice is raised here. Every time point runs the same
+    operations in the same order whatever the slicing, so the result does
+    not depend on the number of CPUs. Points whose product underflows to exactly zero come
     back as ``0j``; every other entry is bit-identical to the full product
     over any array of two or more time points.
 
@@ -170,25 +166,12 @@ def _r_values(a2: np.ndarray, b2: np.ndarray, g: np.ndarray, times: np.ndarray) 
     out = np.empty(len(t), dtype=np.complex128)
     slices = _slice_count(len(g), len(t))
     edges = [len(t) * k // slices for k in range(slices + 1)]
-    errors = []
 
     def run(k: int) -> None:
-        try:
-            lo, hi = edges[k], edges[k + 1]
-            _r_slice(a2, b2, g, t[lo:hi], out[lo:hi])
-        except BaseException as exc:  # re-raised by the caller below
-            errors.append(exc)
+        lo, hi = edges[k], edges[k + 1]
+        _r_slice(a2, b2, g, t[lo:hi], out[lo:hi])
 
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, slices)]
-    for thread in threads:
-        thread.start()
-    try:
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    run_lanes(run, slices)
     return out[:len(times)]
 
 

@@ -18,9 +18,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -256,6 +258,40 @@ def stack_arrays(a, b, alpha, beta, g, system, env, t) -> tuple[np.ndarray, ...]
         raise DimensionMismatchError(f"observable has {env.shape[1]} environment parts, "
                                      f"model has {alpha.shape[-1]} spins")
     return a, b, alpha, beta, g, system, env, t
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def run_lanes(lane: Callable[[int], None], lanes: int) -> None:
+    """Call ``lane(k)`` for every k in range(lanes) at once: lane 0 on the
+    calling thread, each other lane in a thread of its own (none for one
+    lane). numpy releases the GIL in its array calls, so lanes that spend
+    their time there run on as many CPUs. Joins every thread, then raises
+    the first exception a lane raised."""
+    errors = []
+
+    def run(k: int) -> None:
+        try:
+            lane(k)
+        except BaseException as exc:  # raised below, once every lane is joined
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, lanes)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 # ---------------------------------------------------------------------------

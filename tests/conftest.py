@@ -6,6 +6,7 @@ they never touch package internals.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,12 @@ from spinbath import (
 )
 
 ROOT_HALF = math.sqrt(0.5)
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make the process see ``cpus`` usable CPUs: the r(t) kernel cuts that
+    many slices of a large grid, and oracle-check runs that many lanes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 def bounded_model(n, rng, a2_lo=0.0, a2_hi=1.0, phases=False, g_lo=0.0, g_hi=1.0):

@@ -56,6 +56,7 @@ from conftest import (
     random_full_observable,
     random_system_observable,
     triples,
+    use_cpus,
 )
 
 
@@ -504,11 +505,6 @@ def test_sample_series_bits_without_zeros(rng):
     assert np.all(r != 0)
     reference = per_spin_loop(m, np.linspace(-3.0, 7.0, 257))
     assert np.array_equal(r.view(np.float64), reference.view(np.float64))
-
-
-def use_cpus(monkeypatch, cpus):
-    """Make the kernel see ``cpus`` usable CPUs, so it cuts that many slices."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 def test_slice_count_follows_cpus_and_grid_size(monkeypatch):

@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -52,7 +54,7 @@ from spinbath.harness import (
 from spinbath.lemma import VerdictConfig
 from spinbath.model import Equal, PhaseLaw, UniformPositive
 
-from conftest import ROOT_HALF, bounded_model
+from conftest import ROOT_HALF, bounded_model, use_cpus
 
 LOOSE_VERDICT = {
     "cv_max": 30.0, "ks_max": 0.30, "eps_global": 5e-3, "eps_group": 5e-3,
@@ -754,27 +756,111 @@ def five_call_cases(n_max, cases, seed):
 @pytest.mark.parametrize("seed", [1, 1646266295])
 def test_one_draw_per_case_reads_the_five_call_cases(monkeypatch, seed):
     """Every case of run_oracle_check, as the stacked oracle receives it,
-    equals the five-call draw byte for byte."""
-    stack_seeds, seen = [], {}
-    drawn_bath, stacked = harness.random_spin_arrays, harness.brute_force_stack
-
-    def bath(n, seeds, *laws):
-        stack_seeds.append(list(seeds))
-        return drawn_bath(n, seeds, *laws)
-
-    def recording(a, b, alpha, beta, g, system, env, t, **kwargs):
-        for row, model_seed in enumerate(stack_seeds.pop(0)):
-            seen[model_seed] = (alpha.shape[1], system[row].tobytes(), env[row].tobytes(),
-                                np.float64(t[row]).tobytes())
-        return stacked(a, b, alpha, beta, g, system, env, t, **kwargs)
-
-    monkeypatch.setattr(harness, "brute_force_stack", recording)
-    monkeypatch.setattr(harness, "random_spin_arrays", bath)
-    assert run_oracle_check(12, 1000, seed).passed
+    equals the five-call draw byte for byte, on one lane and on three.
+    Lanes may draw one stack's baths and then run another's oracle pass,
+    so each stack's seeds are found by its own alpha array."""
     expected = five_call_cases(12, 1000, seed)
-    assert len(seen) == len({model_seed for _, model_seed, *_ in expected}) == 1000
-    for n, model_seed, system, env, t in expected:
-        assert seen[model_seed] == (n, system.tobytes(), env.tobytes(), np.float64(t).tobytes())
+    drawn_bath, stacked = harness.random_spin_arrays, harness.brute_force_stack
+    for cpus in (1, 3):
+        stack_seeds, seen, lock = [], {}, threading.Lock()
+
+        def bath(n, seeds, *laws):
+            alpha, beta, g = drawn_bath(n, seeds, *laws)
+            with lock:
+                stack_seeds.append((alpha, list(seeds)))
+            return alpha, beta, g
+
+        def recording(a, b, alpha, beta, g, system, env, t, **kwargs):
+            with lock:
+                seeds = next(seeds for drawn, seeds in stack_seeds if drawn is alpha)
+                for row, model_seed in enumerate(seeds):
+                    seen[model_seed] = (alpha.shape[1], system[row].tobytes(),
+                                        env[row].tobytes(), np.float64(t[row]).tobytes())
+            return stacked(a, b, alpha, beta, g, system, env, t, **kwargs)
+
+        with monkeypatch.context() as patch:
+            use_cpus(patch, cpus)
+            patch.setattr(harness, "brute_force_stack", recording)
+            patch.setattr(harness, "random_spin_arrays", bath)
+            assert run_oracle_check(12, 1000, seed).passed
+        assert len(seen) == len({model_seed for _, model_seed, *_ in expected}) == 1000
+        for n, model_seed, system, env, t in expected:
+            assert seen[model_seed] == (n, system.tobytes(), env.tobytes(),
+                                        np.float64(t).tobytes())
+
+
+@pytest.mark.parametrize("tolerance", [harness.ORACLE_TOLERANCE, 0.0], ids=["exact", "failing"])
+def test_the_cpu_count_never_changes_the_summary(monkeypatch, tolerance):
+    """One, two and three lanes, switching threads every microsecond, give
+    the same maximum error, bit for bit, and the same failures."""
+    monkeypatch.setattr(harness, "ORACLE_TOLERANCE", tolerance)
+    summaries = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            summaries.append(run_oracle_check(12, 1000, 1646266295))
+    finally:
+        sys.setswitchinterval(interval)
+    first = summaries[0]
+    assert first.passed == (tolerance > 0)
+    for summary in summaries[1:]:
+        assert summary.max_abs_error.hex() == first.max_abs_error.hex()
+        assert summary.failures == first.failures
+
+
+class StackError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("failing", [0, 5])
+def test_an_exception_in_a_stack_reaches_the_caller(monkeypatch, cpus, failing):
+    """The lanes busy when a stack fails finish their own stacks; none takes another."""
+    use_cpus(monkeypatch, cpus)
+    evaluate, taken, lock = harness._oracle_stack, [], threading.Lock()
+
+    def failing_stack(n, queue, found):
+        with lock:
+            taken.append(n)
+            number = len(taken) - 1
+        if number == failing:
+            raise StackError(f"stack {failing}")
+        return evaluate(n, queue, found)
+
+    monkeypatch.setattr(harness, "_oracle_stack", failing_stack)
+    before = set(threading.enumerate())
+    with pytest.raises(StackError, match=f"stack {failing}"):
+        run_oracle_check(12, 1000, 1646266295)
+    assert set(threading.enumerate()) == before
+    assert failing < len(taken) <= failing + cpus
+
+
+def test_a_later_stack_refused_for_memory_exits_2(monkeypatch, capsys):
+    use_cpus(monkeypatch, 3)
+    checks, lock = [], threading.Lock()
+
+    def available():
+        with lock:
+            checks.append(None)
+            return 0 if len(checks) == 4 else None
+
+    monkeypatch.setattr(spectrum, "_available_memory", available)
+    before = set(threading.enumerate())
+    assert main(["oracle-check", "--n-max", "12", "--cases", "1000", "--seed", "1"]) == 2
+    assert set(threading.enumerate()) == before
+    assert "of memory is free" in capsys.readouterr().err
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    use_cpus(monkeypatch, 1)
+
+    def refused(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    assert run_oracle_check(12, 1000, 1).passed
 
 
 # oracle-n12 of the benchmark runs these seeds (its seeds 1 and 9).
